@@ -37,9 +37,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import action, check_identities, fit_rate, nonexistence_certificate, \
-    trace_inequality_check
-from .errors import CollapseError, ConfigError, ContractionError, ConvergenceError, \
-    SolverError
+    nonexistence_regime, trace_inequality_check
+from .errors import CollapseError, ConfigError, SolverError
 from .fixed_point import SolveReport, find_convergence_threshold, random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
@@ -258,13 +257,6 @@ def _solve_row(cfg: RunConfig, rep: SolveReport, act: float):
             rep.final_residual, rep.rc_norm, rep.w_norm, rep.gs_residual, act)
 
 
-def _failure_report(rp: ReducedParams, exc: SolverError) -> SolveReport:
-    outcome = "collapsed" if isinstance(exc, CollapseError) else \
-        "diverged" if isinstance(exc, ContractionError) else "stalled"
-    return SolveReport(rp.n, rp.p, rp.c_tilde, outcome, False, 0, math.nan, math.nan,
-                       math.nan, math.nan, math.nan, (), (), str(exc))
-
-
 def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
     """Solve at one speed; returns (u_c, report, action) without raising."""
     tl = cfg.tolerances
@@ -272,9 +264,8 @@ def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
         u_c, rep = solve(rp, cfg.grid, gs=gs, probe=probe, tol_gs=tl.tol_gs,
                          tol_lin=tl.tol_lin, tol_step=tl.tol_step,
                          tol_residual=tl.tol_residual)
-    except (ContractionError, CollapseError, ConvergenceError) as exc:
-        return None, exc.report if exc.report is not None else _failure_report(rp, exc), \
-            math.nan
+    except SolverError as exc:
+        return None, exc.report, math.nan
     act = math.nan
     if u_c is not None:
         act = action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
@@ -411,10 +402,7 @@ def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
-    mu_coeff = 0.5 * rp.c_tilde ** 2 - 1.0
-    in_a = mu_coeff <= 0.0 and rp.p >= rp.critical_half
-    in_b = mu_coeff > 0.0 and rp.p >= rp.critical_sobolev
-    if not (in_a or in_b):
+    if nonexistence_regime(rp) is None:
         raise ConfigError(f"(n={rp.n}, p={rp.p}, c={rp.c_tilde}) is outside both "
                           "non-existence regimes; certify does not apply")
     gs = _limit_state(cfg, allow_supercritical=True)

@@ -194,6 +194,17 @@ class Certificate:
     conclusion: str
 
 
+def nonexistence_regime(rp: ReducedParams):
+    """The non-existence regime (n, p, c) lies in: "A", "B" or None.
+
+    Regime A is c^2/2 <= 1 with p >= (n+1)/(n-1); regime B is c^2/2 > 1 with
+    p >= (n+2)/(n-2).
+    """
+    if 0.5 * rp.c_tilde * rp.c_tilde - 1.0 <= 0.0:
+        return "A" if rp.p >= rp.critical_half else None
+    return "B" if rp.p >= rp.critical_sobolev else None
+
+
 def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
     """Evaluate the identity combination that rules out nontrivial solutions.
 
@@ -208,9 +219,8 @@ def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
     n, p, c = rp.n, rp.p, rp.c_tilde
     mu_coeff = 0.5 * c * c - 1.0
     share = n / (p + 1.0)
-    in_a = mu_coeff <= 0.0 and p >= rp.critical_half
-    in_b = mu_coeff > 0.0 and p >= rp.critical_sobolev
-    if not (in_a or in_b):
+    regime = nonexistence_regime(rp)
+    if regime is None:
         raise ValueError(
             f"(n={n}, p={p}, c={c}) lies in neither non-existence regime: "
             "need c^2/2 <= 1 with p >= (n+1)/(n-1), or c^2/2 > 1 with p >= (n+2)/(n-2)")
@@ -218,7 +228,7 @@ def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
     w = extension_weights(u, c, p)
     vacuous = not np.any(u.values)
 
-    if in_a:
+    if regime == "A":
         a_grad = 0.5 * (n - 1) - share
         a_mass = 0.5 * (n + 1) - share
         lhs = a_grad * w.grad_bulk + a_mass * w.mass_bulk

@@ -2,31 +2,27 @@
 
 
 class SolverError(RuntimeError):
-    """Base class for numerical-failure exceptions raised by iterative solvers."""
+    """Base class for numerical-failure exceptions raised by iterative solvers.
+
+    `report` is the partial run record when the raiser has one; every
+    SolverError that fixed_point.solve() raises carries its SolveReport.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ConvergenceError(SolverError):
     """An iteration hit its iteration cap without meeting its tolerance."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class CollapseError(SolverError):
     """An iterate decayed to (numerical) zero; the trivial solution was reached."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ContractionError(SolverError):
     """A fixed-point iterate left the contraction ball (divergence)."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class StagnationError(SolverError):

@@ -17,7 +17,7 @@ recorded as data rather than raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,11 +75,8 @@ def nonlinear_q(gs: GroundState, w: Field) -> Field:
     return Field(w.grid, signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values)
 
 
-def phi(op: LinearizedOperator, w: Field, rc: Field = None,
-        tol_lin: float = 1e-10) -> Field:
+def phi(op: LinearizedOperator, w: Field, rc: Field, tol_lin: float = 1e-10) -> Field:
     """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w)."""
-    if rc is None:
-        rc = remainder_rc(op, tol_lin)
     correction = invert(op, symmetrize_radial(nonlinear_q(op.gs, w)), tol=tol_lin)
     return symmetrize_radial(rc + correction)
 
@@ -95,6 +92,24 @@ def random_start(grid: Grid, rng: np.random.Generator, scale: float, q: float,
 def _contraction_estimate(steps, floor: float) -> float:
     ratios = [steps[k] / steps[k - 1] for k in range(1, len(steps)) if steps[k - 1] > floor]
     return max(ratios) if ratios else 0.0
+
+
+_FAILURES = {OUTCOME_COLLAPSED: CollapseError, OUTCOME_DIVERGED: ContractionError,
+             OUTCOME_STALLED: ConvergenceError}
+
+
+def _finish(report: SolveReport, probe: bool, u_c: Field = None):
+    """The one exit of solve().
+
+    Returns (u_c, report) on convergence and (None, report) for any other
+    outcome in probe mode; otherwise raises the outcome's SolverError with
+    the report attached.
+    """
+    if report.converged:
+        return u_c, report
+    if probe:
+        return None, report
+    raise _FAILURES[report.outcome](report.message, report)
 
 
 def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = None,
@@ -122,106 +137,69 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = Non
             raise ValueError(f"c={rp.c_tilde} below the construction floor {_C_FLOOR}; "
                              "probe=True lifts the floor")
 
-    def _report(outcome, iterations, kappa, residual, rcn, wn, gres, wns, sts, msg=""):
-        return SolveReport(rp.n, rp.p, rp.c_tilde, outcome, outcome == OUTCOME_CONVERGED,
-                           iterations, kappa, residual, rcn, wn, gres,
-                           tuple(wns), tuple(sts), msg)
-
+    # one running report; its "stalled" outcome stands unless an earlier exit decides
+    report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, False, 0, 0.0, np.nan,
+                         np.nan, np.nan, np.nan)
     q = rp.q_default
     if gs is None:
         try:
             gs = solve_limit_equation(rp, grid, tol=tol_gs, max_iter=gs_max_iter,
                                       allow_supercritical=probe)
-        except CollapseError as exc:
-            if probe:
-                return None, _report(OUTCOME_COLLAPSED, 0, 0.0, np.nan, np.nan, np.nan,
-                                     np.nan, (), (), f"limit ground state: {exc}")
-            raise
-        except ConvergenceError as exc:
-            if probe:
-                return None, _report(OUTCOME_DIVERGED, 0, 0.0, np.nan, np.nan, np.nan,
-                                     np.nan, (), (), f"limit ground state: {exc}")
-            raise
+        except (CollapseError, ConvergenceError) as exc:
+            outcome = OUTCOME_COLLAPSED if isinstance(exc, CollapseError) else OUTCOME_DIVERGED
+            return _finish(replace(report, outcome=outcome,
+                                   message=f"limit ground state: {exc}"), probe)
     elif gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
+    report = replace(report, gs_residual=gs.residual)
 
     op = linearized_operator(rp, gs)
     ceiling = norm_h1(gs.u)
-    pc_half = op.pc_half
-
-    def equation_residual(u_values):
-        pcu = half_spectrum_apply(grid, u_values, pc_half)
-        return norm_lq(Field(grid, pcu - signed_power(u_values, rp.p)), 2)
-
     try:
         rc = remainder_rc(op, tol_lin)
     except (StagnationError, ConvergenceError) as exc:
-        if probe:
-            return None, _report(OUTCOME_DIVERGED, 0, 0.0, np.nan, np.nan, np.nan,
-                                 gs.residual, (), (),
-                                 f"linearized operator lost invertibility: {exc}")
-        raise
-    rc_norm = intersection_norm(rc, q)
+        return _finish(replace(report, outcome=OUTCOME_DIVERGED,
+                               message=f"linearized operator lost invertibility: {exc}"),
+                       probe)
+    report = replace(report, rc_norm=intersection_norm(rc, q))
 
     w = w0 if w0 is not None else Field.zeros(grid)
-    w_norms = []
-    steps = []
     step_floor = max(10.0 * tol_step, 1e-14 * max(ceiling, 1.0))
-
     for k in range(1, max_iter + 1):
         try:
-            correction = invert(op, symmetrize_radial(nonlinear_q(gs, w)), tol=tol_lin)
+            w_new = phi(op, w, rc, tol_lin)
         except (StagnationError, ConvergenceError) as exc:
-            msg = f"linearized solve failed at iteration {k}: {exc}"
-            report = _report(OUTCOME_DIVERGED, k, _contraction_estimate(steps, step_floor),
-                             np.nan, rc_norm, intersection_norm(w, q), gs.residual,
-                             w_norms, steps, msg)
-            if probe:
-                return None, report
-            raise ContractionError(msg, report) from exc
-        w_new = symmetrize_radial(rc + correction)
-
-        steps.append(intersection_norm(w_new - w, q))
+            return _finish(replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
+                                   w_norm=intersection_norm(w, q),
+                                   message=f"linearized solve failed at iteration {k}: {exc}"),
+                           probe)
+        steps = report.steps + (intersection_norm(w_new - w, q),)
         wn = intersection_norm(w_new, q)
-        w_norms.append(wn)
         w = w_new
-        kappa = _contraction_estimate(steps, step_floor)
+        report = replace(report, iterations=k, steps=steps, w_norms=report.w_norms + (wn,),
+                         w_norm=wn, contraction_estimate=_contraction_estimate(steps, step_floor))
 
-        u_amp = float(np.max(np.abs(gs.u.values + w.values)))
-        if u_amp < _COLLAPSE_FLOOR:
-            report = _report(OUTCOME_COLLAPSED, k, kappa, np.nan, rc_norm, wn,
-                             gs.residual, w_norms, steps, "iterate collapsed to zero")
-            if probe:
-                return None, report
-            raise CollapseError("contraction iterate collapsed to zero", report)
+        if float(np.max(np.abs(gs.u.values + w.values))) < _COLLAPSE_FLOOR:
+            return _finish(replace(report, outcome=OUTCOME_COLLAPSED,
+                                   message="iterate collapsed to zero"), probe)
         if not np.isfinite(wn) or wn > ceiling:
-            report = _report(OUTCOME_DIVERGED, k, kappa, np.nan, rc_norm, wn,
-                             gs.residual, w_norms, steps,
-                             f"||w||={wn:.3e} left the contraction ball (ceiling {ceiling:.3e})")
-            if probe:
-                return None, report
-            raise ContractionError(report.message, report)
-
+            return _finish(replace(report, outcome=OUTCOME_DIVERGED,
+                                   message=f"||w||={wn:.3e} left the contraction ball "
+                                           f"(ceiling {ceiling:.3e})"), probe)
         if steps[-1] < tol_step:
             u_c = Field(grid, gs.u.values + w.values)
-            residual = equation_residual(u_c.values)
+            pcu = half_spectrum_apply(grid, u_c.values, op.pc_half)
+            residual = norm_lq(Field(grid, pcu - signed_power(u_c.values, rp.p)), 2)
+            report = replace(report, final_residual=residual)
             if residual <= tol_residual:
-                return u_c, _report(OUTCOME_CONVERGED, k, kappa, residual, rc_norm, wn,
-                                    gs.residual, w_norms, steps)
-            report = _report(OUTCOME_STALLED, k, kappa, residual, rc_norm, wn,
-                             gs.residual, w_norms, steps,
-                             f"step tolerance met but residual {residual:.3e} > "
-                             f"tol_residual {tol_residual:g}")
-            if probe:
-                return None, report
-            raise ConvergenceError(report.message, report)
+                return _finish(replace(report, outcome=OUTCOME_CONVERGED, converged=True),
+                               probe, u_c)
+            return _finish(replace(report, message=f"step tolerance met but residual "
+                                                   f"{residual:.3e} > tol_residual "
+                                                   f"{tol_residual:g}"), probe)
 
-    report = _report(OUTCOME_STALLED, max_iter, _contraction_estimate(steps, step_floor),
-                     np.nan, rc_norm, intersection_norm(w, q), gs.residual, w_norms, steps,
-                     f"no convergence within {max_iter} iterations")
-    if probe:
-        return None, report
-    raise ConvergenceError(report.message, report)
+    return _finish(replace(report, message=f"no convergence within {max_iter} iterations"),
+                   probe)
 
 
 @dataclass(frozen=True)

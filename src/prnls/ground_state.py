@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CollapseError, ConvergenceError
 from .params import ReducedParams
-from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_hs, norm_lq,
-                       signed_power, symmetrize_radial)
+from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_lq, signed_power,
+                       symmetrize_radial)
 
 _COLLAPSE_FLOOR = 1e-10
 _BLOWUP_CEILING = 1e12
@@ -119,7 +119,3 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = 1e-12,
     raise ConvergenceError(
         f"petviashvili iteration did not meet tol={tol:g} within {max_iter} steps")
 
-
-def regularity_report(gs: GroundState, s_values=(1.0, 2.0, 3.0, 4.0)) -> dict:
-    """Sobolev norms ||u||_{H^s} of the ground state for each requested s."""
-    return {float(s): norm_hs(gs.u, float(s)) for s in s_values}

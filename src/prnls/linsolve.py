@@ -25,9 +25,9 @@ import numpy as np
 from .errors import ConvergenceError, StagnationError, SymmetryError
 from .ground_state import GroundState
 from .params import ReducedParams
-from .spectral import (Field, Grid, apply_multiplier, half_spectrum_apply,
-                       half_spectrum_multiplier, is_radial_symmetric, norm_lq, norm_w1q,
-                       norm_w2q, random_band_limited, symmetrize_radial)
+from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
+                       is_radial_symmetric, norm_lq, norm_w1q, norm_w2q,
+                       random_band_limited, symmetrize_radial)
 from .symbols import inverse_difference, p_c
 
 _STALL_WINDOW = 50
@@ -131,12 +131,11 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
 
 
 def invert(op: LinearizedOperator, f: Field, tol: float = 1e-10, restart: int = 50,
-           max_iter: int = 500, project_radial: bool = True) -> Field:
+           max_iter: int = 500) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
-    f must already be radially symmetrized (asserted to 1e-8 relative) unless
-    project_radial=False, which disables both the assertion and the per-iterate
-    projection (used only by the kernel-direction negative probes).
+    f must already be radially symmetrized (asserted to 1e-8 relative); every
+    Krylov iterate is projected back onto the radial subspace.
     """
     if f.grid != op.grid:
         raise ValueError("field grid does not match operator grid")
@@ -144,29 +143,22 @@ def invert(op: LinearizedOperator, f: Field, tol: float = 1e-10, restart: int = 
     fnorm = norm_lq(f, 2)
     if fnorm == 0.0:
         return Field.zeros(grid)
-    if project_radial and not is_radial_symmetric(f, 1e-8):
+    if not is_radial_symmetric(f, 1e-8):
         raise SymmetryError("invert() requires radially symmetrized data; "
                             "apply symmetrize_radial to the right-hand side first")
 
     pot = op.potential.values
     inv_pc = op.inv_pc_half
 
-    if project_radial:
-        def apply_b(v):
-            flat = v.reshape(grid.shape)
-            out = flat - pot * half_spectrum_apply(grid, flat, inv_pc)
-            return symmetrize_radial(Field(grid, out)).values.ravel()
-    else:
-        def apply_b(v):
-            flat = v.reshape(grid.shape)
-            return (flat - pot * half_spectrum_apply(grid, flat, inv_pc)).ravel()
+    def apply_b(v):
+        flat = v.reshape(grid.shape)
+        out = flat - pot * half_spectrum_apply(grid, flat, inv_pc)
+        return symmetrize_radial(Field(grid, out)).values.ravel()
 
     bnorm = float(np.linalg.norm(f.values.ravel()))
     v, _ = _gmres(apply_b, f.values.ravel(), 0.8 * tol * bnorm, restart, max_iter)
     w_values = half_spectrum_apply(grid, v.reshape(grid.shape), inv_pc)
-    w = Field(grid, w_values)
-    if project_radial:
-        w = symmetrize_radial(w)
+    w = symmetrize_radial(Field(grid, w_values))
 
     residual = norm_lq(apply(op, w) - f, 2) / fnorm
     if residual > tol:
@@ -213,8 +205,8 @@ def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
     if kmax is None:
         kmax = np.pi * grid.N / (4.0 * grid.L)
     rng = np.random.default_rng([seed, int(round(c * 1000)) % (2 ** 31), int(q)])
-    pc_sym = p_c(c)
-    a_sym = inverse_difference(c)
+    pc_half = half_spectrum_multiplier(grid, p_c(c))
+    a_half = half_spectrum_multiplier(grid, inverse_difference(c))
 
     xi_min = np.pi / grid.L
     n_shells = max(trials - 2, 1)
@@ -224,12 +216,12 @@ def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
 
     lower = upper = inv_ratio = 0.0
     for f in fields:
-        pf = apply_multiplier(pc_sym, f)
-        af = apply_multiplier(a_sym, f)
+        pf = Field(grid, half_spectrum_apply(grid, f.values, pc_half))
+        af = Field(grid, half_spectrum_apply(grid, f.values, a_half))
         fq = norm_lq(f, q)
         pq = norm_lq(pf, q)
         lower = max(lower, norm_w1q(f, q) / pq)
         upper = max(upper, pq / norm_w2q(f, q))
         inv_ratio = max(inv_ratio, c * c * norm_lq(af, q) / fq)
-    lattice_sup = float(c * c * np.max(np.abs(a_sym(grid.xi_sq))))
+    lattice_sup = float(c * c * np.max(np.abs(a_half)))
     return ProbeReport(c, q, len(fields), lower, upper, inv_ratio, lattice_sup)

@@ -20,22 +20,8 @@ def _validate_common(n: int, p: float):
         raise ValueError(f"nonlinearity exponent p must satisfy p > 1, got {p}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Parameters of the full equation: dimension, exponent, mass, frequency, speed."""
-
-    n: int
-    p: float
-    m: float
-    mu: float
-    c: float
-
-    def __post_init__(self):
-        _validate_common(self.n, self.p)
-        for name in ("m", "mu", "c"):
-            val = getattr(self, name)
-            if not (val > 0):
-                raise ValueError(f"{name} must be positive, got {val}")
+class _Exponents:
+    """Critical exponents of (n, p), shared by both parameter sets."""
 
     @property
     def critical_sobolev(self) -> float:
@@ -53,7 +39,25 @@ class PhysicalParams:
 
 
 @dataclass(frozen=True)
-class ReducedParams:
+class PhysicalParams(_Exponents):
+    """Parameters of the full equation: dimension, exponent, mass, frequency, speed."""
+
+    n: int
+    p: float
+    m: float
+    mu: float
+    c: float
+
+    def __post_init__(self):
+        _validate_common(self.n, self.p)
+        for name in ("m", "mu", "c"):
+            val = getattr(self, name)
+            if not (val > 0):
+                raise ValueError(f"{name} must be positive, got {val}")
+
+
+@dataclass(frozen=True)
+class ReducedParams(_Exponents):
     """Parameters of the reduced equation (m = 1/2, mu = 1): dimension, exponent, speed."""
 
     n: int
@@ -64,18 +68,6 @@ class ReducedParams:
         _validate_common(self.n, self.p)
         if not (self.c_tilde > 0):
             raise ValueError(f"c_tilde must be positive, got {self.c_tilde}")
-
-    @property
-    def critical_sobolev(self) -> float:
-        return (self.n + 2) / (self.n - 2) if self.n >= 3 else math.inf
-
-    @property
-    def critical_half(self) -> float:
-        return (self.n + 1) / (self.n - 1) if self.n >= 2 else math.inf
-
-    @property
-    def subcritical_for_construction(self) -> bool:
-        return self.p < self.critical_sobolev
 
     @property
     def q_default(self) -> float:

@@ -6,10 +6,11 @@ operators diagonally on the discrete frequency lattice xi_k = (pi/L) k.
 
 Conventions
 -----------
-* forward() returns coefficients scaled by the cell volume h^n, so the DC
-  coefficient of the constant field 1 equals the box volume (2L)^n and the
-  coefficients approximate the continuum Fourier transform at lattice
-  frequencies (up to a harmless alternating phase).
+* Every Fourier multiplier is applied by half_spectrum_apply, the real
+  rfftn/irfftn pair on the half lattice (last axis 0..N/2). Fields are real,
+  so the other half of the spectrum is the complex conjugate and carries no
+  information. Only resample, which evaluates off the lattice, takes a full
+  fftn.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
   which is exactly consistent with the physical-space quadrature h^n * sum().
 * First-derivative multipliers zero the Nyquist mode (k = -N/2), the standard
@@ -104,15 +105,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.h)
 
     @cached_property
-    def xi_sq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice (fftn layout)."""
-        out = np.zeros(self.shape)
-        for a in range(self.n):
-            xi = np.reshape(self.freqs[a], _axis_shape(self.n, a))
-            out = out + xi * xi
-        return out
-
-    @cached_property
     def xi_sq_half(self) -> np.ndarray:
         """|xi|^2 on the rfftn lattice (last axis halved)."""
         shape = self.shape[:-1] + (self.N // 2 + 1,)
@@ -123,16 +115,6 @@ class Grid:
         xi = self.freqs_half
         out = out + np.reshape(xi * xi, (1,) * (self.n - 1) + (len(xi),))
         return out
-
-    @cached_property
-    def deriv_freqs(self) -> tuple:
-        """Per-axis first-derivative frequencies (full layout, Nyquist zeroed)."""
-        out = []
-        for a in range(self.n):
-            xi = self.freqs[a].copy()
-            xi[self.N // 2] = 0.0
-            out.append(np.reshape(xi, _axis_shape(self.n, a)))
-        return tuple(out)
 
     @cached_property
     def deriv_freqs_half(self) -> tuple:
@@ -216,31 +198,6 @@ class Field:
         return cls(grid, np.broadcast_to(fn(*grid.coords), grid.shape).astype(np.float64).copy())
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Discrete Fourier coefficients of a Field (full complex fftn layout)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coeff shape {c.shape} does not match grid shape {self.grid.shape}")
-        object.__setattr__(self, "coeffs", c)
-
-
-def forward(f: Field) -> SpectralField:
-    """Forward transform; coefficients carry the cell-volume scaling h^n."""
-    return SpectralField(f.grid, f.grid.cell_volume * np.fft.fftn(f.values))
-
-
-def inverse(sf: SpectralField) -> Field:
-    """Inverse of forward(); checks the imaginary residue before discarding it."""
-    w = np.fft.ifftn(sf.coeffs) / sf.grid.cell_volume
-    return Field(sf.grid, _require_real(w, "inverse transform"))
-
-
 def _require_real(w: np.ndarray, what: str) -> np.ndarray:
     scale = np.max(np.abs(w.real))
     residue = np.max(np.abs(w.imag))
@@ -251,24 +208,18 @@ def _require_real(w: np.ndarray, what: str) -> np.ndarray:
     return w.real.copy()
 
 
-def apply_multiplier(sym, f: Field) -> Field:
-    """Apply a real radial Fourier multiplier: inverse(sym(|xi|^2) * forward(f)).
-
-    `sym` is any callable mapping the |xi|^2 lattice to multiplier values
-    (see symbols.Symbol). Output realness is checked, not assumed.
-    """
-    mult = np.asarray(sym(f.grid.xi_sq), dtype=np.float64)
-    w = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return Field(f.grid, _require_real(w, f"multiplier {getattr(sym, 'label', '?')}"))
-
-
 def half_spectrum_multiplier(grid: Grid, sym) -> np.ndarray:
-    """Multiplier values on the rfftn lattice (fast path for iteration loops)."""
+    """Values of a radial symbol (see symbols.Symbol) on the rfftn lattice."""
     return np.asarray(sym(grid.xi_sq_half), dtype=np.float64)
 
 
 def half_spectrum_apply(grid: Grid, values: np.ndarray, mult_half: np.ndarray) -> np.ndarray:
-    """Real-transform multiplier application on raw arrays (no realness check needed)."""
+    """Apply the Fourier multiplier mult_half (rfftn layout) to a real array.
+
+    The one multiplier path: irfftn(mult_half * rfftn(values)). The output is
+    real by construction, so no realness check is needed. mult_half may be
+    complex when the symbol is odd, as for the derivatives in gradient().
+    """
     return np.fft.irfftn(mult_half * np.fft.rfftn(values), s=grid.shape,
                           axes=range(grid.n))
 
@@ -276,11 +227,8 @@ def half_spectrum_apply(grid: Grid, values: np.ndarray, mult_half: np.ndarray) -
 def gradient(f: Field) -> tuple:
     """Spectral gradient, one Field per axis (Nyquist mode dropped)."""
     g = f.grid
-    spec = np.fft.rfftn(f.values)
-    return tuple(
-        Field(g, np.fft.irfftn(1j * xi * spec, s=g.shape, axes=range(g.n)))
-        for xi in g.deriv_freqs_half
-    )
+    return tuple(Field(g, half_spectrum_apply(g, f.values, 1j * xi))
+                 for xi in g.deriv_freqs_half)
 
 
 def signed_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -301,31 +249,26 @@ def norm_lq(f: Field, q: float) -> float:
     return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
 
 
-def l2_inner(f: Field, g: Field) -> float:
-    f._check_same_grid(g)
-    return float(f.grid.cell_volume * np.sum(f.values * g.values))
-
-
 def plancherel_sum(f: Field, weight) -> float:
     """Frequency-side quadratic form sum_k weight(|xi_k|^2) |fhat_k|^2.
 
-    Normalized to match (2 pi)^{-n} * integral of weight * |continuum FT|^2;
-    with weight 1 this equals the squared L^2 norm.
+    `weight` maps |xi|^2 to a radial weight. The sum runs over the full
+    lattice but is evaluated on the rfftn half: a real field has
+    |fhat(-k)| = |fhat(k)|, so last-axis columns 1..N/2-1 stand for
+    themselves and their mirror columns and count twice, while columns 0 and
+    N/2 are their own mirrors. Normalized to match (2 pi)^{-n} * integral of
+    weight * |continuum FT|^2; with weight 1 this equals the squared L^2 norm.
     """
     g = f.grid
-    w = np.asarray(weight(g.xi_sq), dtype=np.float64) if callable(weight) else np.asarray(weight)
-    power = np.abs(np.fft.fftn(f.values)) ** 2
+    power = np.abs(np.fft.rfftn(f.values)) ** 2
+    power[..., 1:g.N // 2] *= 2.0
+    w = np.asarray(weight(g.xi_sq_half), dtype=np.float64)
     return float(g.cell_volume / g.num_points * np.sum(w * power))
 
 
 def norm_h1(f: Field) -> float:
     """Sobolev H^1 norm via the (1 + |xi|^2) multiplier."""
     return math.sqrt(plancherel_sum(f, lambda r2: 1.0 + r2))
-
-
-def norm_hs(f: Field, s: float) -> float:
-    """Sobolev H^s norm via the (1 + |xi|^2)^s multiplier."""
-    return math.sqrt(plancherel_sum(f, lambda r2: (1.0 + r2) ** s))
 
 
 def norm_w1q(f: Field, q: float) -> float:

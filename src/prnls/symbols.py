@@ -107,18 +107,6 @@ def sigma_halfspace(c: float) -> Symbol:
     return Symbol(f"sigma(c={c:g})", lambda r2: np.sqrt(r2 + 0.25 * c * c))
 
 
-def naive_p_c(r2, c: float, dtype=np.float64):
-    """Textbook evaluation sqrt(c^2 r2 + c^4/4) - c^2/2 + 1 in a chosen dtype.
-
-    Catastrophically cancels for |xi| << c in float64; used as an oracle in
-    extended precision and as a counterexample in double precision.
-    """
-    r2 = np.asarray(r2, dtype=dtype)
-    c = dtype(c)
-    one = dtype(1.0)
-    return np.sqrt(c * c * r2 + c ** 4 / dtype(4.0)) - c * c / dtype(2.0) + one
-
-
 # ---------------------------------------------------------------------------
 # bound checks
 # ---------------------------------------------------------------------------

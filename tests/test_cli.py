@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from prnls import fixed_point
 from prnls.cli import main, parse_config
-from prnls.errors import ConfigError
+from prnls.errors import ConfigError, ConvergenceError, StagnationError
 from prnls.spectral import read_field
 
 MINIMAL_2D = """
@@ -351,6 +352,39 @@ rungs = 2
     assert len(rows) == 2
     assert all(r["outcome"] in ("collapsed", "diverged", "stalled") for r in rows)
     assert all(r["outcome"] != "converged" for r in rows)
+
+
+@pytest.mark.parametrize("error", [StagnationError, ConvergenceError])
+def test_sweep_keeps_every_rung_when_rc_solve_fails(tmp_path, monkeypatch, error):
+    # a linear solve that fails inside R_c on the c = 8 rung only: the sweep
+    # still writes all three rungs, labels that one diverged and exits 2
+    text = """
+[params]
+n = 2
+p = 3.0
+
+[grid]
+n_points = 64
+box_radius = 20.0
+
+[sweep]
+c_min = 8.0
+c_max = 32.0
+rungs = 3
+"""
+    invert = fixed_point.invert
+
+    def failing_at_c8(op, f, **kwargs):
+        if op.c == pytest.approx(8.0):
+            raise error("injected linear-solve failure")
+        return invert(op, f, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "invert", failing_at_c8)
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
+    rows = _read_rows(out / "sweep.csv")
+    assert len(rows) == 3
+    assert [r["outcome"] for r in rows] == ["diverged", "converged", "converged"]
 
 
 def test_sweep_find_threshold(tmp_path):

@@ -5,11 +5,20 @@ import pytest
 from scipy.integrate import quad
 
 from prnls.errors import ConvergenceError
-from prnls.ground_state import (initial_gaussian, limit_residual,
-                                regularity_report, solve_limit_equation)
+from prnls.ground_state import initial_gaussian, limit_residual, solve_limit_equation
 from prnls.params import ReducedParams
-from prnls.spectral import (Field, Grid, gradient, norm_hs, norm_lq,
+from prnls.spectral import (Field, Grid, gradient, norm_lq, plancherel_sum,
                             symmetrize_radial)
+
+
+def norm_hs(f, s):
+    """Sobolev H^s norm via the (1 + |xi|^2)^s multiplier."""
+    return math.sqrt(plancherel_sum(f, lambda r2: (1.0 + r2) ** s))
+
+
+def regularity_report(gs, s_values=(1.0, 2.0, 3.0, 4.0)):
+    """Sobolev norms ||u||_{H^s} of the ground state for each requested s."""
+    return {float(s): norm_hs(gs.u, float(s)) for s in s_values}
 
 
 def _closed_form_soliton(x, p):

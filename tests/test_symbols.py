@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
-                           check_pointwise_bounds, inverse_difference, naive_p_c,
-                           p_c, p_infty, p_infty_minus_p_c, relativistic_symbol,
+                           check_pointwise_bounds, inverse_difference, p_c,
+                           p_infty, p_infty_minus_p_c, relativistic_symbol,
                            sigma_halfspace, symbol_ratio)
 
 _SAMPLE_R2 = np.geomspace(1e-12, 1e12, 2000)
+
+
+def naive_p_c(r2, c: float, dtype=np.float64):
+    """Textbook evaluation sqrt(c^2 r2 + c^4/4) - c^2/2 + 1 in a chosen dtype.
+
+    Catastrophically cancels for |xi| << c in float64; used as an oracle in
+    extended precision and as a counterexample in double precision.
+    """
+    r2 = np.asarray(r2, dtype=dtype)
+    c = dtype(c)
+    one = dtype(1.0)
+    return np.sqrt(c * c * r2 + c ** 4 / dtype(4.0)) - c * c / dtype(2.0) + one
 
 
 def test_p_c_at_origin_is_one():
