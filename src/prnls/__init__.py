@@ -15,7 +15,8 @@ from .errors import (CollapseError, ConfigError, ContractionError, ConvergenceEr
 from .fixed_point import SolveReport, find_convergence_threshold, solve
 from .ground_state import GroundState, limit_residual, solve_limit_equation
 from .linsolve import LinearizedOperator, invert, linearized_operator, operator_norm_probe
-from .params import PhysicalParams, ReducedParams, lift_solution, reduce_params
+from .params import (PhysicalParams, ReducedParams, ToleranceSet, lift_solution,
+                     reduce_params)
 from .spectral import Field, Grid, read_field, write_field
 
 __all__ = [
@@ -28,6 +29,6 @@ __all__ = [
     "SolveReport", "find_convergence_threshold", "solve",
     "GroundState", "limit_residual", "solve_limit_equation",
     "LinearizedOperator", "invert", "linearized_operator", "operator_norm_probe",
-    "PhysicalParams", "ReducedParams", "lift_solution", "reduce_params",
+    "PhysicalParams", "ReducedParams", "ToleranceSet", "lift_solution", "reduce_params",
     "Field", "Grid", "read_field", "write_field",
 ]

@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .errors import CollapseError, ConfigError, SolverError
 from .fixed_point import SolveReport, find_convergence_threshold, random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
-from .params import PhysicalParams, ReducedParams, lift_solution, reduce_params
+from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, reduce_params
 from .spectral import Grid, intersection_norm, norm_h1, write_field
 from .symbols import check_derivative_bounds, check_difference_bound, \
     check_pointwise_bounds
@@ -54,14 +54,6 @@ _OUTPUT_DIR_ENV = "PRNLS_OUTPUT_DIR"
 _GENUINE_MISMATCH = 1e-6
 _PROBE_START_SCALE = 0.3
 _DERIVATIVE_C_LADDER = (2.0, 8.0, 32.0, 128.0)
-
-
-@dataclass(frozen=True)
-class ToleranceSet:
-    tol_gs: float
-    tol_lin: float
-    tol_step: float
-    tol_residual: float
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,13 @@ class RunConfig:
 _SCHEMA = {
     "params": {"n": int, "p": float, "c": float, "m": float, "mu": float},
     "grid": {"n_points": int, "box_radius": float},
-    "tolerances": {"tol_gs": float, "tol_lin": float, "tol_step": float,
-                   "tol_residual": float},
+    "tolerances": {f.name: float for f in fields(ToleranceSet)},
     "sweep": {"c_min": float, "c_max": float, "rungs": int},
     "run": {"command": str, "output_dir": str, "seed": int, "probes": int,
             "trials": int, "samples": int, "workers": int},
 }
 
+_RUN_FLOORS = {"seed": 0, "probes": 1, "trials": 1, "samples": 100, "workers": 1}
 _NEEDS_FINITE_C = {"solve", "identity-check", "certify"}
 _NEEDS_SWEEP = {"sweep", "rate-sweep", "norm-probe"}
 
@@ -119,6 +111,13 @@ def _get(cp, section: str, key: str, cast, default):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
 
 
+def _run_floor(key: str, val: int) -> int:
+    """Check a [run] integer against its floor, whether it came from the file or a flag."""
+    if val < _RUN_FLOORS[key]:
+        raise ConfigError(f"{key} must be >= {_RUN_FLOORS[key]}, got {val}")
+    return val
+
+
 def parse_config(text: str, command: str = None) -> RunConfig:
     """Parse and validate an INI config; unknown sections/keys are errors."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -134,7 +133,7 @@ def parse_config(text: str, command: str = None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
-    file_command = _get(cp, "run", "command", str, "") if cp.has_section("run") else ""
+    file_command = _get(cp, "run", "command", str, "")
     if file_command and file_command not in COMMANDS:
         raise ConfigError(f"unknown command {file_command!r} (choose from {', '.join(COMMANDS)})")
     if command and file_command and command != file_command:
@@ -151,23 +150,18 @@ def parse_config(text: str, command: str = None) -> RunConfig:
     try:
         params = PhysicalParams(n, p, m, mu, c)
         default_grid = Grid.default(n)
-        n_points = _get(cp, "grid", "n_points", int, default_grid.N) \
-            if cp.has_section("grid") else default_grid.N
-        box_radius = _get(cp, "grid", "box_radius", float, default_grid.L) \
-            if cp.has_section("grid") else default_grid.L
-        grid = Grid(n, n_points, box_radius)
+        grid = Grid(n, _get(cp, "grid", "n_points", int, default_grid.N),
+                    _get(cp, "grid", "box_radius", float, default_grid.L))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def tol(key, default):
-        val = _get(cp, "tolerances", key, float, default) \
-            if cp.has_section("tolerances") else default
+    def tol(field):
+        val = _get(cp, "tolerances", field.name, float, field.default)
         if not (val > 0):
-            raise ConfigError(f"{key} must be positive, got {val}")
+            raise ConfigError(f"{field.name} must be positive, got {val}")
         return val
 
-    tols = ToleranceSet(tol("tol_gs", 1e-12), tol("tol_lin", 1e-10),
-                        tol("tol_step", 1e-10), tol("tol_residual", 1e-8))
+    tols = ToleranceSet(*(tol(f) for f in fields(ToleranceSet)))
 
     sweep = None
     if cp.has_section("sweep"):
@@ -184,19 +178,15 @@ def parse_config(text: str, command: str = None) -> RunConfig:
     elif resolved_command == "symbol-check":
         sweep = SweepSpec(2.0, 1024.0, 10)
 
-    def run_int(key, default, floor=0):
-        val = _get(cp, "run", key, int, default) if cp.has_section("run") else default
-        if val < floor:
-            raise ConfigError(f"{key} must be >= {floor}, got {val}")
-        return val
+    def run_int(key, default):
+        return _run_floor(key, _get(cp, "run", key, int, default))
 
-    output_dir = (_get(cp, "run", "output_dir", str, "") if cp.has_section("run") else "") \
+    output_dir = _get(cp, "run", "output_dir", str, "") \
         or os.environ.get(_OUTPUT_DIR_ENV, "") or "prnls-out"
 
     cfg = RunConfig(resolved_command, params, grid, tols, sweep, output_dir,
-                    run_int("seed", 0), run_int("probes", 50, 1),
-                    run_int("trials", 20, 1), run_int("samples", 100000, 100),
-                    run_int("workers", 1, 1))
+                    run_int("seed", 0), run_int("probes", 50), run_int("trials", 20),
+                    run_int("samples", 100000), run_int("workers", 1))
     if cfg.command in _NEEDS_FINITE_C and math.isinf(params.c):
         raise ConfigError(f"{cfg.command} requires a finite c in [params]")
     return cfg
@@ -225,8 +215,8 @@ def _write_manifest(cfg: RunConfig, path: str):
               (("n", pr.n), ("p", pr.p), ("c", pr.c), ("m", pr.m), ("mu", pr.mu))]
     lines += [f"grid.n_points = {cfg.grid.N}", f"grid.box_radius = {_fmt(cfg.grid.L)}"]
     tl = cfg.tolerances
-    lines += [f"tolerances.{k} = {_fmt(getattr(tl, k))}"
-              for k in ("tol_gs", "tol_lin", "tol_step", "tol_residual")]
+    lines += [f"tolerances.{f.name} = {_fmt(getattr(tl, f.name))}"
+              for f in fields(ToleranceSet)]
     if cfg.sweep is not None:
         lines += [f"sweep.c_min = {_fmt(cfg.sweep.c_min)}",
                   f"sweep.c_max = {_fmt(cfg.sweep.c_max)}",
@@ -252,18 +242,15 @@ _SOLVE_HEADER = ("n", "p", "c", "outcome", "iterations", "contraction_estimate",
                  "final_residual", "rc_norm", "w_norm", "gs_residual", "action")
 
 
-def _solve_row(cfg: RunConfig, rep: SolveReport, act: float):
+def _solve_row(rep: SolveReport, act: float):
     return (rep.n, rep.p, rep.c, rep.outcome, rep.iterations, rep.contraction_estimate,
             rep.final_residual, rep.rc_norm, rep.w_norm, rep.gs_residual, act)
 
 
 def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
     """Solve at one speed; returns (u_c, report, action) without raising."""
-    tl = cfg.tolerances
     try:
-        u_c, rep = solve(rp, cfg.grid, gs=gs, probe=probe, tol_gs=tl.tol_gs,
-                         tol_lin=tl.tol_lin, tol_step=tl.tol_step,
-                         tol_residual=tl.tol_residual)
+        u_c, rep = solve(rp, cfg.grid, gs, probe=probe, tol=cfg.tolerances)
     except SolverError as exc:
         return None, exc.report, math.nan
     act = math.nan
@@ -309,7 +296,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     gs = _limit_state(cfg, allow_supercritical=False)
     write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", rp.p, math.inf)
     u_c, rep, act = _run_one(cfg, rp, gs, probe=False)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(cfg, rep, act)])
+    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
     if u_c is None:
         return 2
     write_field(os.path.join(out, "u_c.bin"), u_c, "u_c", rp.p, rp.c_tilde)
@@ -340,17 +327,14 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
         return _cmd_find_threshold(cfg, gs, out)
     results = _sweep_rows(cfg, gs, cfg.probe)
     _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
-               [_solve_row(cfg, rep, act) for rep, act in results])
+               [_solve_row(rep, act) for rep, act in results])
     return 0 if all(rep.converged for rep, _ in results) else 2
 
 
 def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
-    rp = ReducedParams(cfg.params.n, cfg.params.p, cfg.sweep.c_max)
-    tl = cfg.tolerances
     try:
-        th = find_convergence_threshold(rp, cfg.grid, cfg.sweep.c_min, cfg.sweep.c_max,
-                                        gs=gs, tol_gs=tl.tol_gs, tol_lin=tl.tol_lin,
-                                        tol_step=tl.tol_step, tol_residual=tl.tol_residual)
+        th = find_convergence_threshold(gs, cfg.sweep.c_min, cfg.sweep.c_max,
+                                        tol=cfg.tolerances)
     except ValueError as exc:
         _write_csv(os.path.join(out, "threshold.csv"),
                    ("c_diverged", "c_converged", "probes", "error"),
@@ -369,7 +353,7 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
     write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", cfg.params.p, math.inf)
     results = _sweep_rows(cfg, gs, probe=False)
     _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
-               [_solve_row(cfg, rep, act) for rep, act in results])
+               [_solve_row(rep, act) for rep, act in results])
     points = [(rep.c, rep.w_norm) for rep, _ in results if rep.converged]
     code = 0 if len(points) == len(results) else 2
     if len(points) >= 4:
@@ -386,7 +370,7 @@ def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg, allow_supercritical=False)
     u_c, rep, act = _run_one(cfg, rp, gs, probe=False)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(cfg, rep, act)])
+    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
     if u_c is None:
         return 2
     report = check_identities(u_c, rp)
@@ -417,10 +401,7 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
     for k in range(cfg.probes):
         rng = np.random.default_rng([cfg.seed, k])
         w0 = random_start(cfg.grid, rng, scale, rp.q_default)
-        tl = cfg.tolerances
-        u_c, rep = solve(rp, cfg.grid, gs=gs, w0=w0, probe=True, tol_gs=tl.tol_gs,
-                         tol_lin=tl.tol_lin, tol_step=tl.tol_step,
-                         tol_residual=tl.tol_residual)
+        u_c, rep = solve(rp, cfg.grid, gs, w0=w0, probe=True, tol=cfg.tolerances)
         mismatch = math.nan
         if u_c is not None:
             mismatch = check_identities(u_c, rp).max_mismatch
@@ -531,8 +512,8 @@ def main(argv=None) -> int:
         updates = {}
         if args.output_dir:
             updates["output_dir"] = args.output_dir
-        if getattr(args, "workers", None):
-            updates["workers"] = args.workers
+        if getattr(args, "workers", None) is not None:
+            updates["workers"] = _run_floor("workers", args.workers)
         if getattr(args, "probe", False):
             updates["probe"] = True
         if getattr(args, "find_threshold", False):

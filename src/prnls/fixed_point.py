@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CollapseError, ContractionError, ConvergenceError, StagnationError)
-from .ground_state import GroundState, solve_limit_equation
+# not called here: kept importable because bench/tracing.PATCHES wraps this name
+from .ground_state import GroundState, solve_limit_equation  # noqa: F401
 from .linsolve import LinearizedOperator, invert, linearized_operator
-from .params import ReducedParams
+from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
                        intersection_norm, norm_h1, norm_lq, random_band_limited,
                        signed_power, symmetrize_radial)
@@ -32,6 +33,7 @@ from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
 _COLLAPSE_FLOOR = 1e-10
+_MAX_PICARD = 200
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_COLLAPSED = "collapsed"
@@ -47,7 +49,6 @@ class SolveReport:
     p: float
     c: float
     outcome: str
-    converged: bool
     iterations: int
     contraction_estimate: float
     final_residual: float
@@ -58,8 +59,12 @@ class SolveReport:
     steps: tuple = ()
     message: str = ""
 
+    @property
+    def converged(self) -> bool:
+        return self.outcome == OUTCOME_CONVERGED
 
-def remainder_rc(op: LinearizedOperator, tol_lin: float = 1e-10) -> Field:
+
+def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) -> Field:
     """First-order correction R_c = L^{-1} (P_inf(D) - P_c(D)) u_inf."""
     grid = op.grid
     mult = half_spectrum_multiplier(grid, p_infty_minus_p_c(op.c))
@@ -75,7 +80,8 @@ def nonlinear_q(gs: GroundState, w: Field) -> Field:
     return Field(w.grid, signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values)
 
 
-def phi(op: LinearizedOperator, w: Field, rc: Field, tol_lin: float = 1e-10) -> Field:
+def phi(op: LinearizedOperator, w: Field, rc: Field,
+        tol_lin: float = ToleranceSet.tol_lin) -> Field:
     """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w)."""
     correction = invert(op, symmetrize_radial(nonlinear_q(op.gs, w)), tol=tol_lin)
     return symmetrize_radial(rc + correction)
@@ -112,11 +118,11 @@ def _finish(report: SolveReport, probe: bool, u_c: Field = None):
     raise _FAILURES[report.outcome](report.message, report)
 
 
-def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = None,
-          probe: bool = False, tol_gs: float = 1e-12, tol_lin: float = 1e-10,
-          tol_step: float = 1e-10, tol_residual: float = 1e-8, max_iter: int = 200,
-          gs_max_iter: int = 2000):
+def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
+          probe: bool = False, tol: ToleranceSet = ToleranceSet()):
     """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
+
+    gs is the limit ground state u_inf for rp.p on grid (checked).
 
     Normal mode requires a construction-subcritical exponent and c >= 2, and
     raises typed errors (ContractionError on divergence, CollapseError on
@@ -137,26 +143,17 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = Non
             raise ValueError(f"c={rp.c_tilde} below the construction floor {_C_FLOOR}; "
                              "probe=True lifts the floor")
 
-    # one running report; its "stalled" outcome stands unless an earlier exit decides
-    report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, False, 0, 0.0, np.nan,
-                         np.nan, np.nan, np.nan)
-    q = rp.q_default
-    if gs is None:
-        try:
-            gs = solve_limit_equation(rp, grid, tol=tol_gs, max_iter=gs_max_iter,
-                                      allow_supercritical=probe)
-        except (CollapseError, ConvergenceError) as exc:
-            outcome = OUTCOME_COLLAPSED if isinstance(exc, CollapseError) else OUTCOME_DIVERGED
-            return _finish(replace(report, outcome=outcome,
-                                   message=f"limit ground state: {exc}"), probe)
-    elif gs.p != rp.p or gs.grid != grid:
+    if gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
-    report = replace(report, gs_residual=gs.residual)
+    # one running report; its "stalled" outcome stands unless an earlier exit decides
+    report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, 0, 0.0, np.nan,
+                         np.nan, np.nan, gs.residual)
+    q = rp.q_default
 
     op = linearized_operator(rp, gs)
     ceiling = norm_h1(gs.u)
     try:
-        rc = remainder_rc(op, tol_lin)
+        rc = remainder_rc(op, tol.tol_lin)
     except (StagnationError, ConvergenceError) as exc:
         return _finish(replace(report, outcome=OUTCOME_DIVERGED,
                                message=f"linearized operator lost invertibility: {exc}"),
@@ -164,10 +161,10 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = Non
     report = replace(report, rc_norm=intersection_norm(rc, q))
 
     w = w0 if w0 is not None else Field.zeros(grid)
-    step_floor = max(10.0 * tol_step, 1e-14 * max(ceiling, 1.0))
-    for k in range(1, max_iter + 1):
+    step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
+    for k in range(1, _MAX_PICARD + 1):
         try:
-            w_new = phi(op, w, rc, tol_lin)
+            w_new = phi(op, w, rc, tol.tol_lin)
         except (StagnationError, ConvergenceError) as exc:
             return _finish(replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
                                    w_norm=intersection_norm(w, q),
@@ -186,19 +183,18 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState = None, w0: Field = Non
             return _finish(replace(report, outcome=OUTCOME_DIVERGED,
                                    message=f"||w||={wn:.3e} left the contraction ball "
                                            f"(ceiling {ceiling:.3e})"), probe)
-        if steps[-1] < tol_step:
+        if steps[-1] < tol.tol_step:
             u_c = Field(grid, gs.u.values + w.values)
             pcu = half_spectrum_apply(grid, u_c.values, op.pc_half)
             residual = norm_lq(Field(grid, pcu - signed_power(u_c.values, rp.p)), 2)
             report = replace(report, final_residual=residual)
-            if residual <= tol_residual:
-                return _finish(replace(report, outcome=OUTCOME_CONVERGED, converged=True),
-                               probe, u_c)
+            if residual <= tol.tol_residual:
+                return _finish(replace(report, outcome=OUTCOME_CONVERGED), probe, u_c)
             return _finish(replace(report, message=f"step tolerance met but residual "
                                                    f"{residual:.3e} > tol_residual "
-                                                   f"{tol_residual:g}"), probe)
+                                                   f"{tol.tol_residual:g}"), probe)
 
-    return _finish(replace(report, message=f"no convergence within {max_iter} iterations"),
+    return _finish(replace(report, message=f"no convergence within {_MAX_PICARD} iterations"),
                    probe)
 
 
@@ -211,22 +207,19 @@ class ThresholdReport:
     history: tuple
 
 
-def find_convergence_threshold(rp_template: ReducedParams, grid: Grid, c_lo: float,
-                               c_hi: float, rounds: int = 8, gs: GroundState = None,
-                               **solve_kwargs) -> ThresholdReport:
+def find_convergence_threshold(gs: GroundState, c_lo: float, c_hi: float, rounds: int = 8,
+                               tol: ToleranceSet = ToleranceSet()) -> ThresholdReport:
     """Bisect [c_lo, c_hi] for the empirical convergence threshold of solve().
 
-    c_lo must fail and c_hi must converge (checked); each probe run reuses the
-    supplied ground state. Returns the final bracket and the probe history.
+    n, p and the grid are those of the ground state gs, which every probe run
+    reuses. c_lo must fail and c_hi must converge (checked). Returns the final
+    bracket and the probe history.
     """
-    if gs is None:
-        gs = solve_limit_equation(ReducedParams(rp_template.n, rp_template.p, c_hi), grid,
-                                  tol=solve_kwargs.get("tol_gs", 1e-12))
     history = []
 
     def outcome_at(c):
-        rp = ReducedParams(rp_template.n, rp_template.p, c)
-        _, rep = solve(rp, grid, gs=gs, probe=True, **solve_kwargs)
+        rp = ReducedParams(gs.grid.n, gs.p, c)
+        _, rep = solve(rp, gs.grid, gs, probe=True, tol=tol)
         history.append((c, rep.outcome))
         return rep.converged
 

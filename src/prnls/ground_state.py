@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollapseError, ConvergenceError
-from .params import ReducedParams
+from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_lq, signed_power,
                        symmetrize_radial)
 
@@ -66,7 +66,7 @@ def limit_residual(u: Field, p: float) -> float:
     return norm_lq(Field(grid, pu - signed_power(u.values, p)), 2)
 
 
-def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = 1e-12,
+def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSet.tol_gs,
                          max_iter: int = 2000, init_width: float = 1.0,
                          allow_supercritical: bool = False) -> GroundState:
     """Run the Petviashvili iteration to the discrete ground state.

@@ -24,12 +24,14 @@ import numpy as np
 
 from .errors import ConvergenceError, StagnationError, SymmetryError
 from .ground_state import GroundState
-from .params import ReducedParams
+from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
                        is_radial_symmetric, norm_lq, norm_w1q, norm_w2q,
                        random_band_limited, symmetrize_radial)
 from .symbols import inverse_difference, p_c
 
+_RESTART = 50
+_MAX_KRYLOV = 500
 _STALL_WINDOW = 50
 _STALL_FACTOR = 0.999  # an iteration "improves" if it beats the best residual by 0.1%
 
@@ -130,8 +132,7 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
         x = x + np.tensordot(y, basis[:used], axes=(0, 0))
 
 
-def invert(op: LinearizedOperator, f: Field, tol: float = 1e-10, restart: int = 50,
-           max_iter: int = 500) -> Field:
+def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
     f must already be radially symmetrized (asserted to 1e-8 relative); every
@@ -156,7 +157,7 @@ def invert(op: LinearizedOperator, f: Field, tol: float = 1e-10, restart: int = 
         return symmetrize_radial(Field(grid, out)).values.ravel()
 
     bnorm = float(np.linalg.norm(f.values.ravel()))
-    v, _ = _gmres(apply_b, f.values.ravel(), 0.8 * tol * bnorm, restart, max_iter)
+    v, _ = _gmres(apply_b, f.values.ravel(), 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
     w_values = half_spectrum_apply(grid, v.reshape(grid.shape), inv_pc)
     w = symmetrize_radial(Field(grid, w_values))
 

@@ -20,6 +20,21 @@ def _validate_common(n: int, p: float):
         raise ValueError(f"nonlinearity exponent p must satisfy p > 1, got {p}")
 
 
+@dataclass(frozen=True)
+class ToleranceSet:
+    """Stopping tolerances of the solver stack; the one place their defaults live.
+
+    tol_gs: Petviashvili sup-norm step; tol_lin: relative residual of each
+    linearized solve; tol_step: Picard step in the intersection norm;
+    tol_residual: L^2 residual a converged u_c must meet.
+    """
+
+    tol_gs: float = 1e-12
+    tol_lin: float = 1e-10
+    tol_step: float = 1e-10
+    tol_residual: float = 1e-8
+
+
 class _Exponents:
     """Critical exponents of (n, p), shared by both parameter sets."""
 

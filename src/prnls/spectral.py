@@ -279,11 +279,11 @@ def norm_w1q(f: Field, q: float) -> float:
 def norm_w2q(f: Field, q: float) -> float:
     """W^{2,q} norm: ||f||_q + sum_i ||d_i f||_q + sum_{i<=j} ||d_i d_j f||_q."""
     total = norm_lq(f, q)
-    grads = gradient(f)
-    for i, gi in enumerate(grads):
+    for i, gi in enumerate(gradient(f)):
         total += norm_lq(gi, q)
+        second = gradient(gi)
         for j in range(i, f.grid.n):
-            total += norm_lq(gradient(gi)[j], q)
+            total += norm_lq(second[j], q)
     return total
 
 
@@ -320,7 +320,7 @@ def symmetrize_radial(f: Field) -> Field:
     return Field(f.grid, v)
 
 
-def is_radial_symmetric(f: Field, tol: float = 1e-8) -> bool:
+def is_radial_symmetric(f: Field, tol: float) -> bool:
     """True if f is invariant under the grid symmetry group within tol (relative)."""
     sym = symmetrize_radial(f)
     scale = max(float(np.max(np.abs(f.values))), 1e-300)
@@ -401,22 +401,30 @@ def write_field(path, f: Field, label: str, p: float = float("nan"),
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
+_DUMP_KEYS = {"n": int, "N": int, "L": float, "p": float, "c": float, "label": str}
+
+
 def read_field(path):
-    """Read a field dump written by write_field; returns (Field, metadata dict)."""
+    """Read a field dump written by write_field; returns (Field, metadata dict).
+
+    A malformed header or a payload that is not 8 N^n bytes raises ValueError.
+    """
     with open(path, "rb") as fh:
         head = fh.readline().decode("ascii").strip()
         raw = fh.read()
     meta = {}
     for tok in head.split():
         key, _, val = tok.partition("=")
-        if key in ("n", "N"):
-            meta[key] = int(val)
-        elif key in ("L", "p", "c"):
-            meta[key] = float(val)
-        elif key == "label":
-            meta[key] = val
-        else:
+        if key not in _DUMP_KEYS:
             raise ValueError(f"unknown field-dump metadata key {key!r}")
+        meta[key] = _DUMP_KEYS[key](val)
+    missing = [key for key in _DUMP_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"field dump lacks metadata key(s) {', '.join(missing)}")
     grid = Grid(meta["n"], meta["N"], meta["L"])
+    expected = 8 * grid.N ** grid.n
+    if len(raw) != expected:
+        raise ValueError(f"field dump payload is {len(raw)} bytes; a {grid.shape} grid "
+                         f"needs {expected}")
     values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).astype(np.float64)
     return Field(grid, values), meta

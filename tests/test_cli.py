@@ -4,7 +4,7 @@ import math
 import pytest
 
 from prnls import fixed_point
-from prnls.cli import main, parse_config
+from prnls.cli import _SCHEMA, _write_manifest, main, parse_config
 from prnls.errors import ConfigError, ConvergenceError, StagnationError
 from prnls.spectral import read_field
 
@@ -53,8 +53,7 @@ def test_parse_config_defaults(monkeypatch):
     assert cfg.output_dir == "prnls-out"
 
 
-def test_parse_config_reads_every_section():
-    text = """
+EVERY_SECTION = """
 [params]
 n = 3
 p = 1.8
@@ -86,7 +85,10 @@ trials = 4
 samples = 500
 workers = 2
 """
-    cfg = parse_config(text)
+
+
+def test_parse_config_reads_every_section():
+    cfg = parse_config(EVERY_SECTION)
     assert cfg.command == "sweep"
     assert cfg.params.c == 32.0 and cfg.params.m == 1.0
     assert cfg.grid.N == 64 and cfg.grid.L == 15.0
@@ -94,6 +96,18 @@ workers = 2
     assert cfg.sweep.ladder() == pytest.approx([4.0, 8.0, 16.0, 32.0, 64.0])
     assert cfg.output_dir == "out-here"
     assert cfg.seed == 7 and cfg.workers == 2
+
+
+def test_manifest_echoes_every_config_key(tmp_path):
+    path = tmp_path / "manifest.txt"
+    _write_manifest(parse_config(EVERY_SECTION), str(path))
+    lines = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+    expected = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
+    expected = expected - {"run.command"} | {"run.probe", "run.find_threshold"}
+    assert expected <= lines.keys(), expected - lines.keys()
+    assert lines["command"] == "sweep"
+    assert {k: float(lines[f"tolerances.{k}"]) for k in _SCHEMA["tolerances"]} == {
+        "tol_gs": 1e-11, "tol_lin": 1e-9, "tol_step": 1e-9, "tol_residual": 1e-7}
 
 
 def test_parse_config_rejects_unknown_key():
@@ -183,6 +197,15 @@ def test_main_missing_config_file(tmp_path, capsys):
 def test_main_unknown_subcommand(tmp_path, capsys):
     assert main(["frobnicate", _cfg(tmp_path, MINIMAL_2D)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_has_the_config_floor(tmp_path, capsys, workers):
+    cfg = _cfg(tmp_path, SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n")
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--workers", workers, "--output-dir", str(out)]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_config_error_is_exit_1(tmp_path, capsys):

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prnls import fixed_point as fp
+from prnls.errors import SolverError
+from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
 from prnls.params import ReducedParams
 from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
@@ -187,29 +191,52 @@ def test_probe_mode_below_existence_threshold(gs2d_small):
     assert u_c is None
 
 
-def test_preconditions_without_probe(gs2d_small, grid3d):
+_OUTCOMES = (fp.OUTCOME_CONVERGED, fp.OUTCOME_COLLAPSED, fp.OUTCOME_DIVERGED,
+             fp.OUTCOME_STALLED)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2]), N=st.sampled_from([32, 64]),
+       L=st.floats(5.0, 25.0, exclude_min=True, exclude_max=True),
+       p=st.floats(1.2, 6.0, exclude_min=True, exclude_max=True),
+       log_c=st.floats(math.log(0.3), math.log(64.0), exclude_min=True, exclude_max=True),
+       scale_exp=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, seed):
+    rp = ReducedParams(n, p, math.exp(log_c))
+    grid = Grid(n, N, L)
+    try:
+        gs = solve_limit_equation(rp, grid)
+    except SolverError:
+        assume(False)
+    q = rp.q_default
+    w0 = fp.random_start(grid, np.random.default_rng(seed),
+                         10.0 ** scale_exp * intersection_norm(gs.u, q), q)
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+    assert rep.outcome in _OUTCOMES
+    assert (u_c is None) == (not rep.converged)
+
+
+def test_preconditions_without_probe(gs2d_small, gs3d):
     with pytest.raises(ValueError, match="floor"):
         fp.solve(ReducedParams(2, 3.0, 1.0), gs2d_small.grid, gs=gs2d_small)
-    with pytest.raises(ValueError):
-        fp.solve(ReducedParams(3, 5.0, 8.0), grid3d)
-    with pytest.raises(ValueError):
-        fp.solve(ReducedParams(2, 3.0, 16.0), Grid(3, 16, 10.0))
+    with pytest.raises(ValueError, match="subcritical"):
+        fp.solve(ReducedParams(3, 5.0, 8.0), gs3d.grid, gs=gs3d)
+    with pytest.raises(ValueError, match="dimension"):
+        fp.solve(ReducedParams(2, 3.0, 16.0), Grid(3, 16, 10.0), gs=gs2d_small)
+    with pytest.raises(ValueError, match="does not match"):
+        fp.solve(ReducedParams(2, 2.5, 16.0), gs2d_small.grid, gs=gs2d_small)
 
 
 def test_convergence_threshold_bisection():
     grid = Grid(2, 64, 20.0)
-    from prnls.ground_state import solve_limit_equation
     gs = solve_limit_equation(ReducedParams(2, 3.0, 8.0), grid, tol=1e-12)
-    th = fp.find_convergence_threshold(ReducedParams(2, 3.0, 8.0), grid,
-                                       2.0, 8.0, rounds=4, gs=gs)
+    th = fp.find_convergence_threshold(gs, 2.0, 8.0, rounds=4)
     assert th.c_diverged < th.c_converged
     assert th.c_converged - th.c_diverged == pytest.approx((8.0 - 2.0) / 2 ** 4)
     assert len(th.history) == 6  # two endpoints plus four bisection probes
     assert all(outcome for _, outcome in th.history)
 
     with pytest.raises(ValueError, match="lower endpoint"):
-        fp.find_convergence_threshold(ReducedParams(2, 3.0, 8.0), grid,
-                                      16.0, 32.0, rounds=2, gs=gs)
+        fp.find_convergence_threshold(gs, 16.0, 32.0, rounds=2)
     with pytest.raises(ValueError, match="upper endpoint"):
-        fp.find_convergence_threshold(ReducedParams(2, 3.0, 8.0), grid,
-                                      2.0, 3.0, rounds=2, gs=gs)
+        fp.find_convergence_threshold(gs, 2.0, 3.0, rounds=2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
 from prnls.spectral import (Field, Grid, _require_real, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, norm_h1, norm_lq, norm_w1q,
+                            half_spectrum_multiplier, norm_h1, norm_lq, norm_w1q, norm_w2q,
                             plancherel_sum, random_band_limited, read_field, resample,
                             symmetrize_radial, write_field)
 from prnls.symbols import (inverse_difference, p_c, p_infty, p_infty_minus_p_c,
@@ -184,6 +184,21 @@ def test_norm_w1q_gaussian_q2():
     assert norm_w1q(f, 2) == pytest.approx(2 * (math.pi / 2) ** 0.25, rel=1e-10)
 
 
+@pytest.mark.parametrize("N", [32, 64])
+@pytest.mark.parametrize("q", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("ka, kb", [(1, 2), (3, 1)])
+def test_norm_w2q_separable_cosine_closed_form(N, q, ka, kb):
+    # f = cos(ax)cos(by): every first and second derivative is f up to the
+    # factor a, b, a^2, ab or b^2 and a sine/cosine swap, which leaves the
+    # lattice L^q norm unchanged for frequencies well below Nyquist
+    grid = Grid(2, N, 5.0)
+    a, b = math.pi * ka / grid.L, math.pi * kb / grid.L
+    x, y = grid.coords
+    f = Field(grid, np.cos(a * x) * np.cos(b * y))
+    expected = (1 + a + b + a * a + a * b + b * b) * norm_lq(f, q)
+    assert norm_w2q(f, q) == pytest.approx(expected, rel=2e-15)
+
+
 def test_parseval():
     grid = Grid(2, 32, 5.0)
     f = _random_field(grid, 7)
@@ -281,3 +296,23 @@ def test_field_dump_roundtrip(tmp_path):
     assert g.grid == grid
     assert meta["label"] == "unit"
     assert meta["p"] == 2.5 and meta["c"] == 8.0
+
+
+def _dump_bytes(tmp_path):
+    path = tmp_path / "good.bin"
+    write_field(path, _random_field(Grid(2, 16, 5.0), 3), "u", p=3.0, c=8.0)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda b: b[:-8], "2040 bytes.*needs 2048"),
+    (lambda b: b[:-1], "2047 bytes.*needs 2048"),
+    (lambda b: b.replace(b" N=16", b"", 1), r"lacks metadata key\(s\) N$"),
+    (lambda b: b"", "lacks metadata key"),
+    (lambda b: b.replace(b"label=u", b"label=\xfc", 1), "ascii"),
+], ids=["truncated", "odd-byte-count", "missing-N", "empty-file", "non-ascii-header"])
+def test_read_field_rejects_malformed_dump(tmp_path, mangle, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(mangle(_dump_bytes(tmp_path)))
+    with pytest.raises(ValueError, match=message):
+        read_field(path)
