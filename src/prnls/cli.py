@@ -39,7 +39,8 @@ from . import __version__
 from .diagnostics import action, check_identities, fit_rate, nonexistence_certificate, \
     nonexistence_regime, trace_inequality_check
 from .errors import CollapseError, ConfigError, SolverError
-from .fixed_point import SolveReport, find_convergence_threshold, random_start, solve
+from .fixed_point import SolveReport, construction_precondition, \
+    find_convergence_threshold, random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
 from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, reduce_params
@@ -248,11 +249,8 @@ def _solve_row(rep: SolveReport, act: float):
 
 
 def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
-    """Solve at one speed; returns (u_c, report, action) without raising."""
-    try:
-        u_c, rep = solve(rp, cfg.grid, gs, probe=probe, tol=cfg.tolerances)
-    except SolverError as exc:
-        return None, exc.report, math.nan
+    """Solve at one speed; returns (u_c, report, action)."""
+    u_c, rep = solve(rp, cfg.grid, gs, probe=probe, tol=cfg.tolerances)
     act = math.nan
     if u_c is not None:
         act = action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
@@ -395,12 +393,12 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
                ("regime", "combined_lhs", "combined_rhs", "conclusion"),
                [(cert.regime, cert.combined_lhs, cert.combined_rhs, cert.conclusion)])
 
-    scale = _PROBE_START_SCALE * intersection_norm(gs.u, rp.q_default)
+    scale = _PROBE_START_SCALE * intersection_norm(gs.u)
     rows = []
     genuine = 0
     for k in range(cfg.probes):
         rng = np.random.default_rng([cfg.seed, k])
-        w0 = random_start(cfg.grid, rng, scale, rp.q_default)
+        w0 = random_start(cfg.grid, rng, scale)
         u_c, rep = solve(rp, cfg.grid, gs, w0=w0, probe=True, tol=cfg.tolerances)
         mismatch = math.nan
         if u_c is not None:
@@ -466,8 +464,27 @@ _RUNNERS = {
 }
 
 
+def _check_construction(cfg: RunConfig):
+    """Raise ConfigError if a non-probe solve of cfg would break solve()'s preconditions.
+
+    Sweeps check their lowest rung, whose ladder value is c_tilde itself;
+    --find-threshold checks p only, because its lower endpoint is meant to
+    fail; sweep --probe lifts the preconditions.
+    """
+    if cfg.command in ("solve", "identity-check"):
+        c_tilde = reduce_params(cfg.params).c_tilde
+    elif cfg.command == "rate-sweep" or (cfg.command == "sweep" and not cfg.probe):
+        c_tilde = math.inf if cfg.find_threshold else cfg.sweep.c_min
+    else:
+        return
+    reason = construction_precondition(ReducedParams(cfg.params.n, cfg.params.p, c_tilde))
+    if reason:
+        raise ConfigError(reason)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
+    _check_construction(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     manifest = os.path.join(out, "manifest.txt")

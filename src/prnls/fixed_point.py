@@ -10,9 +10,10 @@ the fixed-point problem
 with L the linearized operator around u_inf at speed c. For large c the map
 is a contraction on a ball whose radius tracks ||R_c|| (order c^-2 for p > 2
 and at worst c^-1 for p <= 2), and plain Picard iteration from w = 0
-converges geometrically. For small c or supercritical p the same iteration is
-run in probe mode, where collapse, divergence and loss of invertibility are
-recorded as data rather than raised.
+converges geometrically. Every run ends in one of four outcomes, converged,
+collapsed, diverged (including loss of invertibility) or stalled, which solve()
+returns as data in its report. Probe mode runs the same iteration for small c
+or supercritical p, where the construction preconditions do not hold.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CollapseError, ContractionError, ConvergenceError, StagnationError)
+from .errors import ConvergenceError
 # not called here: kept importable because bench/tracing.PATCHES wraps this name
 from .ground_state import GroundState, solve_limit_equation  # noqa: F401
 from .linsolve import LinearizedOperator, invert, linearized_operator
@@ -34,6 +35,7 @@ from .symbols import p_infty_minus_p_c
 _C_FLOOR = 2.0
 _COLLAPSE_FLOOR = 1e-10
 _MAX_PICARD = 200
+_START_KMAX = 4.0
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_COLLAPSED = "collapsed"
@@ -69,7 +71,7 @@ def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) 
     grid = op.grid
     mult = half_spectrum_multiplier(grid, p_infty_minus_p_c(op.c))
     rhs = Field(grid, half_spectrum_apply(grid, op.gs.u.values, mult))
-    return invert(op, symmetrize_radial(rhs), tol=tol_lin)
+    return invert(op, rhs, tol=tol_lin)
 
 
 def nonlinear_q(gs: GroundState, w: Field) -> Field:
@@ -83,15 +85,14 @@ def nonlinear_q(gs: GroundState, w: Field) -> Field:
 def phi(op: LinearizedOperator, w: Field, rc: Field,
         tol_lin: float = ToleranceSet.tol_lin) -> Field:
     """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w)."""
-    correction = invert(op, symmetrize_radial(nonlinear_q(op.gs, w)), tol=tol_lin)
+    correction = invert(op, nonlinear_q(op.gs, w), tol=tol_lin)
     return symmetrize_radial(rc + correction)
 
 
-def random_start(grid: Grid, rng: np.random.Generator, scale: float, q: float,
-                 kmax: float = 4.0) -> Field:
+def random_start(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
     """Random radial perturbation with intersection norm equal to scale."""
-    f = random_band_limited(grid, rng, kmax, symmetric=True)
-    size = intersection_norm(f, q)
+    f = random_band_limited(grid, rng, _START_KMAX, symmetric=True)
+    size = intersection_norm(f)
     return f * (scale / size) if size > 0 else f
 
 
@@ -100,102 +101,80 @@ def _contraction_estimate(steps, floor: float) -> float:
     return max(ratios) if ratios else 0.0
 
 
-_FAILURES = {OUTCOME_COLLAPSED: CollapseError, OUTCOME_DIVERGED: ContractionError,
-             OUTCOME_STALLED: ConvergenceError}
-
-
-def _finish(report: SolveReport, probe: bool, u_c: Field = None):
-    """The one exit of solve().
-
-    Returns (u_c, report) on convergence and (None, report) for any other
-    outcome in probe mode; otherwise raises the outcome's SolverError with
-    the report attached.
-    """
-    if report.converged:
-        return u_c, report
-    if probe:
-        return None, report
-    raise _FAILURES[report.outcome](report.message, report)
+def construction_precondition(rp: ReducedParams) -> str:
+    """Why solve() without probe rejects rp; empty when it accepts it."""
+    if not rp.subcritical_for_construction:
+        return f"p={rp.p} at n={rp.n} is not subcritical for construction"
+    if rp.c_tilde < _C_FLOOR:
+        return f"c={rp.c_tilde} below the construction floor {_C_FLOOR}"
+    return ""
 
 
 def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
           probe: bool = False, tol: ToleranceSet = ToleranceSet()):
     """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
 
-    gs is the limit ground state u_inf for rp.p on grid (checked).
-
-    Normal mode requires a construction-subcritical exponent and c >= 2, and
-    raises typed errors (ContractionError on divergence, CollapseError on
-    decay to zero, ConvergenceError on a stall) each carrying the partial
-    report. Probe mode lifts the preconditions and never raises for
-    mathematical outcomes: the returned report classifies the run as
-    converged / collapsed / diverged / stalled, and u_c is None for
-    unconverged probe runs.
+    gs is the limit ground state u_inf for rp.p on grid (checked). Every run
+    returns its report, whose outcome classifies it as converged / collapsed
+    / diverged / stalled; u_c is None unless it converged. Only malformed
+    input raises: ValueError for a mismatched grid or ground state, and,
+    unless probe=True lifts them, for a rp that breaks the construction
+    preconditions (see construction_precondition).
     """
     if grid.n != rp.n:
         raise ValueError(f"grid dimension {grid.n} does not match parameters (n={rp.n})")
-    if not probe:
-        if not rp.subcritical_for_construction:
-            raise ValueError(
-                f"p={rp.p} at n={rp.n} is not subcritical for construction; "
-                "probe=True runs the same iteration as a probe")
-        if rp.c_tilde < _C_FLOOR:
-            raise ValueError(f"c={rp.c_tilde} below the construction floor {_C_FLOOR}; "
-                             "probe=True lifts the floor")
-
+    reason = "" if probe else construction_precondition(rp)
+    if reason:
+        raise ValueError(f"{reason}; probe=True lifts this precondition")
     if gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
     # one running report; its "stalled" outcome stands unless an earlier exit decides
     report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, 0, 0.0, np.nan,
                          np.nan, np.nan, gs.residual)
-    q = rp.q_default
 
     op = linearized_operator(rp, gs)
     ceiling = norm_h1(gs.u)
     try:
         rc = remainder_rc(op, tol.tol_lin)
-    except (StagnationError, ConvergenceError) as exc:
-        return _finish(replace(report, outcome=OUTCOME_DIVERGED,
-                               message=f"linearized operator lost invertibility: {exc}"),
-                       probe)
-    report = replace(report, rc_norm=intersection_norm(rc, q))
+    except ConvergenceError as exc:
+        return None, replace(report, outcome=OUTCOME_DIVERGED,
+                             message=f"linearized operator lost invertibility: {exc}")
+    report = replace(report, rc_norm=intersection_norm(rc))
 
     w = w0 if w0 is not None else Field.zeros(grid)
     step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
     for k in range(1, _MAX_PICARD + 1):
         try:
             w_new = phi(op, w, rc, tol.tol_lin)
-        except (StagnationError, ConvergenceError) as exc:
-            return _finish(replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
-                                   w_norm=intersection_norm(w, q),
-                                   message=f"linearized solve failed at iteration {k}: {exc}"),
-                           probe)
-        steps = report.steps + (intersection_norm(w_new - w, q),)
-        wn = intersection_norm(w_new, q)
+        except ConvergenceError as exc:
+            return None, replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
+                                 w_norm=intersection_norm(w),
+                                 message=f"linearized solve failed at iteration {k}: {exc}")
+        steps = report.steps + (intersection_norm(w_new - w),)
+        wn = intersection_norm(w_new)
         w = w_new
         report = replace(report, iterations=k, steps=steps, w_norms=report.w_norms + (wn,),
                          w_norm=wn, contraction_estimate=_contraction_estimate(steps, step_floor))
 
         if float(np.max(np.abs(gs.u.values + w.values))) < _COLLAPSE_FLOOR:
-            return _finish(replace(report, outcome=OUTCOME_COLLAPSED,
-                                   message="iterate collapsed to zero"), probe)
+            return None, replace(report, outcome=OUTCOME_COLLAPSED,
+                                 message="iterate collapsed to zero")
         if not np.isfinite(wn) or wn > ceiling:
-            return _finish(replace(report, outcome=OUTCOME_DIVERGED,
-                                   message=f"||w||={wn:.3e} left the contraction ball "
-                                           f"(ceiling {ceiling:.3e})"), probe)
+            return None, replace(report, outcome=OUTCOME_DIVERGED,
+                                 message=f"||w||={wn:.3e} left the contraction ball "
+                                         f"(ceiling {ceiling:.3e})")
         if steps[-1] < tol.tol_step:
             u_c = Field(grid, gs.u.values + w.values)
             pcu = half_spectrum_apply(grid, u_c.values, op.pc_half)
             residual = norm_lq(Field(grid, pcu - signed_power(u_c.values, rp.p)), 2)
             report = replace(report, final_residual=residual)
             if residual <= tol.tol_residual:
-                return _finish(replace(report, outcome=OUTCOME_CONVERGED), probe, u_c)
-            return _finish(replace(report, message=f"step tolerance met but residual "
-                                                   f"{residual:.3e} > tol_residual "
-                                                   f"{tol.tol_residual:g}"), probe)
+                return u_c, replace(report, outcome=OUTCOME_CONVERGED)
+            return None, replace(report, message=f"step tolerance met but residual "
+                                                 f"{residual:.3e} > tol_residual "
+                                                 f"{tol.tol_residual:g}")
 
-    return _finish(replace(report, message=f"no convergence within {_MAX_PICARD} iterations"),
-                   probe)
+    return None, replace(report, message=f"no convergence within {_MAX_PICARD} iterations")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_lq, sign
 
 _COLLAPSE_FLOOR = 1e-10
 _BLOWUP_CEILING = 1e12
+_MAX_PETVIASHVILI = 2000
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,12 @@ def limit_residual(u: Field, p: float) -> float:
 
 
 def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSet.tol_gs,
-                         max_iter: int = 2000, init_width: float = 1.0,
                          allow_supercritical: bool = False) -> GroundState:
-    """Run the Petviashvili iteration to the discrete ground state.
+    """Run the Petviashvili iteration from initial_gaussian to the discrete ground state.
 
     Stops when the sup-norm step is below tol and the equation residual is
     below 10 tol. Raises CollapseError if the iterate decays to numerical
-    zero, ConvergenceError on blow-up or when max_iter is exhausted.
+    zero, ConvergenceError on blow-up or after _MAX_PETVIASHVILI steps.
     """
     if grid.n != rp.n:
         raise ValueError(f"grid dimension {grid.n} does not match parameters (n={rp.n})")
@@ -87,10 +87,10 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     pinf_half = grid.xi_sq_half + 1.0
     vol = grid.cell_volume
 
-    u = symmetrize_radial(initial_gaussian(grid, p, init_width)).values
+    u = symmetrize_radial(initial_gaussian(grid, p)).values
     clamps = 0
     factor = np.nan
-    for k in range(1, max_iter + 1):
+    for k in range(1, _MAX_PETVIASHVILI + 1):
         up, neg = _clamped_power(u, p)
         clamps += neg
         pu = half_spectrum_apply(grid, u, pinf_half)
@@ -117,5 +117,5 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
                 return GroundState(field, p, res, k, factor, clamps)
 
     raise ConvergenceError(
-        f"petviashvili iteration did not meet tol={tol:g} within {max_iter} steps")
+        f"petviashvili iteration did not meet tol={tol:g} within {_MAX_PETVIASHVILI} steps")
 

@@ -22,12 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, StagnationError, SymmetryError
+from .errors import ConvergenceError
 from .ground_state import GroundState
 from .params import ReducedParams, ToleranceSet
-from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
-                       is_radial_symmetric, norm_lq, norm_w1q, norm_w2q,
-                       random_band_limited, symmetrize_radial)
+from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier, norm_lq,
+                       norm_w1q, norm_w2q, random_band_limited, symmetrize_radial)
 from .symbols import inverse_difference, p_c
 
 _RESTART = 50
@@ -81,9 +80,9 @@ def apply(op: LinearizedOperator, w: Field) -> Field:
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
     """Restarted GMRES on flattened real arrays; returns (x, iterations).
 
-    Raises StagnationError when no iteration in a window of _STALL_WINDOW
-    improves the best residual by at least 0.1%, and ConvergenceError when
-    max_iter is exhausted.
+    Raises ConvergenceError when no iteration in a window of _STALL_WINDOW
+    improves the best residual by at least 0.1% (a near-singular operator),
+    or when max_iter is exhausted.
     """
     size = b.size
     x = np.zeros(size)
@@ -121,7 +120,7 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
                 best = res
                 last_improve = total
             elif total - last_improve >= _STALL_WINDOW:
-                raise StagnationError(
+                raise ConvergenceError(
                     f"krylov residual stagnated near {best:.3e} for {_STALL_WINDOW} "
                     "iterations (operator is near-singular)")
             if res <= tol_abs:
@@ -135,18 +134,16 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
 def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
-    f must already be radially symmetrized (asserted to 1e-8 relative); every
-    Krylov iterate is projected back onto the radial subspace.
+    f is projected onto the radial subspace first (symmetrize_radial), and so
+    is every Krylov iterate; a non-radial f is solved for its projection.
     """
     if f.grid != op.grid:
         raise ValueError("field grid does not match operator grid")
     grid = op.grid
+    f = symmetrize_radial(f)
     fnorm = norm_lq(f, 2)
     if fnorm == 0.0:
         return Field.zeros(grid)
-    if not is_radial_symmetric(f, 1e-8):
-        raise SymmetryError("invert() requires radially symmetrized data; "
-                            "apply symmetrize_radial to the right-hand side first")
 
     pot = op.potential.values
     inv_pc = op.inv_pc_half

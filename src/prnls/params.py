@@ -84,11 +84,6 @@ class ReducedParams(_Exponents):
         if not (self.c_tilde > 0):
             raise ValueError(f"c_tilde must be positive, got {self.c_tilde}")
 
-    @property
-    def q_default(self) -> float:
-        """Default Lebesgue exponent for the W^{1,q} component of the solution norm."""
-        return 2.0 * self.n
-
 
 def reduce_params(params: PhysicalParams) -> ReducedParams:
     """Map (m, mu, c) to the equivalent reduced speed c_tilde = c sqrt(mu / (2 m))."""

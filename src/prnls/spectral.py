@@ -209,7 +209,7 @@ def _require_real(w: np.ndarray, what: str) -> np.ndarray:
 
 
 def half_spectrum_multiplier(grid: Grid, sym) -> np.ndarray:
-    """Values of a radial symbol (see symbols.Symbol) on the rfftn lattice."""
+    """Values of a radial symbol, a callable of |xi|^2 (see symbols), on the rfftn lattice."""
     return np.asarray(sym(grid.xi_sq_half), dtype=np.float64)
 
 
@@ -287,9 +287,9 @@ def norm_w2q(f: Field, q: float) -> float:
     return total
 
 
-def intersection_norm(f: Field, q: float) -> float:
-    """Norm of H^1 intersect W^{1,q}, taken as the max of the two norms."""
-    return max(norm_h1(f), norm_w1q(f, q))
+def intersection_norm(f: Field) -> float:
+    """Norm of H^1 intersect W^{1,2n} on an n-dimensional grid: the max of the two norms."""
+    return max(norm_h1(f), norm_w1q(f, 2.0 * f.grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +318,6 @@ def symmetrize_radial(f: Field) -> Field:
             acc += np.transpose(v, perm)
         v = acc / len(perms)
     return Field(f.grid, v)
-
-
-def is_radial_symmetric(f: Field, tol: float) -> bool:
-    """True if f is invariant under the grid symmetry group within tol (relative)."""
-    sym = symmetrize_radial(f)
-    scale = max(float(np.max(np.abs(f.values))), 1e-300)
-    return float(np.max(np.abs(sym.values - f.values))) <= tol * scale
 
 
 # ---------------------------------------------------------------------------

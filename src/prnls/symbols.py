@@ -12,9 +12,9 @@ relative precision:
     P_c          = 2 r2 / (1 + s) + 1,            s = sqrt(1 + 4 r2 / c^2)
     P_inf - P_c  = 4 r2^2 / (c^2 (1 + s)^2)  (>= 0, exact difference form)
 
-with r2 = |xi|^2. Symbols are radial by construction: they are functions of
-|xi|^2 only and preserve the floating dtype of their input (longdouble in the
-finite-difference derivative checks below).
+with r2 = |xi|^2. Symbols are radial by construction: each factory returns a
+vectorized function of |xi|^2 only, which preserves the floating dtype of its
+input (longdouble in the finite-difference derivative checks below).
 """
 
 from __future__ import annotations
@@ -25,28 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Radial Fourier multiplier: label plus a vectorized map |xi|^2 -> value."""
-
-    label: str
-    fn: object
-
-    def __call__(self, xi_sq):
-        return self.fn(xi_sq)
-
-
 def _check_c(c: float):
     if not (c > 0):
         raise ValueError(f"propagation speed c must be positive, got {c}")
 
 
-def p_infty() -> Symbol:
+def p_infty():
     """Non-relativistic symbol |xi|^2 + 1."""
-    return Symbol("p_inf", lambda r2: r2 + 1.0)
+    return lambda r2: r2 + 1.0
 
 
-def p_c(c: float) -> Symbol:
+def p_c(c: float):
     """Reduced pseudo-relativistic symbol, stable in all regimes (c = inf allowed)."""
     _check_c(c)
 
@@ -54,10 +43,10 @@ def p_c(c: float) -> Symbol:
         s = np.sqrt(1.0 + 4.0 * r2 / (c * c))
         return 2.0 * r2 / (1.0 + s) + 1.0
 
-    return Symbol(f"p_c(c={c:g})", fn)
+    return fn
 
 
-def p_infty_minus_p_c(c: float) -> Symbol:
+def p_infty_minus_p_c(c: float):
     """Exact nonnegative difference P_inf - P_c (no subtractive cancellation)."""
     _check_c(c)
 
@@ -66,10 +55,10 @@ def p_infty_minus_p_c(c: float) -> Symbol:
         t = 1.0 + s
         return 4.0 * r2 * r2 / (c * c * t * t)
 
-    return Symbol(f"p_inf-p_c(c={c:g})", fn)
+    return fn
 
 
-def inverse_difference(c: float) -> Symbol:
+def inverse_difference(c: float):
     """a(xi) = 1/P_inf - 1/P_c (nonpositive; decays like -|xi|^4/c^2 at the origin)."""
     _check_c(c)
     diff = p_infty_minus_p_c(c)
@@ -78,17 +67,17 @@ def inverse_difference(c: float) -> Symbol:
     def fn(r2):
         return -diff(r2) / (pc(r2) * (r2 + 1.0))
 
-    return Symbol(f"inv_diff(c={c:g})", fn)
+    return fn
 
 
-def symbol_ratio(c: float) -> Symbol:
+def symbol_ratio(c: float):
     """P_c / P_inf, bounded between 0 and 1."""
     _check_c(c)
     pc = p_c(c)
-    return Symbol(f"ratio(c={c:g})", lambda r2: pc(r2) / (r2 + 1.0))
+    return lambda r2: pc(r2) / (r2 + 1.0)
 
 
-def relativistic_symbol(m: float, c: float) -> Symbol:
+def relativistic_symbol(m: float, c: float):
     """General kinetic symbol sqrt(c^2 |xi|^2 + m^2 c^4) - m c^2 (no unit shift)."""
     _check_c(c)
     if not (m > 0):
@@ -98,13 +87,13 @@ def relativistic_symbol(m: float, c: float) -> Symbol:
         s = np.sqrt(1.0 + r2 / (m * m * c * c))
         return r2 / (m * (1.0 + s))
 
-    return Symbol(f"relativistic(m={m:g},c={c:g})", fn)
+    return fn
 
 
-def sigma_halfspace(c: float) -> Symbol:
+def sigma_halfspace(c: float):
     """Decay rate sqrt(|xi|^2 + c^2/4) of the half-space harmonic extension."""
     _check_c(c)
-    return Symbol(f"sigma(c={c:g})", lambda r2: np.sqrt(r2 + 0.25 * c * c))
+    return lambda r2: np.sqrt(r2 + 0.25 * c * c)
 
 
 # ---------------------------------------------------------------------------

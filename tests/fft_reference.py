@@ -26,7 +26,7 @@ def fft_multiplier(sym, f: Field) -> Field:
     """Apply a real radial multiplier as ifftn(sym(|xi|^2) * fftn(f)), realness checked."""
     mult = np.asarray(sym(xi_sq_full(f.grid)), dtype=np.float64)
     w = np.fft.ifftn(mult * np.fft.fftn(f.values))
-    return Field(f.grid, _require_real(w, f"multiplier {getattr(sym, 'label', '?')}"))
+    return Field(f.grid, _require_real(w, "fft_multiplier"))
 
 
 def fft_plancherel_sum(f: Field, weight) -> float:

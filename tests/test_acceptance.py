@@ -124,7 +124,7 @@ def test_criterion_05_existence_sweep_converges(c5_runs, gs2d, grid2d):
     delta = 0.5 * norm_h1(gs2d.u)
     dists = []
     for seed in (1, 2):
-        w0 = random_start(grid2d, np.random.default_rng(seed), delta, rp.q_default)
+        w0 = random_start(grid2d, np.random.default_rng(seed), delta)
         u_alt, rep_alt = solve(rp, grid2d, gs=gs2d, w0=w0)
         assert rep_alt.converged
         dists.append(norm_h1(u_alt - base))
@@ -193,10 +193,10 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
     outcomes = set()
     for c in (0.5, 1.0, 1.4):
         rp = ReducedParams(2, 3.0, c)
-        scale = 0.3 * intersection_norm(gs2d_small.u, rp.q_default)
+        scale = 0.3 * intersection_norm(gs2d_small.u)
         for k in range(50):
             rng = np.random.default_rng([0, k])
-            w0 = random_start(grid2d_small, rng, scale, rp.q_default)
+            w0 = random_start(grid2d_small, rng, scale)
             u_c, rep = solve(rp, grid2d_small, gs=gs2d_small, w0=w0, probe=True)
             outcomes.add(rep.outcome)
             assert u_c is None
@@ -207,12 +207,12 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
 
     rp3 = ReducedParams(3, 5.0, 4.0)
     gs3 = solve_limit_equation(rp3, grid3d, tol=1e-12, allow_supercritical=True)
-    scale = 0.3 * intersection_norm(gs3.u, rp3.q_default)
+    scale = 0.3 * intersection_norm(gs3.u)
     genuine = 0
     converged = 0
     for k in range(50):
         rng = np.random.default_rng([0, k])
-        w0 = random_start(grid3d, rng, scale, rp3.q_default)
+        w0 = random_start(grid3d, rng, scale)
         u_c, rep = solve(rp3, grid3d, gs=gs3, w0=w0, probe=True)
         if u_c is not None:
             converged += 1

@@ -5,7 +5,7 @@ import pytest
 
 from prnls import fixed_point
 from prnls.cli import _SCHEMA, _write_manifest, main, parse_config
-from prnls.errors import ConfigError, ConvergenceError, StagnationError
+from prnls.errors import ConfigError, ConvergenceError
 from prnls.spectral import read_field
 
 MINIMAL_2D = """
@@ -213,6 +213,33 @@ def test_main_config_error_is_exit_1(tmp_path, capsys):
     assert "finite c" in capsys.readouterr().err
 
 
+_SUPERCRITICAL_3D = "[params]\nn = 3\np = 5.0\n\n[grid]\nn_points = 16\nbox_radius = 10.0\n"
+_SMALL_SPEED_2D = "[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius = 20.0\n"
+
+
+@pytest.mark.parametrize("command,text,flags,reason", [
+    ("solve", _SUPERCRITICAL_3D.replace("p = 5.0", "p = 5.0\nc = 4.0"), [], "subcritical"),
+    ("solve", _SMALL_SPEED_2D.replace("p = 3.0", "p = 3.0\nc = 1.0"), [], "floor"),
+    ("identity-check", _SMALL_SPEED_2D.replace("p = 3.0", "p = 3.0\nc = 1.0"), [], "floor"),
+    ("sweep", _SMALL_SPEED_2D + "\n[sweep]\nc_min = 1.0\nc_max = 16.0\nrungs = 3\n",
+     [], "floor"),
+    ("rate-sweep", _SMALL_SPEED_2D + "\n[sweep]\nc_min = 1.0\nc_max = 16.0\nrungs = 4\n",
+     [], "floor"),
+    ("sweep", _SUPERCRITICAL_3D + "\n[sweep]\nc_min = 2.0\nc_max = 8.0\nrungs = 2\n",
+     ["--find-threshold"], "subcritical"),
+], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
+        "rate-sweep-floor", "find-threshold-supercritical"])
+def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, text,
+                                                     flags, reason):
+    # a run whose solves would break solve()'s preconditions exits 1 before it
+    # writes anything, instead of raising out of main()
+    out = tmp_path / "out"
+    assert main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and reason in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- subcommand runs
 
 def test_ground_state_command(tmp_path):
@@ -377,7 +404,7 @@ rungs = 2
     assert all(r["outcome"] != "converged" for r in rows)
 
 
-@pytest.mark.parametrize("error", [StagnationError, ConvergenceError])
+@pytest.mark.parametrize("error", [ConvergenceError])
 def test_sweep_keeps_every_rung_when_rc_solve_fails(tmp_path, monkeypatch, error):
     # a linear solve that fails inside R_c on the c = 8 rung only: the sweep
     # still writes all three rungs, labels that one diverged and exits 2

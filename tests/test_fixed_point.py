@@ -12,7 +12,7 @@ from prnls import fixed_point as fp
 from prnls.errors import SolverError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
-from prnls.params import ReducedParams
+from prnls.params import ReducedParams, ToleranceSet
 from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
                             signed_power, symmetrize_radial)
 from prnls.symbols import p_c
@@ -28,11 +28,10 @@ def test_remainder_vanishes_at_infinite_speed(gs2d_small):
 
 def test_remainder_decay_rate_2d(gs2d_small):
     # p = 3 > 2: the remainder shrinks like 1/c^2, so doubling c quarters it
-    q = 4.0
     norms = {}
     for c in (8.0, 16.0):
         op = linearized_operator(ReducedParams(2, 3.0, c), gs2d_small)
-        norms[c] = intersection_norm(fp.remainder_rc(op), q)
+        norms[c] = intersection_norm(fp.remainder_rc(op))
     ratio = norms[16.0] / norms[8.0]
     assert 0.15 <= ratio <= 0.35, f"measured R_2c/R_c = {ratio}"
 
@@ -40,11 +39,10 @@ def test_remainder_decay_rate_2d(gs2d_small):
 def test_remainder_decay_rate_3d(gs3d):
     # p = 1.8 <= 2 carries only a 1/c guarantee (ratio <= 1/2); the measured
     # decay is typically faster, so only the guaranteed edge is asserted
-    q = 6.0
     norms = {}
     for c in (8.0, 16.0):
         op = linearized_operator(ReducedParams(3, 1.8, c), gs3d)
-        norms[c] = intersection_norm(fp.remainder_rc(op), q)
+        norms[c] = intersection_norm(fp.remainder_rc(op))
     ratio = norms[16.0] / norms[8.0]
     print(f"measured 3d remainder ratio R_2c/R_c = {ratio:.4f}")
     assert 0.1 <= ratio <= 0.5 + 1e-9
@@ -101,22 +99,21 @@ def test_phi_at_zero_is_remainder(gs2d_small):
 def test_phi_contracts_small_pairs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 64.0), gs2d_small)
     rc = fp.remainder_rc(op)
-    q = 4.0
     delta = 0.1 * norm_h1(gs2d_small.u)
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(500 + seed)
-        w1 = fp.random_start(gs2d_small.grid, rng, delta / 2, q)
-        w2 = fp.random_start(gs2d_small.grid, rng, delta / 2, q)
-        num = intersection_norm(fp.phi(op, w1, rc=rc) - fp.phi(op, w2, rc=rc), q)
-        worst = max(worst, num / intersection_norm(w1 - w2, q))
+        w1 = fp.random_start(gs2d_small.grid, rng, delta / 2)
+        w2 = fp.random_start(gs2d_small.grid, rng, delta / 2)
+        num = intersection_norm(fp.phi(op, w1, rc=rc) - fp.phi(op, w2, rc=rc))
+        worst = max(worst, num / intersection_norm(w1 - w2))
     assert worst < 0.5, f"contraction factor {worst}"
 
 
 def test_random_start_properties(grid2d_small):
     rng = np.random.default_rng(11)
-    w = fp.random_start(grid2d_small, rng, 0.25,4.0)
-    assert intersection_norm(w, 4.0) == pytest.approx(0.25, rel=1e-12)
+    w = fp.random_start(grid2d_small, rng, 0.25)
+    assert intersection_norm(w) == pytest.approx(0.25, rel=1e-12)
     sym = symmetrize_radial(w)
     assert np.max(np.abs(sym.values - w.values)) < 1e-12
 
@@ -160,7 +157,7 @@ def test_fixed_point_property(uc16_small, gs2d_small):
     w_star = u_c - gs2d_small.u
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     rc = fp.remainder_rc(op)
-    drift = intersection_norm(fp.phi(op, w_star, rc=rc) - w_star, 4.0)
+    drift = intersection_norm(fp.phi(op, w_star, rc=rc) - w_star)
     assert drift <= 1e-8
 
 
@@ -170,7 +167,7 @@ def test_multi_start_uniqueness(gs2d_small, uc16_small):
     delta = norm_h1(gs2d_small.u)
     for seed in (1, 2):
         rng = np.random.default_rng(seed)
-        w0 = fp.random_start(gs2d_small.grid, rng, delta / 2, rp.q_default)
+        w0 = fp.random_start(gs2d_small.grid, rng, delta / 2)
         u_c, rep = fp.solve(rp, gs2d_small.grid, gs=gs2d_small, w0=w0)
         assert rep.converged
         assert np.max(np.abs(u_c.values - u_base.values)) < 1e-8
@@ -191,6 +188,17 @@ def test_probe_mode_below_existence_threshold(gs2d_small):
     assert u_c is None
 
 
+def test_stalled_run_returns_its_report(gs2d_small):
+    # a residual tolerance no run can meet: the step tolerance is met, the
+    # run stalls, and solve() returns the report instead of raising
+    rp = ReducedParams(2, 3.0, 16.0)
+    u_c, rep = fp.solve(rp, gs2d_small.grid, gs2d_small, tol=ToleranceSet(tol_residual=1e-30))
+    assert u_c is None
+    assert rep.outcome == fp.OUTCOME_STALLED and not rep.converged
+    assert 0.0 < rep.final_residual < 1e-8
+    assert "tol_residual" in rep.message
+
+
 _OUTCOMES = (fp.OUTCOME_CONVERGED, fp.OUTCOME_COLLAPSED, fp.OUTCOME_DIVERGED,
              fp.OUTCOME_STALLED)
 
@@ -200,18 +208,20 @@ _OUTCOMES = (fp.OUTCOME_CONVERGED, fp.OUTCOME_COLLAPSED, fp.OUTCOME_DIVERGED,
        L=st.floats(5.0, 25.0, exclude_min=True, exclude_max=True),
        p=st.floats(1.2, 6.0, exclude_min=True, exclude_max=True),
        log_c=st.floats(math.log(0.3), math.log(64.0), exclude_min=True, exclude_max=True),
-       scale_exp=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
-def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, seed):
+       scale_exp=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16), probe=st.booleans())
+def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, seed, probe):
+    # without probe, every draw that meets the construction preconditions must
+    # not raise either
     rp = ReducedParams(n, p, math.exp(log_c))
+    assume(probe or not fp.construction_precondition(rp))
     grid = Grid(n, N, L)
     try:
         gs = solve_limit_equation(rp, grid)
     except SolverError:
         assume(False)
-    q = rp.q_default
     w0 = fp.random_start(grid, np.random.default_rng(seed),
-                         10.0 ** scale_exp * intersection_norm(gs.u, q), q)
-    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+                         10.0 ** scale_exp * intersection_norm(gs.u))
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=probe)
     assert rep.outcome in _OUTCOMES
     assert (u_c is None) == (not rep.converged)
 

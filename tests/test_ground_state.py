@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from prnls import ground_state
 from prnls.errors import ConvergenceError
 from prnls.ground_state import initial_gaussian, limit_residual, solve_limit_equation
 from prnls.params import ReducedParams
@@ -111,11 +112,14 @@ def test_monotone_along_axes(gs2d_small):
         assert np.all(np.diff(core) <= 1e-12)
 
 
-def test_uniqueness_across_seed_widths():
+def test_uniqueness_across_seed_widths(monkeypatch):
     grid = Grid(1, 1024, 20.0 * np.pi)
     rp = ReducedParams(1, 3.0, 8.0)
-    solutions = [solve_limit_equation(rp, grid, tol=1e-12, init_width=w).u.values
-                 for w in (0.5, 1.0, 2.0)]
+    solutions = []
+    for w in (0.5, 1.0, 2.0):
+        monkeypatch.setattr(ground_state, "initial_gaussian",
+                            lambda g, p, w=w: initial_gaussian(g, p, width=w))
+        solutions.append(solve_limit_equation(rp, grid, tol=1e-12).u.values)
     for other in solutions[1:]:
         assert np.max(np.abs(other - solutions[0])) < 1e-8
 
@@ -155,10 +159,11 @@ def test_clamp_counter_reported(gs1d):
     assert gs1d.negative_clamps >= 0
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(ground_state, "_MAX_PETVIASHVILI", 2)
     grid = Grid(1, 256, 20.0)
     with pytest.raises(ConvergenceError):
-        solve_limit_equation(ReducedParams(1, 3.0, 8.0), grid, tol=1e-14, max_iter=2)
+        solve_limit_equation(ReducedParams(1, 3.0, 8.0), grid, tol=1e-14)
 
 
 def test_supercritical_exponent_rejected_by_default():

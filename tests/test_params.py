@@ -61,12 +61,6 @@ def test_critical_exponents():
     assert ReducedParams(1, 9.0, 8.0).critical_half == math.inf
 
 
-def test_q_default_is_2n():
-    assert ReducedParams(1, 3.0, 8.0).q_default == 2.0
-    assert ReducedParams(2, 3.0, 8.0).q_default == 4.0
-    assert ReducedParams(3, 1.8, 8.0).q_default == 6.0
-
-
 def test_lift_identity_when_already_reduced():
     grid = Grid(1, 128, 12.0)
     v = Field.from_function(grid, lambda x: np.exp(-(x ** 2)))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
 from prnls.spectral import (Field, Grid, _require_real, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, norm_h1, norm_lq, norm_w1q, norm_w2q,
-                            plancherel_sum, random_band_limited, read_field, resample,
-                            symmetrize_radial, write_field)
+                            half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
+                            norm_w1q, norm_w2q, plancherel_sum, random_band_limited,
+                            read_field, resample, symmetrize_radial, write_field)
 from prnls.symbols import (inverse_difference, p_c, p_infty, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
 
@@ -182,6 +182,16 @@ def test_norm_w1q_gaussian_q2():
     grid = Grid(1, 256, 12.0)
     f = Field.from_function(grid, lambda x: np.exp(-(x ** 2)))
     assert norm_w1q(f, 2) == pytest.approx(2 * (math.pi / 2) ** 0.25, rel=1e-10)
+
+
+def test_intersection_norm_takes_q_2n():
+    # the solution norm is H^1 intersect W^{1,2n}; in 2-D and 3-D the broad
+    # Gaussian has the larger H^1 norm and the narrow one the larger W^{1,2n}
+    for n in (1, 2, 3):
+        grid = Grid(n, 16, 6.0)
+        for width_sq in (8.0, 0.5):
+            f = Field(grid, np.exp(-grid.radius_sq / width_sq))
+            assert intersection_norm(f) == max(norm_h1(f), norm_w1q(f, 2.0 * n))
 
 
 @pytest.mark.parametrize("N", [32, 64])
