@@ -158,8 +158,8 @@ def parse_config(text: str, command: str = None) -> RunConfig:
 
     def tol(field):
         val = _get(cp, "tolerances", field.name, float, field.default)
-        if not (val > 0):
-            raise ConfigError(f"{field.name} must be positive, got {val}")
+        if not (0 < val < math.inf):
+            raise ConfigError(f"{field.name} must be positive and finite, got {val}")
         return val
 
     tols = ToleranceSet(*(tol(f) for f in fields(ToleranceSet)))
@@ -169,8 +169,9 @@ def parse_config(text: str, command: str = None) -> RunConfig:
         sweep = SweepSpec(_get(cp, "sweep", "c_min", float, None),
                           _get(cp, "sweep", "c_max", float, None),
                           _get(cp, "sweep", "rungs", int, None))
-        if not (0 < sweep.c_min < sweep.c_max):
-            raise ConfigError(f"need 0 < c_min < c_max, got {sweep.c_min}, {sweep.c_max}")
+        if not (0 < sweep.c_min < sweep.c_max < math.inf):
+            raise ConfigError(f"need 0 < c_min < c_max < inf, got {sweep.c_min}, "
+                              f"{sweep.c_max}")
         min_rungs = 4 if resolved_command == "rate-sweep" else 2
         if sweep.rungs < min_rungs:
             raise ConfigError(f"{resolved_command} needs rungs >= {min_rungs}, got {sweep.rungs}")
@@ -384,9 +385,6 @@ def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
-    if nonexistence_regime(rp) is None:
-        raise ConfigError(f"(n={rp.n}, p={rp.p}, c={rp.c_tilde}) is outside both "
-                          "non-existence regimes; certify does not apply")
     gs = _limit_state(cfg, allow_supercritical=True)
     cert = nonexistence_certificate(gs.u, rp)
     _write_csv(os.path.join(out, "certificate.csv"),
@@ -465,12 +463,19 @@ _RUNNERS = {
 
 
 def _check_construction(cfg: RunConfig):
-    """Raise ConfigError if a non-probe solve of cfg would break solve()'s preconditions.
+    """Raise ConfigError if cfg breaks its command's preconditions, before any output.
 
-    Sweeps check their lowest rung, whose ladder value is c_tilde itself;
-    --find-threshold checks p only, because its lower endpoint is meant to
-    fail; sweep --probe lifts the preconditions.
+    certify needs (n, p, c) inside a non-existence regime. A non-probe solve
+    must meet solve()'s preconditions: sweeps check their lowest rung, whose
+    ladder value is c_tilde itself; --find-threshold checks p only, because
+    its lower endpoint is meant to fail; sweep --probe lifts the preconditions.
     """
+    if cfg.command == "certify":
+        rp = reduce_params(cfg.params)
+        if nonexistence_regime(rp) is None:
+            raise ConfigError(f"(n={rp.n}, p={rp.p}, c={rp.c_tilde}) is outside both "
+                              "non-existence regimes; certify does not apply")
+        return
     if cfg.command in ("solve", "identity-check"):
         c_tilde = reduce_params(cfg.params).c_tilde
     elif cfg.command == "rate-sweep" or (cfg.command == "sweep" and not cfg.probe):

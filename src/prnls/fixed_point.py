@@ -14,6 +14,10 @@ converges geometrically. Every run ends in one of four outcomes, converged,
 collapsed, diverged (including loss of invertibility) or stalled, which solve()
 returns as data in its report. Probe mode runs the same iteration for small c
 or supercritical p, where the construction preconditions do not hold.
+
+The iterates are radial, so the loop runs on the grid's even block (see
+spectral): R_c, Q(w), Phi_c(w) and their norms are block fields, and only a
+converged u_c is lifted to the full grid, where its residual is checked.
 """
 
 from __future__ import annotations
@@ -67,16 +71,16 @@ class SolveReport:
 
 
 def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) -> Field:
-    """First-order correction R_c = L^{-1} (P_inf(D) - P_c(D)) u_inf."""
-    grid = op.grid
-    mult = half_spectrum_multiplier(grid, p_infty_minus_p_c(op.c))
-    rhs = Field(grid, half_spectrum_apply(grid, op.gs.u.values, mult))
+    """First-order correction R_c = L^{-1} (P_inf(D) - P_c(D)) u_inf, on the even block."""
+    block = op.grid.even
+    mult = half_spectrum_multiplier(block, p_infty_minus_p_c(op.c))
+    rhs = Field(block, half_spectrum_apply(block, op.gs.u_even.values, mult))
     return invert(op, rhs, tol=tol_lin)
 
 
 def nonlinear_q(gs: GroundState, w: Field) -> Field:
-    """Superlinear remainder Q(w) of the nonlinearity around the ground state."""
-    u = gs.u.values
+    """Superlinear remainder Q(w) of the nonlinearity around the ground state, on the even block."""
+    u = gs.u_even.values
     p = gs.p
     up = np.maximum(u, 0.0)
     return Field(w.grid, signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values)
@@ -84,7 +88,7 @@ def nonlinear_q(gs: GroundState, w: Field) -> Field:
 
 def phi(op: LinearizedOperator, w: Field, rc: Field,
         tol_lin: float = ToleranceSet.tol_lin) -> Field:
-    """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w)."""
+    """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w), on the even block."""
     correction = invert(op, nonlinear_q(op.gs, w), tol=tol_lin)
     return symmetrize_radial(rc + correction)
 
@@ -114,7 +118,8 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
           probe: bool = False, tol: ToleranceSet = ToleranceSet()):
     """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
 
-    gs is the limit ground state u_inf for rp.p on grid (checked). Every run
+    gs is the limit ground state u_inf for rp.p on grid (checked); a start w0
+    is projected onto the radial subspace. Every run
     returns its report, whose outcome classifies it as converged / collapsed
     / diverged / stalled; u_c is None unless it converged. Only malformed
     input raises: ValueError for a mismatched grid or ground state, and,
@@ -132,8 +137,10 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, 0, 0.0, np.nan,
                          np.nan, np.nan, gs.residual)
 
+    block = grid.even
+    u = gs.u_even
     op = linearized_operator(rp, gs)
-    ceiling = norm_h1(gs.u)
+    ceiling = norm_h1(u)
     try:
         rc = remainder_rc(op, tol.tol_lin)
     except ConvergenceError as exc:
@@ -141,7 +148,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                              message=f"linearized operator lost invertibility: {exc}")
     report = replace(report, rc_norm=intersection_norm(rc))
 
-    w = w0 if w0 is not None else Field.zeros(grid)
+    w = block.restrict(symmetrize_radial(w0)) if w0 is not None else Field.zeros(block)
     step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
     for k in range(1, _MAX_PICARD + 1):
         try:
@@ -156,7 +163,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
         report = replace(report, iterations=k, steps=steps, w_norms=report.w_norms + (wn,),
                          w_norm=wn, contraction_estimate=_contraction_estimate(steps, step_floor))
 
-        if float(np.max(np.abs(gs.u.values + w.values))) < _COLLAPSE_FLOOR:
+        if float(np.max(np.abs(u.values + w.values))) < _COLLAPSE_FLOOR:
             return None, replace(report, outcome=OUTCOME_COLLAPSED,
                                  message="iterate collapsed to zero")
         if not np.isfinite(wn) or wn > ceiling:
@@ -164,7 +171,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                                  message=f"||w||={wn:.3e} left the contraction ball "
                                          f"(ceiling {ceiling:.3e})")
         if steps[-1] < tol.tol_step:
-            u_c = Field(grid, gs.u.values + w.values)
+            u_c = block.lift(u + w)
             pcu = half_spectrum_apply(grid, u_c.values, op.pc_half)
             residual = norm_lq(Field(grid, pcu - signed_power(u_c.values, rp.p)), 2)
             report = replace(report, final_residual=residual)

@@ -13,6 +13,11 @@ test phrased on the original system's relative residual.
 On the radial subspace L is invertible for large c; the translation modes
 d_i u_inf span its near-kernel, which is why omitting the projection makes
 inversion of antisymmetric data stagnate (probed in the tests).
+
+Radial fields are even, so the Krylov iteration runs on the grid's even block
+(see spectral), in the variables y = sqrt(weights) v: the Euclidean inner
+products of y are then the full-grid inner products of v, and the iteration
+is the full-grid one up to roundoff on a (N/2+1)^n instead of N^n lattice.
 """
 
 from __future__ import annotations
@@ -56,8 +61,16 @@ class LinearizedOperator:
         return half_spectrum_multiplier(self.grid, p_c(self.c))
 
     @cached_property
-    def inv_pc_half(self) -> np.ndarray:
-        return 1.0 / self.pc_half
+    def potential_even(self) -> Field:
+        return self.grid.even.restrict(self.potential)
+
+    @cached_property
+    def pc_even(self) -> np.ndarray:
+        return half_spectrum_multiplier(self.grid.even, p_c(self.c))
+
+    @cached_property
+    def inv_pc_even(self) -> np.ndarray:
+        return 1.0 / self.pc_even
 
 
 def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperator:
@@ -70,11 +83,15 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
 
 
 def apply(op: LinearizedOperator, w: Field) -> Field:
-    """L w = P_c(D) w - p u_inf^{p-1} w."""
-    if w.grid != op.grid:
+    """L w = P_c(D) w - p u_inf^{p-1} w, for w on op's grid or on its even block."""
+    if w.grid == op.grid:
+        pc, pot = op.pc_half, op.potential
+    elif w.grid == op.grid.even:
+        pc, pot = op.pc_even, op.potential_even
+    else:
         raise ValueError("field grid does not match operator grid")
-    pw = half_spectrum_apply(op.grid, w.values, op.pc_half)
-    return Field(op.grid, pw - op.potential.values * w.values)
+    pw = half_spectrum_apply(w.grid, w.values, pc)
+    return Field(w.grid, pw - pot.values * w.values)
 
 
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
@@ -135,28 +152,34 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
     """Solve L w = f to relative residual <= tol on the original system.
 
     f is projected onto the radial subspace first (symmetrize_radial), and so
-    is every Krylov iterate; a non-radial f is solved for its projection.
+    is every Krylov iterate; a non-radial f is solved for its projection. f
+    may live on op's grid or on its even block, and w lives where f does: a
+    full-grid f is projected, restricted, solved on the block and lifted.
     """
-    if f.grid != op.grid:
+    block = op.grid.even
+    if f.grid == op.grid:
+        return block.lift(invert(op, block.restrict(symmetrize_radial(f)), tol))
+    if f.grid != block:
         raise ValueError("field grid does not match operator grid")
-    grid = op.grid
     f = symmetrize_radial(f)
     fnorm = norm_lq(f, 2)
     if fnorm == 0.0:
-        return Field.zeros(grid)
+        return Field.zeros(block)
 
-    pot = op.potential.values
-    inv_pc = op.inv_pc_half
+    pot = op.potential_even.values
+    inv_pc = op.inv_pc_even
+    scale = np.sqrt(block.weights)  # the Krylov variable is y = scale * v
 
-    def apply_b(v):
-        flat = v.reshape(grid.shape)
-        out = flat - pot * half_spectrum_apply(grid, flat, inv_pc)
-        return symmetrize_radial(Field(grid, out)).values.ravel()
+    def apply_b(y):
+        v = y.reshape(block.shape) / scale
+        out = v - pot * half_spectrum_apply(block, v, inv_pc)
+        return (symmetrize_radial(Field(block, out)).values * scale).ravel()
 
-    bnorm = float(np.linalg.norm(f.values.ravel()))
-    v, _ = _gmres(apply_b, f.values.ravel(), 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
-    w_values = half_spectrum_apply(grid, v.reshape(grid.shape), inv_pc)
-    w = symmetrize_radial(Field(grid, w_values))
+    b = (f.values * scale).ravel()
+    bnorm = float(np.linalg.norm(b))
+    y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
+    w_values = half_spectrum_apply(block, y.reshape(block.shape) / scale, inv_pc)
+    w = symmetrize_radial(Field(block, w_values))
 
     residual = norm_lq(apply(op, w) - f, 2) / fnorm
     if residual > tol:

@@ -4,18 +4,37 @@ Everything downstream (ground states, linearized solves, diagnostics) runs on a
 uniform periodic grid over the box [-L, L)^n and represents Fourier-multiplier
 operators diagonally on the discrete frequency lattice xi_k = (pi/L) k.
 
+Two substrates
+--------------
+* The full periodic grid (Grid): N^n points, any real field. What leaves
+  the solver lives here: ground states, solutions, dumps, diagnostics,
+  resample and the norm probe.
+* The even block (Grid.even, an EvenBlock): the non-negative orthant
+  x = j h, j = 0..N/2 per axis. A field even in every coordinate is fully set
+  by these (N/2+1)^n values, and every field the solver iterates on is radial,
+  hence even; the solver works here and lifts its results to the full grid.
+  A block point stands for `weights` full-grid points (1 on the x = 0 and
+  x = L faces, 2 inside, multiplied over axes), so sums over the block
+  reproduce full-grid sums.
+A Field lives on one of the two, and every function below takes the path of
+the grid its field lives on.
+
 Conventions
 -----------
-* Every Fourier multiplier is applied by half_spectrum_apply, the real
-  rfftn/irfftn pair on the half lattice (last axis 0..N/2). Fields are real,
-  so the other half of the spectrum is the complex conjugate and carries no
-  information. Only resample, which evaluates off the lattice, takes a full
-  fftn.
+* Every Fourier multiplier is applied by half_spectrum_apply. On the full
+  grid that is the real rfftn/irfftn pair on the half lattice (last axis
+  0..N/2): fields are real, so the other half of the spectrum is the complex
+  conjugate and carries no information. On the even block it is the DCT-I
+  pair, whose coefficients are the full-lattice DFT on the non-negative
+  frequency orthant k = 0..N/2 (the spectrum of an even field is even, with
+  the same multiplicities as the block's points). Only resample, which
+  evaluates off the lattice, takes a full fftn.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
   which is exactly consistent with the physical-space quadrature h^n * sum().
 * First-derivative multipliers zero the Nyquist mode (k = -N/2), the standard
   convention that keeps spectral derivatives of real fields real and makes
-  mixed partials commute exactly.
+  mixed partials commute exactly. On the even block a first derivative is a
+  DST-I along its axis, zero on both faces, which is the same convention.
 """
 
 from __future__ import annotations
@@ -26,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainOverflowError, SymmetryError
 
@@ -129,6 +149,15 @@ class Grid:
         out.append(np.reshape(xi, (1,) * (self.n - 1) + (len(xi),)))
         return tuple(out)
 
+    @cached_property
+    def even(self) -> "EvenBlock":
+        """The even block of this grid, where the solver's radial fields live."""
+        return EvenBlock(self)
+
+    def lattice_sum(self, values: np.ndarray) -> float:
+        """Sum of values over the grid points."""
+        return float(np.sum(values))
+
     @classmethod
     def default(cls, n: int) -> "Grid":
         """Production default resolution per dimension."""
@@ -148,8 +177,73 @@ def _axis_shape(n: int, axis: int) -> tuple:
 
 
 @dataclass(frozen=True)
+class EvenBlock:
+    """Non-negative orthant x = j h, j = 0..N/2 per axis, of a Grid.
+
+    Holds fields even in every coordinate by their block values. Block index
+    j is full-grid index (N/2 + j) mod N; j = N/2 is the face x = L, which the
+    periodic grid stores as x = -L.
+    """
+
+    grid: Grid
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
+
+    @property
+    def N(self) -> int:
+        return self.grid.N
+
+    @property
+    def cell_volume(self) -> float:
+        return self.grid.cell_volume
+
+    @property
+    def shape(self) -> tuple:
+        return (self.N // 2 + 1,) * self.n
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Full-grid points per block point: 1 on the x = 0 and x = L faces, 2 inside, per axis."""
+        axis = np.full(self.N // 2 + 1, 2.0)
+        axis[[0, -1]] = 1.0
+        out = np.ones(self.shape)
+        for a in range(self.n):
+            out = out * np.reshape(axis, _axis_shape(self.n, a))
+        return out
+
+    @cached_property
+    def xi_sq(self) -> np.ndarray:
+        """|xi|^2 on the non-negative frequency orthant k = 0..N/2 (the DCT-I lattice)."""
+        xi = self.grid.freqs_half
+        out = np.zeros(self.shape)
+        for a in range(self.n):
+            out = out + np.reshape(xi * xi, _axis_shape(self.n, a))
+        return out
+
+    def restrict(self, f: "Field") -> "Field":
+        """The block values of a full-grid field; the field is not symmetrized."""
+        if f.grid != self.grid:
+            raise ValueError("field does not live on this block's grid")
+        idx = (self.N // 2 + np.arange(self.N // 2 + 1)) % self.N
+        return Field(self, f.values[np.ix_(*(idx,) * self.n)])
+
+    def lift(self, f: "Field") -> "Field":
+        """The even full-grid field with block values f (index i reads |i - N/2|)."""
+        if f.grid != self:
+            raise ValueError("field does not live on this block")
+        idx = np.abs(np.arange(self.N) - self.N // 2)
+        return Field(self.grid, f.values[np.ix_(*(idx,) * self.n)])
+
+    def lattice_sum(self, values: np.ndarray) -> float:
+        """Sum over the full grid of the even field with block values `values`."""
+        return float(np.sum(self.weights * values))
+
+
+@dataclass(frozen=True)
 class Field:
-    """Real scalar field sampled on a Grid (values indexed row-major by axis)."""
+    """Real scalar field on a Grid or on its EvenBlock (values row-major by axis)."""
 
     grid: Grid
     values: np.ndarray
@@ -208,18 +302,27 @@ def _require_real(w: np.ndarray, what: str) -> np.ndarray:
     return w.real.copy()
 
 
-def half_spectrum_multiplier(grid: Grid, sym) -> np.ndarray:
-    """Values of a radial symbol, a callable of |xi|^2 (see symbols), on the rfftn lattice."""
-    return np.asarray(sym(grid.xi_sq_half), dtype=np.float64)
+def _lattice_xi_sq(grid) -> np.ndarray:
+    return grid.xi_sq if isinstance(grid, EvenBlock) else grid.xi_sq_half
 
 
-def half_spectrum_apply(grid: Grid, values: np.ndarray, mult_half: np.ndarray) -> np.ndarray:
-    """Apply the Fourier multiplier mult_half (rfftn layout) to a real array.
+def half_spectrum_multiplier(grid, sym) -> np.ndarray:
+    """Values of a radial symbol, a callable of |xi|^2 (see symbols), on grid's frequency grid."""
+    return np.asarray(sym(_lattice_xi_sq(grid)), dtype=np.float64)
 
-    The one multiplier path: irfftn(mult_half * rfftn(values)). The output is
-    real by construction, so no realness check is needed. mult_half may be
-    complex when the symbol is odd, as for the derivatives in gradient().
+
+def half_spectrum_apply(grid, values: np.ndarray, mult_half: np.ndarray) -> np.ndarray:
+    """Apply the Fourier multiplier mult_half to a real array on grid.
+
+    The one multiplier path: irfftn(mult_half * rfftn(values)) on a Grid
+    (mult_half in rfftn layout), idctn(mult_half * dctn(values)) with DCT-I on
+    an EvenBlock (mult_half on the k = 0..N/2 orthant, an even symbol). The
+    output is real by construction, so no realness check is needed. On a Grid,
+    mult_half may be complex when the symbol is odd, as for the derivatives in
+    gradient().
     """
+    if isinstance(grid, EvenBlock):
+        return scipy.fft.idctn(mult_half * scipy.fft.dctn(values, type=1), type=1)
     return np.fft.irfftn(mult_half * np.fft.rfftn(values), s=grid.shape,
                           axes=range(grid.n))
 
@@ -240,30 +343,39 @@ def signed_power(values: np.ndarray, p: float) -> np.ndarray:
 # norms and inner products
 # ---------------------------------------------------------------------------
 
-def norm_lq(f: Field, q: float) -> float:
-    """Discrete L^q norm, (h^n sum |f|^q)^(1/q); q = inf gives the max norm."""
+def _lq(grid, values: np.ndarray, q: float) -> float:
     if q == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(np.max(np.abs(values)))
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return float((f.grid.cell_volume * np.sum(np.abs(f.values) ** q)) ** (1.0 / q))
+    return float((grid.cell_volume * grid.lattice_sum(np.abs(values) ** q)) ** (1.0 / q))
+
+
+def norm_lq(f: Field, q: float) -> float:
+    """Discrete L^q norm, (h^n sum |f|^q)^(1/q) over the full grid; q = inf gives the max norm."""
+    return _lq(f.grid, f.values, q)
 
 
 def plancherel_sum(f: Field, weight) -> float:
     """Frequency-side quadratic form sum_k weight(|xi_k|^2) |fhat_k|^2.
 
     `weight` maps |xi|^2 to a radial weight. The sum runs over the full
-    lattice but is evaluated on the rfftn half: a real field has
+    lattice. On a Grid it is evaluated on the rfftn half: a real field has
     |fhat(-k)| = |fhat(k)|, so last-axis columns 1..N/2-1 stand for
     themselves and their mirror columns and count twice, while columns 0 and
-    N/2 are their own mirrors. Normalized to match (2 pi)^{-n} * integral of
-    weight * |continuum FT|^2; with weight 1 this equals the squared L^2 norm.
+    N/2 are their own mirrors. On an EvenBlock the DCT-I coefficients are
+    fhat on the non-negative orthant and count with the block's weights.
+    Normalized to match (2 pi)^{-n} * integral of weight * |continuum FT|^2;
+    with weight 1 this equals the squared L^2 norm.
     """
     g = f.grid
-    power = np.abs(np.fft.rfftn(f.values)) ** 2
-    power[..., 1:g.N // 2] *= 2.0
-    w = np.asarray(weight(g.xi_sq_half), dtype=np.float64)
-    return float(g.cell_volume / g.num_points * np.sum(w * power))
+    if isinstance(g, EvenBlock):
+        power = g.weights * scipy.fft.dctn(f.values, type=1) ** 2
+    else:
+        power = np.abs(np.fft.rfftn(f.values)) ** 2
+        power[..., 1:g.N // 2] *= 2.0
+    w = np.asarray(weight(_lattice_xi_sq(g)), dtype=np.float64)
+    return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
 
 
 def norm_h1(f: Field) -> float:
@@ -271,9 +383,36 @@ def norm_h1(f: Field) -> float:
     return math.sqrt(plancherel_sum(f, lambda r2: 1.0 + r2))
 
 
+def _block_partials(f: Field) -> list:
+    """First partials of an EvenBlock field, as raw arrays on the block.
+
+    d_a f is odd along axis a, so it is no block Field: it is the DST-I along
+    axis a (the DCT-I along the others) of -xi_a times the DCT-I coefficients,
+    and zero on the x = 0 and x = L faces, where an odd periodic field
+    vanishes. The DST-I has no k = N/2 term, as the full-grid convention
+    drops the Nyquist mode.
+    """
+    g = f.grid
+    coeffs = scipy.fft.dctn(f.values, type=1)
+    out = []
+    for a in range(g.n):
+        inner = tuple(slice(1, -1) if b == a else slice(None) for b in range(g.n))
+        xi = np.reshape(g.grid.freqs_half[1:-1], _axis_shape(g.n, a))
+        d = scipy.fft.idst(-xi * coeffs[inner], type=1, axis=a)
+        others = tuple(b for b in range(g.n) if b != a)
+        if others:
+            d = scipy.fft.idctn(d, type=1, axes=others)
+        out.append(np.pad(d, [(1, 1) if b == a else (0, 0) for b in range(g.n)]))
+    return out
+
+
 def norm_w1q(f: Field, q: float) -> float:
     """W^{1,q} norm: ||f||_q + sum_i ||d_i f||_q."""
-    return norm_lq(f, q) + sum(norm_lq(df, q) for df in gradient(f))
+    if isinstance(f.grid, EvenBlock):
+        partials = _block_partials(f)
+    else:
+        partials = [df.values for df in gradient(f)]
+    return norm_lq(f, q) + sum(_lq(f.grid, d, q) for d in partials)
 
 
 def norm_w2q(f: Field, q: float) -> float:
@@ -306,11 +445,14 @@ def symmetrize_radial(f: Field) -> Field:
 
     Sequential per-axis even projections realize the sign-flip average; the
     permutation average then completes the full group average (the flip
-    average is permutation-equivariant). Idempotent up to roundoff.
+    average is permutation-equivariant). On an EvenBlock every field is
+    already even, so only the permutation average is taken. Idempotent up to
+    roundoff.
     """
     v = f.values
-    for axis in range(f.grid.n):
-        v = 0.5 * (v + _reflect(v, axis))
+    if isinstance(f.grid, Grid):
+        for axis in range(f.grid.n):
+            v = 0.5 * (v + _reflect(v, axis))
     if f.grid.n > 1:
         perms = list(itertools.permutations(range(f.grid.n)))
         acc = np.zeros_like(v)

@@ -144,6 +144,10 @@ def test_parse_config_sweep_bounds():
     bad = MINIMAL_2D + "\n[sweep]\nc_min = 8.0\nc_max = 4.0\nrungs = 3\n"
     with pytest.raises(ConfigError, match="c_min < c_max"):
         parse_config(bad, "sweep")
+    # an infinite c_max would give the ladder [c_min, inf, inf]
+    unbounded = MINIMAL_2D + "\n[sweep]\nc_min = 4.0\nc_max = inf\nrungs = 3\n"
+    with pytest.raises(ConfigError, match="c_max < inf"):
+        parse_config(unbounded, "sweep")
 
 
 def test_parse_config_rate_sweep_needs_four_rungs():
@@ -174,6 +178,11 @@ def test_parse_config_rejects_nonpositive_tolerance():
     text = MINIMAL_2D + "\n[tolerances]\ntol_gs = 0\n"
     with pytest.raises(ConfigError, match="must be positive"):
         parse_config(text, "ground-state")
+    # an infinite tol_lin would let invert() return 0 for any right-hand side
+    for key, value in (("tol_lin", "inf"), ("tol_residual", "nan")):
+        text = MINIMAL_2D + f"\n[tolerances]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            parse_config(text, "ground-state")
 
 
 def test_parse_config_rejects_malformed_text():
@@ -379,6 +388,7 @@ def test_certify_rejects_existence_range(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["certify", _cfg(tmp_path, text), "--output-dir", str(out)]) == 1
     assert "non-existence regimes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_probe_reports_failures_with_exit_2(tmp_path):

@@ -51,15 +51,16 @@ def test_remainder_decay_rate_3d(gs3d):
 def test_nonlinear_q_zero(gs2d_small):
     # Q(0) = (u)^p - u^p - 0, identical terms computed by two code paths; the
     # difference is pure roundoff, not exactly zero
-    out = fp.nonlinear_q(gs2d_small, Field.zeros(gs2d_small.grid))
+    out = fp.nonlinear_q(gs2d_small, Field.zeros(gs2d_small.grid.even))
     assert np.max(np.abs(out.values)) <= 1e-15
 
 
 def test_nonlinear_q_cubic_closed_form(gs2d_small):
     rng = np.random.default_rng(31)
-    w = Field(gs2d_small.grid, 0.1 * rng.standard_normal(gs2d_small.grid.shape))
+    block = gs2d_small.grid.even
+    w = block.restrict(Field(gs2d_small.grid, 0.1 * rng.standard_normal(gs2d_small.grid.shape)))
     got = fp.nonlinear_q(gs2d_small, w)
-    u = gs2d_small.u.values
+    u = block.restrict(gs2d_small.u).values
     uw = u + w.values
     exact = signed_power(uw, 3.0) - u ** 3 - 3.0 * u ** 2 * w.values
     # for p = 3 that expansion collapses to 3 u w^2 + w^3 wherever u + w >= 0
@@ -79,7 +80,7 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
         gs = solve_limit_equation(ReducedParams(2, p, 8.0), grid, tol=1e-12)
     rng = np.random.default_rng(7)
     from prnls.spectral import random_band_limited
-    v = symmetrize_radial(random_band_limited(grid, rng, 3.0))
+    v = grid.even.restrict(symmetrize_radial(random_band_limited(grid, rng, 3.0)))
     v = v.with_values(v.values / norm_h1(v))
     eps = np.array([1e-1, 1e-2, 1e-3])
     norms = [norm_lq(fp.nonlinear_q(gs, v.with_values(e * v.values)), 2) for e in eps]
@@ -92,7 +93,7 @@ def test_phi_at_zero_is_remainder(gs2d_small):
     # to machine precision rather than bitwise
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     rc = fp.remainder_rc(op)
-    out = fp.phi(op, Field.zeros(gs2d_small.grid), rc=rc)
+    out = fp.phi(op, Field.zeros(gs2d_small.grid.even), rc=rc)
     assert np.max(np.abs(out.values - rc.values)) < 1e-15
 
 
@@ -100,11 +101,12 @@ def test_phi_contracts_small_pairs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 64.0), gs2d_small)
     rc = fp.remainder_rc(op)
     delta = 0.1 * norm_h1(gs2d_small.u)
+    block = gs2d_small.grid.even
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(500 + seed)
-        w1 = fp.random_start(gs2d_small.grid, rng, delta / 2)
-        w2 = fp.random_start(gs2d_small.grid, rng, delta / 2)
+        w1 = block.restrict(fp.random_start(gs2d_small.grid, rng, delta / 2))
+        w2 = block.restrict(fp.random_start(gs2d_small.grid, rng, delta / 2))
         num = intersection_norm(fp.phi(op, w1, rc=rc) - fp.phi(op, w2, rc=rc))
         worst = max(worst, num / intersection_norm(w1 - w2))
     assert worst < 0.5, f"contraction factor {worst}"
@@ -154,7 +156,7 @@ def test_independent_residual_recompute(uc16_small):
 
 def test_fixed_point_property(uc16_small, gs2d_small):
     u_c, rep = uc16_small
-    w_star = u_c - gs2d_small.u
+    w_star = gs2d_small.grid.even.restrict(u_c - gs2d_small.u)
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     rc = fp.remainder_rc(op)
     drift = intersection_norm(fp.phi(op, w_star, rc=rc) - w_star)

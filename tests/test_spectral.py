@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
-from prnls.spectral import (Field, Grid, _require_real, gradient, half_spectrum_apply,
+from prnls.spectral import (Field, Grid, _reflect, _require_real, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
                             norm_w1q, norm_w2q, plancherel_sum, random_band_limited,
                             read_field, resample, symmetrize_radial, write_field)
@@ -122,6 +122,88 @@ def test_half_spectrum_apply_matches_full_fft(case):
     ref = fft_multiplier(sym, f).values
     got = _apply_symbol(sym, f).values
     assert np.max(np.abs(got - ref)) <= _MULTIPLIER_FLOOR * np.max(np.abs(ref))
+
+
+# ------------------------------------------------ even block against full grid
+
+# measured over 1,200 random cases of _block_vs_full_cases: worst relative gap
+# 9.3e-16 (of the field's max) for half_spectrum_apply, 5.5e-16 for
+# plancherel_sum, 3.7e-16 for norm_lq and 4.2e-16 for intersection_norm; each
+# floor sits just above its measured value
+_BLOCK_MULTIPLIER_FLOOR = 1.5e-15
+_BLOCK_PLANCHEREL_FLOOR = 1e-15
+_BLOCK_NORM_FLOOR = 6e-16
+
+
+@st.composite
+def _block_vs_full_cases(draw):
+    """An even white-noise field (sign-flip averaged, not permuted) and a symbol."""
+    f, sym = draw(_half_vs_full_cases())
+    v = f.values
+    for axis in range(f.grid.n):
+        v = 0.5 * (v + _reflect(v, axis))
+    return f.with_values(v), sym
+
+
+def _rel_gap(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
+@_HALF_VS_FULL
+@given(_block_vs_full_cases())
+def test_even_block_lift_restrict_roundtrip_is_exact(case):
+    f, _ = case
+    block = f.grid.even
+    assert block.shape == (f.grid.N // 2 + 1,) * f.grid.n
+    assert np.sum(block.weights) == f.grid.num_points
+    assert np.array_equal(block.lift(block.restrict(f)).values, f.values)
+
+
+@_HALF_VS_FULL
+@given(_block_vs_full_cases())
+def test_even_block_multiplier_matches_full_grid(case):
+    f, sym = case
+    block = f.grid.even
+    ref = block.restrict(_apply_symbol(sym, f)).values
+    got = _apply_symbol(sym, block.restrict(f)).values
+    assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * np.max(np.abs(ref))
+
+
+@_HALF_VS_FULL
+@given(_block_vs_full_cases())
+def test_even_block_norms_match_full_grid(case):
+    f, weight = case
+    fb = f.grid.even.restrict(f)
+    n = f.grid.n
+    assert _rel_gap(plancherel_sum(fb, weight), plancherel_sum(f, weight)) \
+        <= _BLOCK_PLANCHEREL_FLOOR
+    for q in (2.0, 2.0 * n):
+        assert _rel_gap(norm_lq(fb, q), norm_lq(f, q)) <= _BLOCK_NORM_FLOOR
+    assert _rel_gap(intersection_norm(fb), intersection_norm(f)) <= _BLOCK_NORM_FLOOR
+
+
+def test_even_block_partials_are_the_restricted_gradient():
+    # the DST-I partials inside the block norms are the full-grid spectral
+    # gradient restricted to the orthant, zero on both faces (worst gap over
+    # 200 seeds of these three grids: 7.5e-16 of the partial's max)
+    from prnls.spectral import _block_partials
+
+    for n, N in ((1, 64), (2, 32), (3, 16)):
+        grid = Grid(n, N, 5.0)
+        f = symmetrize_radial(_random_field(grid, 20 + n))
+        block = grid.even
+        for got, full in zip(_block_partials(block.restrict(f)), gradient(f)):
+            ref = block.restrict(full).values
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_even_block_rejects_foreign_fields():
+    grid = Grid(2, 32, 5.0)
+    f = _random_field(grid, 13)
+    with pytest.raises(ValueError):
+        Grid(2, 32, 6.0).even.restrict(f)
+    with pytest.raises(ValueError):
+        grid.even.lift(f)
 
 
 # ---------------------------------------------------------------- derivatives
