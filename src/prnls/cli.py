@@ -40,7 +40,7 @@ from .diagnostics import action, check_identities, fit_rate, nonexistence_certif
     nonexistence_regime, trace_inequality_check
 from .errors import CollapseError, ConfigError, SolverError
 from .fixed_point import SolveReport, construction_precondition, \
-    find_convergence_threshold, random_start, solve
+    find_convergence_threshold, prepare, random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
 from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, reduce_params
@@ -392,12 +392,14 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
                [(cert.regime, cert.combined_lhs, cert.combined_rhs, cert.conclusion)])
 
     scale = _PROBE_START_SCALE * intersection_norm(gs.u)
+    construction = prepare(rp, gs, cfg.tolerances.tol_lin)  # one R_c for every probe
     rows = []
     genuine = 0
     for k in range(cfg.probes):
         rng = np.random.default_rng([cfg.seed, k])
         w0 = random_start(cfg.grid, rng, scale)
-        u_c, rep = solve(rp, cfg.grid, gs, w0=w0, probe=True, tol=cfg.tolerances)
+        u_c, rep = solve(rp, cfg.grid, gs, w0=w0, probe=True, tol=cfg.tolerances,
+                         construction=construction)
         mismatch = math.nan
         if u_c is not None:
             mismatch = check_identities(u_c, rp).max_mismatch

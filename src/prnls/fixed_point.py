@@ -18,6 +18,11 @@ or supercritical p, where the construction preconditions do not hold.
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w) and their norms are block fields, and only a
 converged u_c is lifted to the full grid, where its residual is checked.
+
+What does not depend on the start w0 (the operator L, R_c and its norm, the
+contraction-ball ceiling) is a Construction, built by prepare(). solve()
+prepares its own unless it is handed one, so a campaign of random starts at
+one speed (certify) pays for the R_c inversion once.
 """
 
 from __future__ import annotations
@@ -114,17 +119,49 @@ def construction_precondition(rp: ReducedParams) -> str:
     return ""
 
 
+@dataclass(frozen=True)
+class Construction:
+    """The start-independent part of solve() at one (grid, p, c) and tol_lin.
+
+    rc is R_c on the even block and ceiling the contraction-ball bound
+    ||u_inf||_{H^1}. When R_c's inversion failed, failure says why and rc is
+    None; every solve() with this construction then reports it as diverged.
+    """
+
+    op: LinearizedOperator
+    tol_lin: float
+    rc: Field
+    rc_norm: float
+    ceiling: float
+    failure: str = ""
+
+
+def prepare(rp: ReducedParams, gs: GroundState,
+            tol_lin: float = ToleranceSet.tol_lin) -> Construction:
+    """Build the operator and R_c for solve() at rp around the ground state gs."""
+    op = linearized_operator(rp, gs)
+    ceiling = norm_h1(gs.u_even)
+    try:
+        rc = remainder_rc(op, tol_lin)
+    except ConvergenceError as exc:
+        return Construction(op, tol_lin, None, np.nan, ceiling,
+                            f"linearized operator lost invertibility: {exc}")
+    return Construction(op, tol_lin, rc, intersection_norm(rc), ceiling)
+
+
 def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
-          probe: bool = False, tol: ToleranceSet = ToleranceSet()):
+          probe: bool = False, tol: ToleranceSet = ToleranceSet(),
+          construction: Construction = None):
     """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
 
     gs is the limit ground state u_inf for rp.p on grid (checked); a start w0
-    is projected onto the radial subspace. Every run
-    returns its report, whose outcome classifies it as converged / collapsed
-    / diverged / stalled; u_c is None unless it converged. Only malformed
-    input raises: ValueError for a mismatched grid or ground state, and,
-    unless probe=True lifts them, for a rp that breaks the construction
-    preconditions (see construction_precondition).
+    is projected onto the radial subspace. construction, if given, is
+    prepare(rp, gs, tol.tol_lin) (checked); otherwise solve() prepares it.
+    Every run returns its report, whose outcome classifies it as converged /
+    collapsed / diverged / stalled; u_c is None unless it converged. Only malformed
+    input raises: ValueError for a mismatched grid, ground state or
+    construction, and, unless probe=True lifts them, for a rp that breaks the
+    construction preconditions (see construction_precondition).
     """
     if grid.n != rp.n:
         raise ValueError(f"grid dimension {grid.n} does not match parameters (n={rp.n})")
@@ -133,21 +170,22 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
         raise ValueError(f"{reason}; probe=True lifts this precondition")
     if gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
+    if construction is None:
+        construction = prepare(rp, gs, tol.tol_lin)
+    elif (construction.op.rp != rp or construction.op.gs is not gs
+          or construction.tol_lin != tol.tol_lin):
+        raise ValueError("supplied construction was prepared for other parameters, "
+                         "ground state or tol_lin")
     # one running report; its "stalled" outcome stands unless an earlier exit decides
     report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, 0, 0.0, np.nan,
                          np.nan, np.nan, gs.residual)
+    if construction.failure:
+        return None, replace(report, outcome=OUTCOME_DIVERGED, message=construction.failure)
+    report = replace(report, rc_norm=construction.rc_norm)
 
     block = grid.even
     u = gs.u_even
-    op = linearized_operator(rp, gs)
-    ceiling = norm_h1(u)
-    try:
-        rc = remainder_rc(op, tol.tol_lin)
-    except ConvergenceError as exc:
-        return None, replace(report, outcome=OUTCOME_DIVERGED,
-                             message=f"linearized operator lost invertibility: {exc}")
-    report = replace(report, rc_norm=intersection_norm(rc))
-
+    op, rc, ceiling = construction.op, construction.rc, construction.ceiling
     w = block.restrict(symmetrize_radial(w0)) if w0 is not None else Field.zeros(block)
     step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
     for k in range(1, _MAX_PICARD + 1):

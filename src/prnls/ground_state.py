@@ -28,6 +28,7 @@ from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_lq, sign
 _COLLAPSE_FLOOR = 1e-10
 _BLOWUP_CEILING = 1e12
 _MAX_PETVIASHVILI = 2000
+_RESIDUAL_STALL = 0.999  # a settled iterate "improves" if it beats the last residual by 0.1%
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,11 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     """Run the Petviashvili iteration from initial_gaussian to the discrete ground state.
 
     Stops when the sup-norm step is below tol and the equation residual is
-    below 10 tol. Raises CollapseError if the iterate decays to numerical
+    below 10 tol. Once the step is below tol, the residual of each such
+    iterate must also fall by the factor _RESIDUAL_STALL: on an
+    under-resolved grid the clamped map max(u, 0)^p has a fixed point that
+    solves no equation, where the residual stalls, and ConvergenceError is
+    raised there. Raises CollapseError if the iterate decays to numerical
     zero, ConvergenceError on blow-up or after _MAX_PETVIASHVILI steps.
     """
     if grid.n != rp.n:
@@ -94,6 +99,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     u = block.restrict(symmetrize_radial(initial_gaussian(grid, p))).values
     clamps = 0
     factor = np.nan
+    last_res = np.inf
     for k in range(1, _MAX_PETVIASHVILI + 1):
         up = np.maximum(u, 0.0) ** p
         clamps += int(block.lattice_sum(u < 0.0))
@@ -119,6 +125,12 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
             res = limit_residual(field, p)
             if res < 10.0 * tol:
                 return GroundState(field, p, res, k, factor, clamps)
+            if res > _RESIDUAL_STALL * last_res:
+                raise ConvergenceError(
+                    f"petviashvili iteration settled at iteration {k} on a fixed point that "
+                    f"is no solution: residual {res:.3e} stalled above {10.0 * tol:g} after "
+                    f"{clamps} negative clamps, at grid spacing h={grid.h:.3g}")
+            last_res = res
 
     raise ConvergenceError(
         f"petviashvili iteration did not meet tol={tol:g} within {_MAX_PETVIASHVILI} steps")

@@ -8,7 +8,9 @@ so the Krylov iteration only ever sees Id minus a compact operator. The
 restarted minimal-residual (GMRES) loop is written out here rather than taken
 from scipy because the contract calls for radial re-projection of every
 Krylov iterate, stagnation detection over a fixed window, and a convergence
-test phrased on the original system's relative residual.
+test phrased on the original system's relative residual. Its least-squares
+residual is updated by Givens rotations, one per Krylov step, and the small
+triangular system is solved once per restart cycle.
 
 On the radial subspace L is invertible for large c; the translation modes
 d_i u_inf span its near-kernel, which is why omitting the projection makes
@@ -22,6 +24,7 @@ is the full-grid one up to roundoff on a (N/2+1)^n instead of N^n lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,9 +100,13 @@ def apply(op: LinearizedOperator, w: Field) -> Field:
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
     """Restarted GMRES on flattened real arrays; returns (x, iterations).
 
-    Raises ConvergenceError when no iteration in a window of _STALL_WINDOW
-    improves the best residual by at least 0.1% (a near-singular operator),
-    or when max_iter is exhausted.
+    Each new Hessenberg column is reduced to upper-triangular form by the
+    earlier Givens rotations and one new one, so the least-squares residual
+    is |g_{j+1}| at every step, and the triangular system is solved once per
+    cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 1986). Raises
+    ConvergenceError when no iteration in a window of _STALL_WINDOW improves
+    the best residual by at least 0.1% (a near-singular operator), or when
+    max_iter is exhausted.
     """
     size = b.size
     x = np.zeros(size)
@@ -117,22 +124,30 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
                 f"krylov inversion did not reach tolerance within {max_iter} iterations")
         basis = np.empty((m + 1, size))
         basis[0] = r / beta
-        hess = np.zeros((m + 1, m))
-        y = np.zeros(0)
+        tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+        g = [beta]              # the rotated right-hand side beta e_1
+        rotations = []
         used = 0
         for j in range(m):
             w = apply_b(basis[j])
+            col = []
             for i in range(j + 1):  # modified Gram-Schmidt
-                hess[i, j] = float(np.dot(basis[i], w))
-                w -= hess[i, j] * basis[i]
-            hess[j + 1, j] = float(np.linalg.norm(w))
+                col.append(float(np.dot(basis[i], w)))
+                w -= col[i] * basis[i]
+            h_next = float(np.linalg.norm(w))
             total += 1
             used = j + 1
 
-            e1 = np.zeros(j + 2)
-            e1[0] = beta
-            y = np.linalg.lstsq(hess[:j + 2, :j + 1], e1, rcond=None)[0]
-            res = float(np.linalg.norm(hess[:j + 2, :j + 1] @ y - e1))
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            diag = math.hypot(col[j], h_next)
+            cs, sn = col[j] / diag, h_next / diag
+            rotations.append((cs, sn))
+            col[j] = diag
+            tri[:used, j] = col
+            g.append(-sn * g[j])
+            g[j] *= cs
+            res = abs(g[j + 1])
             if res < best * _STALL_FACTOR:
                 best = res
                 last_improve = total
@@ -141,11 +156,14 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
                     f"krylov residual stagnated near {best:.3e} for {_STALL_WINDOW} "
                     "iterations (operator is near-singular)")
             if res <= tol_abs:
-                return x + np.tensordot(y, basis[:used], axes=(0, 0)), total
-            if hess[j + 1, j] <= 1e-14 * beta:
+                break
+            if h_next <= 1e-14 * beta:
                 break  # invariant subspace reached; restart from the new residual
-            basis[j + 1] = w / hess[j + 1, j]
+            basis[j + 1] = w / h_next
+        y = np.linalg.solve(tri[:used, :used], np.asarray(g[:used]))
         x = x + np.tensordot(y, basis[:used], axes=(0, 0))
+        if res <= tol_abs:
+            return x, total
 
 
 def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:

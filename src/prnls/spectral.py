@@ -271,9 +271,6 @@ class Field:
         self._check_same_grid(other)
         return Field(self.grid, self.values - other.values)
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
     def __mul__(self, other):
         if isinstance(other, Field):
             self._check_same_grid(other)

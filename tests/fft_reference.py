@@ -5,12 +5,16 @@ the DCT-I pair on the even block) and sums Plancherel forms over the rfftn
 half lattice. These helpers do the same work the textbook way, on the full
 complex fftn lattice, and serve the tests as an independent oracle.
 full_grid_invert is the linearized inversion on the full periodic grid, the
-path invert() took before it moved to the even block.
+path invert() took before it moved to the even block. lstsq_gmres is the
+restarted GMRES that solves the full Hessenberg least-squares problem at
+every step, the loop _gmres ran before it updated the residual by Givens
+rotations.
 """
 
 import numpy as np
 
-from prnls.linsolve import _MAX_KRYLOV, _RESTART, _gmres
+from prnls.errors import ConvergenceError
+from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
 from prnls.spectral import Field, _require_real, half_spectrum_apply, symmetrize_radial
 
 
@@ -77,3 +81,52 @@ def full_grid_invert(op, f: Field, tol: float):
     v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)), _RESTART, _MAX_KRYLOV)
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / op.pc_half))
     return symmetrize_radial(w), len(calls)
+
+
+def lstsq_gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
+    """_gmres with an np.linalg.lstsq solve per Krylov step; returns (x, iterations)."""
+    size = b.size
+    x = np.zeros(size)
+    best = np.inf
+    last_improve = 0
+    total = 0
+    while True:
+        r = b - apply_b(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= tol_abs:
+            return x, total
+        m = min(restart, max_iter - total)
+        if m <= 0:
+            raise ConvergenceError(
+                f"krylov inversion did not reach tolerance within {max_iter} iterations")
+        basis = np.empty((m + 1, size))
+        basis[0] = r / beta
+        hess = np.zeros((m + 1, m))
+        y = np.zeros(0)
+        used = 0
+        for j in range(m):
+            w = apply_b(basis[j])
+            for i in range(j + 1):  # modified Gram-Schmidt
+                hess[i, j] = float(np.dot(basis[i], w))
+                w -= hess[i, j] * basis[i]
+            hess[j + 1, j] = float(np.linalg.norm(w))
+            total += 1
+            used = j + 1
+
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(hess[:j + 2, :j + 1], e1, rcond=None)[0]
+            res = float(np.linalg.norm(hess[:j + 2, :j + 1] @ y - e1))
+            if res < best * _STALL_FACTOR:
+                best = res
+                last_improve = total
+            elif total - last_improve >= _STALL_WINDOW:
+                raise ConvergenceError(
+                    f"krylov residual stagnated near {best:.3e} for {_STALL_WINDOW} "
+                    "iterations (operator is near-singular)")
+            if res <= tol_abs:
+                return x + np.tensordot(y, basis[:used], axes=(0, 0)), total
+            if hess[j + 1, j] <= 1e-14 * beta:
+                break  # invariant subspace reached; restart from the new residual
+            basis[j + 1] = w / hess[j + 1, j]
+        x = x + np.tensordot(y, basis[:used], axes=(0, 0))

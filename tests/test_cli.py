@@ -383,6 +383,35 @@ probes = 3
     assert all(r["outcome"] in ("collapsed", "diverged") for r in probes)
 
 
+def test_certify_solves_rc_once(tmp_path, monkeypatch):
+    # every probe of a certify run shares one speed, so one R_c serves them all
+    text = """
+[params]
+n = 2
+p = 3.0
+c = 1.0
+
+[grid]
+n_points = 64
+box_radius = 20.0
+
+[run]
+probes = 4
+"""
+    remainder_rc = fixed_point.remainder_rc
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return remainder_rc(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "remainder_rc", counted)
+    out = tmp_path / "out"
+    assert main(["certify", _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+    assert len(_read_rows(out / "probes.csv")) == 4
+    assert len(calls) == 1
+
+
 def test_certify_rejects_existence_range(tmp_path, capsys):
     text = SOLVE_2D + "\n[run]\nprobes = 2\n"
     out = tmp_path / "out"

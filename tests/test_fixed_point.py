@@ -1,6 +1,7 @@
 """Contraction-map construction and the full solve driver, including the
 probe outcomes in the regimes where no solution is expected."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prnls import fixed_point as fp
-from prnls.errors import SolverError
+from prnls.errors import ConvergenceError, SolverError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
 from prnls.params import ReducedParams, ToleranceSet
@@ -226,6 +227,47 @@ def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, se
     u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=probe)
     assert rep.outcome in _OUTCOMES
     assert (u_c is None) == (not rep.converged)
+
+
+def _solve_both_ways(rp, gs, **kwargs):
+    # solve() preparing its own construction, and solve() handed a prepared one
+    tol = kwargs.get("tol", ToleranceSet())
+    own = fp.solve(rp, gs.grid, gs, **kwargs)
+    handed = fp.solve(rp, gs.grid, gs, construction=fp.prepare(rp, gs, tol.tol_lin), **kwargs)
+    np.testing.assert_equal(dataclasses.astuple(handed[1]), dataclasses.astuple(own[1]))
+    assert (handed[0] is None) == (own[0] is None)
+    if own[0] is not None:
+        assert np.array_equal(handed[0].values, own[0].values)
+    return own[1]
+
+
+def test_prepared_construction_changes_nothing(gs2d_small, monkeypatch):
+    assert _solve_both_ways(ReducedParams(2, 3.0, 16.0), gs2d_small).converged
+
+    w0 = fp.random_start(gs2d_small.grid, np.random.default_rng(7),
+                         0.3 * intersection_norm(gs2d_small.u))
+    rep = _solve_both_ways(ReducedParams(2, 3.0, 1.0), gs2d_small, w0=w0, probe=True)
+    assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations >= 1
+
+    def failing(op, f, **kwargs):
+        raise ConvergenceError("injected linear-solve failure")
+
+    monkeypatch.setattr(fp, "invert", failing)
+    rep = _solve_both_ways(ReducedParams(2, 3.0, 16.0), gs2d_small)
+    assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 0
+    assert "lost invertibility" in rep.message and math.isnan(rep.rc_norm)
+
+
+def test_foreign_construction_rejected(gs2d_small):
+    rp = ReducedParams(2, 3.0, 16.0)
+    grid = gs2d_small.grid
+    other_gs = solve_limit_equation(rp, grid, tol=1e-12)
+    for construction, tol in ((fp.prepare(ReducedParams(2, 3.0, 32.0), gs2d_small),
+                               ToleranceSet()),
+                              (fp.prepare(rp, other_gs), ToleranceSet()),
+                              (fp.prepare(rp, gs2d_small), ToleranceSet(tol_lin=1e-9))):
+        with pytest.raises(ValueError, match="construction"):
+            fp.solve(rp, grid, gs2d_small, tol=tol, construction=construction)
 
 
 def test_preconditions_without_probe(gs2d_small, gs3d):

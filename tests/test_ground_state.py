@@ -166,6 +166,24 @@ def test_nonconvergence_raises(monkeypatch):
         solve_limit_equation(ReducedParams(1, 3.0, 8.0), grid, tol=1e-14)
 
 
+@pytest.mark.parametrize("n, N, L, p", [(3, 32, 15.0, 1.8), (2, 32, 25.0, 3.0)])
+def test_clamped_fixed_point_fails_fast(n, N, L, p):
+    # on these under-resolved grids the clamped iteration settles (step < tol
+    # from iterations 82 and 17 on) on a fixed point whose residual stalls at
+    # ~3e-7; the solve must say so there instead of running on to the cap
+    with pytest.raises(ConvergenceError,
+                       match=r"no solution: residual .* clamps, at grid spacing h="):
+        solve_limit_equation(ReducedParams(n, p, 8.0), Grid(n, N, L))
+
+
+def test_settled_iterate_may_still_converge():
+    # here the step first falls below tol at iteration 69 with a residual of
+    # 1.38e-11, just above 10 tol; it falls by 0.84, 0.89 and 0.94 to 9.6e-12
+    # at iteration 72, which is convergence, not a clamped fixed point
+    gs = solve_limit_equation(ReducedParams(2, 3.0, 8.0), Grid(2, 64, 22.0))
+    assert gs.iterations == 72 and gs.residual < 1e-11
+
+
 def test_supercritical_exponent_rejected_by_default():
     grid = Grid(3, 16, 10.0)
     with pytest.raises(ValueError):

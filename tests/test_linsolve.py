@@ -14,7 +14,7 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             random_band_limited, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
-from fft_reference import full_grid_invert, full_grid_krylov_operator
+from fft_reference import full_grid_invert, full_grid_krylov_operator, lstsq_gmres
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -141,6 +141,53 @@ def test_invert_matches_full_grid_krylov_reference(dim, c, gs2d_small, gs3d_coar
         w = invert(op, f, tol=1e-10)
         assert len(applied) == matvecs
         assert norm_lq(w - ref, 2) <= _FULL_GRID_ORACLE_FLOOR * norm_lq(ref, 2)
+
+
+def _counted(apply_b):
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return apply_b(v)
+    return counted, calls
+
+
+# worst relative gap between _gmres and lstsq_gmres, measured over 40 random
+# radial right-hand sides in each of the four cases, at restart 50 and 5:
+# 1.0e-14 (2-D, c = 4, restart 50)
+_LSTSQ_ORACLE_FLOOR = 2e-14
+
+
+@pytest.mark.parametrize("c", [4.0, 64.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gmres_matches_lstsq_reference(dim, c, gs2d_small, gs3d_coarse, monkeypatch):
+    # the Givens residual is the least-squares residual: the same iterations
+    # and operator applications, and the same solution to roundoff, both at
+    # invert()'s restart length and at one short enough to restart
+    gs = gs2d_small if dim == 2 else gs3d_coarse
+    op = linearized_operator(ReducedParams(dim, gs.p, c), gs)
+    gmres = linsolve._gmres
+    calls = []
+
+    def capturing_gmres(*args):
+        calls.append(args)
+        return gmres(*args)
+
+    monkeypatch.setattr(linsolve, "_gmres", capturing_gmres)
+    for seed in (0, 1):
+        calls.clear()
+        invert(op, _random_radial(op.grid, seed), tol=1e-10)
+        apply_b, b, tol_abs, restart, max_iter = calls[0]
+        for length in (restart, 5):
+            new_b, new_calls = _counted(apply_b)
+            ref_b, ref_calls = _counted(apply_b)
+            x, iterations = gmres(new_b, b, tol_abs, length, max_iter)
+            ref, ref_iterations = lstsq_gmres(ref_b, b, tol_abs, length, max_iter)
+            assert iterations == ref_iterations
+            assert len(new_calls) == len(ref_calls)
+            if length == 5:
+                assert iterations > 2 * length  # at least two restarts
+            assert np.linalg.norm(x - ref) <= _LSTSQ_ORACLE_FLOOR * np.linalg.norm(ref)
 
 
 def test_invert_zero_rhs(gs2d_small):
