@@ -37,8 +37,7 @@ from .ground_state import GroundState, solve_limit_equation  # noqa: F401
 from .linsolve import LinearizedOperator, invert, linearized_operator
 from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
-                       intersection_norm, norm_h1, norm_lq, random_band_limited,
-                       signed_power, symmetrize_radial)
+                       intersection_norm, norm_h1, norm_lq, signed_power, symmetrize_radial)
 from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
@@ -84,11 +83,17 @@ def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) 
 
 
 def nonlinear_q(gs: GroundState, w: Field) -> Field:
-    """Superlinear remainder Q(w) of the nonlinearity around the ground state, on the even block."""
+    """Superlinear remainder Q(w) of the nonlinearity around the ground state, on the even block.
+
+    Raises OverflowError when Q(w) leaves the float64 range.
+    """
     u = gs.u_even.values
     p = gs.p
     up = np.maximum(u, 0.0)
-    return Field(w.grid, signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values)
+    q = signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values
+    if not np.all(np.isfinite(q)):
+        raise OverflowError("Q(w) overflows float64")
+    return Field(w.grid, q)
 
 
 def phi(op: LinearizedOperator, w: Field, rc: Field,
@@ -99,8 +104,21 @@ def phi(op: LinearizedOperator, w: Field, rc: Field,
 
 
 def random_start(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
-    """Random radial perturbation with intersection norm equal to scale."""
-    f = random_band_limited(grid, rng, _START_KMAX, symmetric=True)
+    """Random radial perturbation on grid's even block, with intersection norm equal to scale.
+
+    The radial projection of full-grid white noise, band-limited to
+    |xi| <= _START_KMAX, built on the block: the sign-flip average of the
+    noise is even, so its block values carry it, and the DCT-I band mask and
+    the permutation average finish the projection.
+    """
+    block = grid.even
+    half = np.arange(grid.N // 2 + 1)
+    v = rng.standard_normal(grid.shape)
+    for axis in range(grid.n):  # the average over x_a -> -x_a, at the block's points only
+        v = 0.5 * (np.take(v, (grid.N // 2 + half) % grid.N, axis)
+                   + np.take(v, grid.N // 2 - half, axis))
+    mask = (block.xi_sq <= _START_KMAX * _START_KMAX).astype(np.float64)
+    f = symmetrize_radial(Field(block, half_spectrum_apply(block, v, mask)))
     size = intersection_norm(f)
     return f * (scale / size) if size > 0 else f
 
@@ -155,11 +173,12 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
 
     gs is the limit ground state u_inf for rp.p on grid (checked); a start w0
-    is projected onto the radial subspace. construction, if given, is
+    is a field on grid.even (checked), as random_start() builds it, and is
+    projected onto the radial subspace. construction, if given, is
     prepare(rp, gs, tol.tol_lin) (checked); otherwise solve() prepares it.
     Every run returns its report, whose outcome classifies it as converged /
     collapsed / diverged / stalled; u_c is None unless it converged. Only malformed
-    input raises: ValueError for a mismatched grid, ground state or
+    input raises: ValueError for a mismatched grid, start, ground state or
     construction, and, unless probe=True lifts them, for a rp that breaks the
     construction preconditions (see construction_precondition).
     """
@@ -170,6 +189,8 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
         raise ValueError(f"{reason}; probe=True lifts this precondition")
     if gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
+    if w0 is not None and w0.grid != grid.even:
+        raise ValueError("start w0 does not live on the even block of grid")
     if construction is None:
         construction = prepare(rp, gs, tol.tol_lin)
     elif (construction.op.rp != rp or construction.op.gs is not gs
@@ -186,15 +207,15 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     block = grid.even
     u = gs.u_even
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
-    w = block.restrict(symmetrize_radial(w0)) if w0 is not None else Field.zeros(block)
+    w = symmetrize_radial(w0) if w0 is not None else Field.zeros(block)
     step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
     for k in range(1, _MAX_PICARD + 1):
         try:
             w_new = phi(op, w, rc, tol.tol_lin)
-        except ConvergenceError as exc:
+        except (ConvergenceError, OverflowError) as exc:
             return None, replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
                                  w_norm=intersection_norm(w),
-                                 message=f"linearized solve failed at iteration {k}: {exc}")
+                                 message=f"Phi_c(w) failed at iteration {k}: {exc}")
         steps = report.steps + (intersection_norm(w_new - w),)
         wn = intersection_norm(w_new)
         w = w_new

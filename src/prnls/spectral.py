@@ -91,10 +91,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.n
 
-    @property
-    def num_points(self) -> int:
-        return self.N ** self.n
-
     @cached_property
     def axis_coords(self) -> np.ndarray:
         """Physical coordinates along one axis: x_j = -L + j h."""
@@ -256,9 +252,6 @@ class Field:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
     def _check_same_grid(self, other: "Field"):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
@@ -282,11 +275,6 @@ class Field:
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample fn(x1, ..., xn) on the grid (fn must broadcast)."""
-        return cls(grid, np.broadcast_to(fn(*grid.coords), grid.shape).astype(np.float64).copy())
 
 
 def _require_real(w: np.ndarray, what: str) -> np.ndarray:
@@ -498,15 +486,11 @@ def resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
     return Field(target, _require_real(out, "resample"))
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float,
-                        symmetric: bool = False) -> Field:
+def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float) -> Field:
     """Random smooth test field with spectrum restricted to |xi| <= kmax."""
     noise = rng.standard_normal(grid.shape)
     mask = (grid.xi_sq_half <= kmax * kmax).astype(np.float64)
-    v = half_spectrum_apply(grid, noise, mask)
-    f = Field(grid, v)
-    if symmetric:
-        f = symmetrize_radial(f)
+    f = Field(grid, half_spectrum_apply(grid, noise, mask))
     scale = float(np.max(np.abs(f.values)))
     if scale > 0:
         f = f * (1.0 / scale)

@@ -30,11 +30,6 @@ def _check_c(c: float):
         raise ValueError(f"propagation speed c must be positive, got {c}")
 
 
-def p_infty():
-    """Non-relativistic symbol |xi|^2 + 1."""
-    return lambda r2: r2 + 1.0
-
-
 def p_c(c: float):
     """Reduced pseudo-relativistic symbol, stable in all regimes (c = inf allowed)."""
     _check_c(c)
@@ -189,7 +184,6 @@ class DerivativeBoundRow:
 @dataclass(frozen=True)
 class DerivativeBoundReport:
     c: float
-    max_order: int
     samples: int
     rows: tuple
 
@@ -199,17 +193,14 @@ def _multi_indices(order: int, n: int = 3):
         return [()]
     if order == 1:
         return [(i,) for i in range(n)]
-    if order == 2:
-        return [(i, j) for i in range(n) for j in range(i, n)]
-    raise ValueError(f"finite-difference stencils implemented for orders <= 2, got {order}")
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def check_derivative_bounds(c: float, max_order: int = 2, samples: int = 2000,
-                            seed: int = 0) -> DerivativeBoundReport:
+def check_derivative_bounds(c: float, samples: int = 2000, seed: int = 0) -> DerivativeBoundReport:
     """Empirical derivative bounds for a(xi) = 1/P_inf - 1/P_c and P_c/P_inf.
 
     Central finite differences in xi (step 1e-4 * max(|xi|, 1), accumulated in
-    extended precision) estimate grad^alpha for |alpha| <= max_order at
+    extended precision) estimate grad^alpha for |alpha| <= 2 at
     log-uniform sample radii with random directions in R^3. Each row reports
     the empirical constant
 
@@ -219,8 +210,6 @@ def check_derivative_bounds(c: float, max_order: int = 2, samples: int = 2000,
     which the symbol calculus asserts is bounded uniformly in c.
     """
     _check_c(c)
-    if max_order > 2:
-        raise ValueError("max_order > 2 not supported")
     rng = np.random.default_rng([seed, 0xd1])
     lo, hi = _XI_LOG_RANGE
     r = np.exp(rng.uniform(math.log(lo), math.log(hi), size=samples)).astype(np.longdouble)
@@ -255,7 +244,7 @@ def check_derivative_bounds(c: float, max_order: int = 2, samples: int = 2000,
     rows = []
     for family, fn, weight in (("inverse-difference", a_fn, weight_a),
                                ("symbol-ratio", ratio_fn, 1.0)):
-        for order in range(max_order + 1):
+        for order in range(3):
             scaled = np.zeros(samples)
             for alpha in _multi_indices(order):
                 est = np.abs(deriv(fn, alpha)).astype(np.float64)
@@ -264,4 +253,4 @@ def check_derivative_bounds(c: float, max_order: int = 2, samples: int = 2000,
             worst = int(np.argmax(np.where(finite, scaled, -np.inf)))
             rows.append(DerivativeBoundRow(family, order, float(scaled[worst]),
                                            float(r64[worst]), int(np.sum(~finite))))
-    return DerivativeBoundReport(c, max_order, samples, tuple(rows))
+    return DerivativeBoundReport(c, samples, tuple(rows))

@@ -3,14 +3,20 @@ per session and reused by both the unit tests and the acceptance suite."""
 
 import time
 
+import numpy as np
 import pytest
 
 from prnls.ground_state import solve_limit_equation
 from prnls.params import ReducedParams
-from prnls.spectral import Grid
+from prnls.spectral import Field, Grid
 from prnls import fixed_point
 
 C5_LADDER = (8.0, 16.0, 32.0, 64.0)
+
+
+def sample_field(grid, fn) -> Field:
+    """Sample fn(x1, ..., xn) on the full grid (fn must broadcast)."""
+    return Field(grid, np.broadcast_to(fn(*grid.coords), grid.shape).astype(np.float64).copy())
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +41,6 @@ def gs2d_small(grid2d_small):
 
 @pytest.fixture(scope="session")
 def gs1d():
-    import numpy as np
-
     return solve_limit_equation(
         ReducedParams(1, 3.0, 8.0), Grid(1, 1024, 20.0 * np.pi), tol=1e-12)
 

@@ -41,7 +41,7 @@ def fft_plancherel_sum(f: Field, weight) -> float:
     g = f.grid
     w = np.asarray(weight(xi_sq_full(g)), dtype=np.float64)
     power = np.abs(np.fft.fftn(f.values)) ** 2
-    return float(g.cell_volume / g.num_points * np.sum(w * power))
+    return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
 
 
 def full_grid_krylov_operator(op, project=True):

@@ -16,8 +16,7 @@ import pytest
 
 from prnls.cli import main
 from prnls.diagnostics import (check_identities, extension_weights, fit_rate,
-                               halfspace_fd_weights, nonexistence_certificate,
-                               trace_inequality_check)
+                               nonexistence_certificate, trace_inequality_check)
 from prnls.fixed_point import OUTCOME_CONVERGED, random_start, solve
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import apply, invert, linearized_operator, operator_norm_probe
@@ -27,7 +26,8 @@ from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds)
 
-from conftest import C5_LADDER
+from conftest import C5_LADDER, sample_field
+from strip_oracle import halfspace_fd_weights
 
 
 def test_criterion_01_symbol_bounds_hold_everywhere():
@@ -52,7 +52,7 @@ def test_criterion_02_derivative_constants_are_c_uniform():
     start = time.perf_counter()
     sups = {}
     for c in (2.0, 8.0, 32.0, 128.0):
-        report = check_derivative_bounds(c, max_order=2, samples=2000, seed=0)
+        report = check_derivative_bounds(c, samples=2000, seed=0)
         for row in report.rows:
             sups.setdefault((row.family, row.order), []).append(row.sup_scaled)
     factors = {key: max(vals) / min(vals) for key, vals in sups.items()}
@@ -95,7 +95,7 @@ def test_criterion_04_linear_solver_roundtrip(gs2d_small, gs3d):
             for k in range(20):
                 rng = np.random.default_rng([4, n, int(c), k])
                 f = symmetrize_radial(random_band_limited(grid, rng, 4.0))
-                f = f.with_values(f.values / norm_lq(f, 2))
+                f = Field(grid, f.values / norm_lq(f, 2))
                 w = invert(op, f, tol=1e-10)
                 rel = norm_lq(apply(op, w) - f, 2) / norm_lq(f, 2)
                 worst = max(worst, rel)
@@ -172,7 +172,7 @@ def test_criterion_07_identity_suite(c5_runs):
         assert ratio <= 1.0 + 1e-12, (c, ratio)
 
     grid = Grid(1, 256, 20.0)
-    u = Field.from_function(grid, lambda x: np.exp(-0.5 * x * x))
+    u = sample_field(grid, lambda x: np.exp(-0.5 * x * x))
     c, p = 4.0, 3.0
     exact = extension_weights(u, c, p)
     coarse = halfspace_fd_weights(u, c, p, n_t=192)

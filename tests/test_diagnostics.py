@@ -5,12 +5,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from prnls.diagnostics import (action, check_identities, extension_weights,
-                               fit_rate, halfspace_fd_weights,
+from prnls.diagnostics import (action, check_identities, extension_weights, fit_rate,
                                nonexistence_certificate, trace_inequality_check)
 from prnls.params import PhysicalParams, ReducedParams
 from prnls.spectral import Field, Grid, norm_lq, plancherel_sum
 from prnls.symbols import sigma_halfspace
+
+from conftest import sample_field
+from strip_oracle import halfspace_fd_weights
 
 
 # ------------------------------------------------------------ closed weights
@@ -18,7 +20,7 @@ from prnls.symbols import sigma_halfspace
 def test_extension_weights_single_mode():
     grid = Grid(1, 64, math.pi)
     amp, k, c, p = 2.3, 4.0, 3.0, 3.0
-    u = Field.from_function(grid, lambda x: amp * np.cos(k * x))
+    u = sample_field(grid, lambda x: amp * np.cos(k * x))
     l2sq = norm_lq(u, 2) ** 2
     sigma = math.sqrt(k * k + c * c / 4.0)
     w = extension_weights(u, c, p)
@@ -69,7 +71,7 @@ def test_identities_reject_wrong_speed(gs2d_small):
 
 def test_trace_inequality_single_mode_equality():
     grid = Grid(1, 64, math.pi)
-    u = Field.from_function(grid, lambda x: np.cos(3.0 * x))
+    u = sample_field(grid, lambda x: np.cos(3.0 * x))
     assert trace_inequality_check(u, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -161,7 +163,7 @@ def test_certificate_regime_a_signs(gs2d_small):
 
 def test_certificate_regime_b_signs():
     grid = Grid(3, 32, 10.0)
-    u = Field.from_function(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+    u = sample_field(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
     rp = ReducedParams(3, 5.0, 4.0)
     cert = nonexistence_certificate(u, rp)
     assert cert.regime == "B"
@@ -171,7 +173,7 @@ def test_certificate_regime_b_signs():
 
 def test_certificate_rejects_out_of_regime():
     grid = Grid(2, 32, 10.0)
-    u = Field.from_function(grid, lambda x, y: np.exp(-(x * x + y * y)))
+    u = sample_field(grid, lambda x, y: np.exp(-(x * x + y * y)))
     with pytest.raises(ValueError):
         nonexistence_certificate(u, ReducedParams(2, 3.0, 8.0))  # existence range
     with pytest.raises(ValueError):
@@ -184,7 +186,7 @@ def test_fd_oracle_matches_sparse_solve():
     # same 5-point system built naively with scipy.sparse: the fast sine-mode
     # solver must reproduce the brute-force bulk integrals to roundoff
     grid = Grid(1, 32, 6.0)
-    u = Field.from_function(grid, lambda x: np.exp(-x * x))
+    u = sample_field(grid, lambda x: np.exp(-x * x))
     c, p, n_t = 3.0, 3.0, 24
     w = halfspace_fd_weights(u, c, p, n_t=n_t)
 
@@ -218,7 +220,7 @@ def test_fd_oracle_matches_sparse_solve():
 
 def test_fd_oracle_richardson_agrees_with_closed_form():
     grid = Grid(1, 256, 20.0)
-    u = Field.from_function(grid, lambda x: np.exp(-0.5 * x * x))
+    u = sample_field(grid, lambda x: np.exp(-0.5 * x * x))
     c, p = 4.0, 3.0
     exact = extension_weights(u, c, p)
     coarse = halfspace_fd_weights(u, c, p, n_t=192)

@@ -82,9 +82,9 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
     rng = np.random.default_rng(7)
     from prnls.spectral import random_band_limited
     v = grid.even.restrict(symmetrize_radial(random_band_limited(grid, rng, 3.0)))
-    v = v.with_values(v.values / norm_h1(v))
+    v = Field(v.grid, v.values / norm_h1(v))
     eps = np.array([1e-1, 1e-2, 1e-3])
-    norms = [norm_lq(fp.nonlinear_q(gs, v.with_values(e * v.values)), 2) for e in eps]
+    norms = [norm_lq(fp.nonlinear_q(gs, Field(v.grid, e * v.values)), 2) for e in eps]
     slope = np.polyfit(np.log(eps), np.log(norms), 1)[0]
     assert slope >= min(p, 2.0) - 0.1
 
@@ -102,12 +102,11 @@ def test_phi_contracts_small_pairs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 64.0), gs2d_small)
     rc = fp.remainder_rc(op)
     delta = 0.1 * norm_h1(gs2d_small.u)
-    block = gs2d_small.grid.even
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(500 + seed)
-        w1 = block.restrict(fp.random_start(gs2d_small.grid, rng, delta / 2))
-        w2 = block.restrict(fp.random_start(gs2d_small.grid, rng, delta / 2))
+        w1 = fp.random_start(gs2d_small.grid, rng, delta / 2)
+        w2 = fp.random_start(gs2d_small.grid, rng, delta / 2)
         num = intersection_norm(fp.phi(op, w1, rc=rc) - fp.phi(op, w2, rc=rc))
         worst = max(worst, num / intersection_norm(w1 - w2))
     assert worst < 0.5, f"contraction factor {worst}"
@@ -116,9 +115,23 @@ def test_phi_contracts_small_pairs(gs2d_small):
 def test_random_start_properties(grid2d_small):
     rng = np.random.default_rng(11)
     w = fp.random_start(grid2d_small, rng, 0.25)
+    assert w.grid == grid2d_small.even
     assert intersection_norm(w) == pytest.approx(0.25, rel=1e-12)
-    sym = symmetrize_radial(w)
-    assert np.max(np.abs(sym.values - w.values)) < 1e-12
+    full = grid2d_small.even.lift(w)
+    sym = symmetrize_radial(full)
+    assert np.max(np.abs(sym.values - full.values)) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 128, 20.0), Grid(3, 32, 15.0)])
+def test_random_start_matches_full_grid_construction(grid):
+    # the block start against the full-grid path it replaces: the same noise,
+    # rfftn band mask, full symmetrization, then restriction (gap 1.0e-15 on 64^3)
+    from prnls.spectral import random_band_limited
+    for seed in range(3):
+        full = symmetrize_radial(random_band_limited(grid, np.random.default_rng(seed), 4.0))
+        ref = grid.even.restrict(full * (0.7 / intersection_norm(full))).values
+        got = fp.random_start(grid, np.random.default_rng(seed), 0.7).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_solve_baseline_converges(uc16_small):
@@ -229,6 +242,21 @@ def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, se
     assert (u_c is None) == (not rep.converged)
 
 
+@pytest.mark.parametrize("p,c,exponent", [(3.0, 16.0, 62), (5.0, 1.0, 80), (5.0, 1.0, 200)])
+def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
+    # at 1e62 ||f||_2 of Q(w) overflows, so the inversion must fail instead of
+    # returning w = 0; at 1e80 and 1e200 Q(w) itself overflows
+    rp = ReducedParams(2, p, c)
+    grid = Grid(2, 32, 10.0)
+    gs = solve_limit_equation(rp, grid)
+    w0 = fp.random_start(grid, np.random.default_rng(0),
+                         10.0 ** exponent * intersection_norm(gs.u))
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+    assert u_c is None
+    assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
+    assert "iteration 1" in rep.message
+
+
 def _solve_both_ways(rp, gs, **kwargs):
     # solve() preparing its own construction, and solve() handed a prepared one
     tol = kwargs.get("tol", ToleranceSet())
@@ -279,6 +307,9 @@ def test_preconditions_without_probe(gs2d_small, gs3d):
         fp.solve(ReducedParams(2, 3.0, 16.0), Grid(3, 16, 10.0), gs=gs2d_small)
     with pytest.raises(ValueError, match="does not match"):
         fp.solve(ReducedParams(2, 2.5, 16.0), gs2d_small.grid, gs=gs2d_small)
+    with pytest.raises(ValueError, match="even block"):
+        fp.solve(ReducedParams(2, 3.0, 16.0), gs2d_small.grid, gs=gs2d_small,
+                 w0=Field.zeros(gs2d_small.grid))
 
 
 def test_convergence_threshold_bisection():

@@ -14,12 +14,21 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             random_band_limited, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
+from conftest import sample_field
 from fft_reference import full_grid_invert, full_grid_krylov_operator, lstsq_gmres
 
 
 def _random_radial(grid, seed, kmax=4.0):
     f = symmetrize_radial(random_band_limited(grid, np.random.default_rng(seed), kmax))
-    return f.with_values(f.values / norm_lq(f, 2))
+    return Field(grid, f.values / norm_lq(f, 2))
+
+
+def test_invert_raises_when_the_norm_of_f_overflows():
+    # ||f||_2 is inf, so GMRES stops at w = 0 and the relative residual is nan
+    rp = ReducedParams(2, 3.0, 16.0)
+    gs = solve_limit_equation(rp, Grid(2, 32, 10.0))
+    with pytest.raises(ConvergenceError):
+        invert(linearized_operator(rp, gs), 1e160 * gs.u_even)
 
 
 def test_apply_zero_is_zero(gs2d_small):
@@ -213,7 +222,7 @@ def test_single_mode_inverse_difference_ratio():
     # on one Fourier mode the multiplier difference acts as the scalar a(xi_0)
     grid = Grid(1, 64, math.pi)
     k = 5.0
-    f = Field.from_function(grid, lambda x: np.cos(k * x))
+    f = sample_field(grid, lambda x: np.cos(k * x))
     for c in (4.0, 32.0):
         a = inverse_difference(c)
         g = Field(grid, half_spectrum_apply(grid, f.values,

@@ -8,6 +8,7 @@ from prnls.params import PhysicalParams, ReducedParams, lift_solution, reduce_pa
 from prnls.spectral import Field, Grid, norm_lq, signed_power
 from prnls.symbols import relativistic_symbol
 
+from conftest import sample_field
 from fft_reference import fft_multiplier
 
 
@@ -63,7 +64,7 @@ def test_critical_exponents():
 
 def test_lift_identity_when_already_reduced():
     grid = Grid(1, 128, 12.0)
-    v = Field.from_function(grid, lambda x: np.exp(-(x ** 2)))
+    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=1.0, c=4.0)
     lifted = lift_solution(v, params, grid)
     assert np.max(np.abs(lifted.values - v.values)) < 1e-13
@@ -72,7 +73,7 @@ def test_lift_identity_when_already_reduced():
 def test_lift_scaling_factors():
     # mu = 4, p = 3, m = 1/2: amplitude mu^{1/(p-1)} = 2, coordinate sqrt(2 m mu) = 2
     grid = Grid(1, 256, 12.0)
-    v = Field.from_function(grid, lambda x: np.exp(-(x ** 2)))
+    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=4.0, c=4.0)
     target = Grid(1, 256, 6.0)
     lifted = lift_solution(v, params, target)
@@ -82,7 +83,7 @@ def test_lift_scaling_factors():
 
 def test_lift_rejects_oversized_target():
     grid = Grid(1, 128, 12.0)
-    v = Field.from_function(grid, lambda x: np.exp(-(x ** 2)))
+    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=4.0, c=4.0)
     with pytest.raises(DomainOverflowError):
         lift_solution(v, params, Grid(1, 128, 10.0))  # 2 * 10 > 12

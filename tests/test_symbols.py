@@ -5,7 +5,7 @@ import pytest
 
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds, inverse_difference, p_c,
-                           p_infty, p_infty_minus_p_c, relativistic_symbol,
+                           p_infty_minus_p_c, relativistic_symbol,
                            sigma_halfspace, symbol_ratio)
 
 _SAMPLE_R2 = np.geomspace(1e-12, 1e12, 2000)
@@ -58,7 +58,7 @@ def test_p_c_matches_naive_formula_away_from_cancellation():
 
 
 def test_p_infty_values():
-    sym = p_infty()
+    sym = p_c(math.inf)  # P_inf = |xi|^2 + 1 is the c = inf limit
     assert sym(np.array(0.0)) == 1.0
     assert sym(np.array(4.0)) == 5.0  # |xi| = 2
 
@@ -70,7 +70,7 @@ def test_symbols_are_radial():
         xi = rng.standard_normal(3)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         rot = q @ xi
-        for sym in (p_c(4.0), p_infty(), sigma_halfspace(4.0)):
+        for sym in (p_c(4.0), p_c(math.inf), sigma_halfspace(4.0)):
             a = float(sym(np.array(xi @ xi)))
             b = float(sym(np.array(rot @ rot)))
             assert a == pytest.approx(b, rel=1e-10)
@@ -146,7 +146,7 @@ def test_ratio_bounded_by_one():
 
 
 def test_derivative_bounds_report_shape_and_finiteness():
-    rep = check_derivative_bounds(4.0, max_order=2, samples=500, seed=0)
+    rep = check_derivative_bounds(4.0, samples=500, seed=0)
     assert rep.c == 4.0
     assert {(row.family, row.order) for row in rep.rows} == {
         ("inverse-difference", 0), ("inverse-difference", 1), ("inverse-difference", 2),
@@ -158,7 +158,7 @@ def test_derivative_bounds_report_shape_and_finiteness():
 
 def test_derivative_bounds_c_stability_smoke():
     # the full four-point ladder runs in the acceptance suite; spot-check a pair here
-    reps = {c: check_derivative_bounds(c, max_order=2, samples=500, seed=0)
+    reps = {c: check_derivative_bounds(c, samples=500, seed=0)
             for c in (2.0, 32.0)}
     by_key = {}
     for c, rep in reps.items():
