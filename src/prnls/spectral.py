@@ -29,12 +29,25 @@ Conventions
   frequency orthant k = 0..N/2 (the spectrum of an even field is even, with
   the same multiplicities as the block's points). Only resample, which
   evaluates off the lattice, takes a full fftn.
+* The even block's transforms are dense matrix products, one cached
+  (N/2+1)-square matrix (EvenBlock.dct_matrix, idct_matrix, diff_matrix)
+  along each axis, through BLAS. A transform costs O(N^{n+1}) against an
+  FFT's O(N^n log N), and its rounding error grows like sqrt(N) against an
+  FFT's log N. At the block sides of the default 3-D and 2-D grids (33 and
+  129) and of a 128^2 grid (65) the products are the faster. Measured with
+  one BLAS thread on an Intel Xeon, a multiplier pair takes 0.53 ms against
+  scipy's DCT-I 2.0 ms on 33^3, 0.09 against 0.21 ms on 65^2 and 0.52
+  against 0.66 ms on 129^2, but 0.22 against 0.05 ms at 1-D N = 1024 and
+  3.6 against 3.5 ms at 2-D N = 512. Each matrix angle pi j k / M is reduced
+  exactly (j k mod 2M) before its cosine or sine is taken.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
   which is exactly consistent with the physical-space quadrature h^n * sum().
 * First-derivative multipliers zero the Nyquist mode (k = -N/2), the standard
   convention that keeps spectral derivatives of real fields real and makes
   mixed partials commute exactly. On the even block a first derivative is a
   DST-I along its axis, zero on both faces, which is the same convention.
+  It commutes with the transforms along the other axes, so it is one matrix
+  (diff_matrix) along its own axis.
 """
 
 from __future__ import annotations
@@ -45,11 +58,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainOverflowError, SymmetryError
 
 _IMAG_RESIDUE_TOL = 1e-12
+_MAX_MULTIPLIED_POWER = 6  # 2n, the W^{1,2n} exponent of intersection_norm, for n <= 3
 
 
 @dataclass(frozen=True)
@@ -172,6 +185,33 @@ def _axis_shape(n: int, axis: int) -> tuple:
     return tuple(shape)
 
 
+def _reduced_angles(m: int) -> np.ndarray:
+    """(j k) mod 2m for j, k = 0..m: the angle pi j k / m reduced exactly to [0, 2 pi).
+
+    Taking cos or sin of pi j k / m directly carries the rounding of an
+    angle up to m pi, about m ulps of pi; after the reduction each matrix
+    entry is correct to about an ulp.
+    """
+    j = np.arange(m + 1)
+    return np.outer(j, j) % (2 * m)
+
+
+def _along_axis(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the square matrix mat along one axis of values."""
+    shape = values.shape
+    if axis == len(shape) - 1:
+        return (values.reshape(-1, shape[axis]) @ mat.T).reshape(shape)
+    return np.matmul(mat, values.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))
+                     ).reshape(shape)
+
+
+def _transform(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply the square matrix mat along every axis of values."""
+    for axis in range(values.ndim):
+        values = _along_axis(values, mat, axis)
+    return values
+
+
 @dataclass(frozen=True)
 class EvenBlock:
     """Non-negative orthant x = j h, j = 0..N/2 per axis, of a Grid.
@@ -217,6 +257,43 @@ class EvenBlock:
         for a in range(self.n):
             out = out + np.reshape(xi * xi, _axis_shape(self.n, a))
         return out
+
+    @cached_property
+    def dct_matrix(self) -> np.ndarray:
+        """Unnormalized DCT-I along one axis: C[k, j] = w_j cos(pi j k / M), M = N/2.
+
+        w_j is 1 for j = 0, M and 2 otherwise. C is the matrix of
+        scipy.fft.dct(type=1), and C C = N times the identity.
+        """
+        m = self.N // 2
+        r = _reduced_angles(m)
+        out = np.cos(np.pi * np.minimum(r, 2 * m - r) / m)
+        out[:, 1:-1] *= 2.0
+        return out
+
+    @cached_property
+    def idct_matrix(self) -> np.ndarray:
+        """Inverse of dct_matrix: the same matrix divided by N."""
+        return self.dct_matrix / self.N
+
+    @cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """Spectral first derivative along one axis, of a field even along it.
+
+        The inverse DST-I of -xi_k times the DCT-I coefficients, S dct_matrix
+        with S[j, k] = -xi_k sin(pi j k / M) / M for j, k = 1..M-1. S has zero
+        rows on the x = 0 and x = L faces, where the odd derivative vanishes,
+        and zero columns at k = 0 and the Nyquist mode k = M. A derivative
+        along one axis commutes with the transforms along the others, so it
+        is this one matrix along its axis.
+        """
+        m = self.N // 2
+        r = _reduced_angles(m)[1:-1, 1:-1]
+        rr = r % m  # sin(pi r / m) = +-sin(pi rr / m), taken at an angle in [0, pi/2]
+        sin = np.where(r < m, 1.0, -1.0) * np.sin(np.pi * np.minimum(rr, m - rr) / m)
+        synth = np.zeros((m + 1, m + 1))
+        synth[1:-1, 1:-1] = sin * (-self.grid.freqs_half[1:-1] / m)
+        return synth @ self.dct_matrix
 
     def restrict(self, f: "Field") -> "Field":
         """The block values of a full-grid field; the field is not symmetrized."""
@@ -307,7 +384,7 @@ def half_spectrum_apply(grid, values: np.ndarray, mult_half: np.ndarray) -> np.n
     gradient().
     """
     if isinstance(grid, EvenBlock):
-        return scipy.fft.idctn(mult_half * scipy.fft.dctn(values, type=1), type=1)
+        return _transform(mult_half * _transform(values, grid.dct_matrix), grid.idct_matrix)
     return np.fft.irfftn(mult_half * np.fft.rfftn(values), s=grid.shape,
                           axes=range(grid.n))
 
@@ -333,7 +410,14 @@ def _lq(grid, values: np.ndarray, q: float) -> float:
         return float(np.max(np.abs(values)))
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return float((grid.cell_volume * grid.lattice_sum(np.abs(values) ** q)) ** (1.0 / q))
+    a = np.abs(values)
+    if q == int(q) and q <= _MAX_MULTIPLIED_POWER:
+        power = a.copy()  # repeated multiplication: about twice as fast as a float power
+        for _ in range(int(q) - 1):
+            power *= a
+    else:
+        power = a ** q
+    return float((grid.cell_volume * grid.lattice_sum(power)) ** (1.0 / q))
 
 
 def norm_lq(f: Field, q: float) -> float:
@@ -355,7 +439,7 @@ def plancherel_sum(f: Field, weight) -> float:
     """
     g = f.grid
     if isinstance(g, EvenBlock):
-        power = g.weights * scipy.fft.dctn(f.values, type=1) ** 2
+        power = g.weights * _transform(f.values, g.dct_matrix) ** 2
     else:
         power = np.abs(np.fft.rfftn(f.values)) ** 2
         power[..., 1:g.N // 2] *= 2.0
@@ -371,24 +455,14 @@ def norm_h1(f: Field) -> float:
 def _block_partials(f: Field) -> list:
     """First partials of an EvenBlock field, as raw arrays on the block.
 
-    d_a f is odd along axis a, so it is no block Field: it is the DST-I along
-    axis a (the DCT-I along the others) of -xi_a times the DCT-I coefficients,
-    and zero on the x = 0 and x = L faces, where an odd periodic field
-    vanishes. The DST-I has no k = N/2 term, as the full-grid convention
-    drops the Nyquist mode.
+    d_a f is odd along axis a, so it is no block Field: it is diff_matrix
+    along axis a, the DST-I of -xi_a times the DCT-I coefficients, zero on
+    the x = 0 and x = L faces, where an odd periodic field vanishes. The
+    DST-I has no k = N/2 term, as the full-grid convention drops the Nyquist
+    mode.
     """
     g = f.grid
-    coeffs = scipy.fft.dctn(f.values, type=1)
-    out = []
-    for a in range(g.n):
-        inner = tuple(slice(1, -1) if b == a else slice(None) for b in range(g.n))
-        xi = np.reshape(g.grid.freqs_half[1:-1], _axis_shape(g.n, a))
-        d = scipy.fft.idst(-xi * coeffs[inner], type=1, axis=a)
-        others = tuple(b for b in range(g.n) if b != a)
-        if others:
-            d = scipy.fft.idctn(d, type=1, axes=others)
-        out.append(np.pad(d, [(1, 1) if b == a else (0, 0) for b in range(g.n)]))
-    return out
+    return [_along_axis(f.values, g.diff_matrix, a) for a in range(g.n)]
 
 
 def norm_w1q(f: Field, q: float) -> float:
@@ -396,7 +470,8 @@ def norm_w1q(f: Field, q: float) -> float:
     if isinstance(f.grid, EvenBlock):
         partials = _block_partials(f)
     else:
-        partials = [df.values for df in gradient(f)]
+        partials = [half_spectrum_apply(f.grid, f.values, 1j * xi)
+                    for xi in f.grid.deriv_freqs_half]
     return norm_lq(f, q) + sum(_lq(f.grid, d, q) for d in partials)
 
 
@@ -412,8 +487,18 @@ def norm_w2q(f: Field, q: float) -> float:
 
 
 def intersection_norm(f: Field) -> float:
-    """Norm of H^1 intersect W^{1,2n} on an n-dimensional grid: the max of the two norms."""
-    return max(norm_h1(f), norm_w1q(f, 2.0 * f.grid.n))
+    """Norm of H^1 intersect W^{1,2n} on an n-dimensional grid: the max of the two norms.
+
+    Near the float64 limit the transform sums of a finite field can overflow,
+    to inf or to inf - inf = nan. Both norms are homogeneous, so the field is
+    then measured at unit max and scaled back: the result is the true value
+    or inf.
+    """
+    norms = (norm_h1(f), norm_w1q(f, 2.0 * f.grid.n))
+    if all(math.isfinite(x) for x in norms):
+        return max(norms)
+    scale = float(np.max(np.abs(f.values)))
+    return scale * intersection_norm(Field(f.grid, f.values / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Full-lattice references for the half-spectrum and even-block paths.
+"""Full-lattice and scipy.fft references for the half-spectrum and even-block paths.
 
 prnls applies every Fourier multiplier through the real rfftn/irfftn pair (or
 the DCT-I pair on the even block) and sums Plancherel forms over the rfftn
 half lattice. These helpers do the same work the textbook way, on the full
 complex fftn lattice, and serve the tests as an independent oracle.
+dct1_multiplier, dct1_plancherel_sum and dst1_partials are the even-block
+transforms as scipy.fft computes them (DCT-I, and DST-I for the partials),
+the path the block took before it became cached per-axis matrix products.
 full_grid_invert is the linearized inversion on the full periodic grid, the
 path invert() took before it moved to the even block. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
@@ -12,6 +15,7 @@ rotations.
 """
 
 import numpy as np
+import scipy.fft
 
 from prnls.errors import ConvergenceError
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
@@ -42,6 +46,38 @@ def fft_plancherel_sum(f: Field, weight) -> float:
     w = np.asarray(weight(xi_sq_full(g)), dtype=np.float64)
     power = np.abs(np.fft.fftn(f.values)) ** 2
     return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
+
+
+def dct1_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """idctn(mult * dctn(values)) with scipy's DCT-I, for block values."""
+    return scipy.fft.idctn(mult * scipy.fft.dctn(values, type=1), type=1)
+
+
+def dct1_plancherel_sum(f: Field, weight) -> float:
+    """plancherel_sum of a block field from scipy's DCT-I coefficients."""
+    g = f.grid
+    power = g.weights * scipy.fft.dctn(f.values, type=1) ** 2
+    w = np.asarray(weight(g.xi_sq), dtype=np.float64)
+    return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
+
+
+def dst1_partials(f: Field) -> list:
+    """First partials of a block field: per axis a, the DST-I along a (DCT-I along the
+    others) of -xi_a times the DCT-I coefficients, zero on the x = 0 and x = L faces."""
+    g = f.grid
+    coeffs = scipy.fft.dctn(f.values, type=1)
+    out = []
+    for a in range(g.n):
+        inner = tuple(slice(1, -1) if b == a else slice(None) for b in range(g.n))
+        shape = [1] * g.n
+        shape[a] = -1
+        xi = np.reshape(g.grid.freqs_half[1:-1], shape)
+        d = scipy.fft.idst(-xi * coeffs[inner], type=1, axis=a)
+        others = tuple(b for b in range(g.n) if b != a)
+        if others:
+            d = scipy.fft.idctn(d, type=1, axes=others)
+        out.append(np.pad(d, [(1, 1) if b == a else (0, 0) for b in range(g.n)]))
+    return out
 
 
 def full_grid_krylov_operator(op, project=True):

@@ -257,6 +257,21 @@ def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
     assert "iteration 1" in rep.message
 
 
+@pytest.mark.parametrize("exponent", [250, 307])
+def test_start_near_the_float64_limit_reports_its_norm(exponent):
+    # the start's transform sums overflow (to inf, and at 1e307 to inf - inf =
+    # nan); the report must still carry the start's true, finite norm
+    rp = ReducedParams(2, 1.2, 1.0)
+    grid = Grid(2, 32, 10.0)
+    gs = solve_limit_equation(rp, grid)
+    scale = 10.0 ** exponent * intersection_norm(gs.u)
+    w0 = fp.random_start(grid, np.random.default_rng(0), scale)
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+    assert u_c is None
+    assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
+    assert rep.w_norm == pytest.approx(scale, rel=1e-12)
+
+
 def _solve_both_ways(rp, gs, **kwargs):
     # solve() preparing its own construction, and solve() handed a prepared one
     tol = kwargs.get("tol", ToleranceSet())

@@ -5,6 +5,9 @@ from src/prnls itself, by a bare name or an attribute name outside its own
 definition, or be exported by prnls.__all__. Code that only tests call
 belongs in tests/. Dunder methods and overrides of a base-class method are
 exempt: Python or the base class calls them.
+
+numpy is the package's only dependency: no module there imports scipy, which
+only the tests use.
 """
 
 import ast
@@ -56,6 +59,23 @@ def unreferenced(src=SRC, package="prnls", exported=frozenset(prnls.__all__)):
 
 def test_every_definition_in_src_is_reached_or_exported():
     assert unreferenced() == []
+
+
+def imported_modules(src=SRC):
+    """(module, imported name) for every import statement in src."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                out.extend((path.stem, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.append((path.stem, node.module))
+    return out
+
+
+def test_no_module_in_src_imports_scipy():
+    assert [(m, name) for m, name in imported_modules()
+            if name.split(".")[0] == "scipy"] == []
 
 
 def test_the_check_flags_an_unreferenced_method(tmp_path, monkeypatch):

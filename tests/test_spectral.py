@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
-from prnls.spectral import (Field, Grid, _reflect, _require_real, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
-                            norm_w1q, norm_w2q, plancherel_sum, random_band_limited,
-                            read_field, resample, symmetrize_radial, write_field)
+from prnls.spectral import (Field, Grid, _block_partials, _reflect, _require_real, gradient,
+                            half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
+                            norm_h1, norm_lq, norm_w1q, norm_w2q, plancherel_sum,
+                            random_band_limited, read_field, resample, symmetrize_radial,
+                            write_field)
 from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
 
 from conftest import sample_field
-from fft_reference import fft_multiplier, fft_plancherel_sum
+from fft_reference import (dct1_multiplier, dct1_plancherel_sum, dst1_partials, fft_multiplier,
+                           fft_plancherel_sum)
 
 
 def _random_field(grid, seed):
@@ -187,8 +189,6 @@ def test_even_block_partials_are_the_restricted_gradient():
     # the DST-I partials inside the block norms are the full-grid spectral
     # gradient restricted to the orthant, zero on both faces (worst gap over
     # 200 seeds of these three grids: 7.5e-16 of the partial's max)
-    from prnls.spectral import _block_partials
-
     for n, N in ((1, 64), (2, 32), (3, 16)):
         grid = Grid(n, N, 5.0)
         f = symmetrize_radial(_random_field(grid, 20 + n))
@@ -196,6 +196,63 @@ def test_even_block_partials_are_the_restricted_gradient():
         for got, full in zip(_block_partials(block.restrict(f)), gradient(f)):
             ref = block.restrict(full).values
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+# ------------------------------------- even block against scipy's DCT-I/DST-I
+
+# The block transforms are per-axis (N/2+1)-square matrix products. Each
+# output is a dot product of length N/2+1, whose rounding error grows like the
+# square root of that length, where scipy's FFTs grow like its logarithm. The
+# floors above hold for block sides up to 33 (N <= 64, the grids of the block
+# tests above), and above that grow by sqrt(side / 33). The scipy path takes
+# a partial through 2n one-axis transforms, as a multiplier pair does, so the
+# partials have the multiplier's floor. Measured over 2,000 random cases of
+# _block_oracle_cases and the 15 fields of the shapes test below: worst gap 1.79e-15
+# for the multiplier (1.37e-15 after the scaling), 8.0e-16 for plancherel_sum
+# and 1.84e-15 for the partials (1.31e-15 after the scaling).
+
+def _side_scale(block):
+    return max(1.0, math.sqrt((block.N // 2 + 1) / 33))
+
+
+@st.composite
+def _block_oracle_cases(draw):
+    """White noise on an even block, N = 16..256 (16..128 in 3-D), and a symbol."""
+    n = draw(st.integers(1, 3))
+    block = Grid(n, 2 * draw(st.integers(8, 64 if n == 3 else 128)),
+                 draw(st.floats(1.0, 40.0, exclude_min=True, exclude_max=True))).even
+    weight = draw(st.sampled_from(_WEIGHTS))(draw(st.floats(0.5, 64.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Field(block, rng.standard_normal(block.shape)), weight
+
+
+def _check_block_against_scipy(f, sym):
+    block = f.grid
+    scale = _side_scale(block)
+    mult = half_spectrum_multiplier(block, sym)
+    ref = dct1_multiplier(f.values, mult)
+    got = half_spectrum_apply(block, f.values, mult)
+    assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
+    assert _rel_gap(plancherel_sum(f, sym), dct1_plancherel_sum(f, sym)) \
+        <= _BLOCK_PLANCHEREL_FLOOR
+    for got, ref in zip(_block_partials(f), dst1_partials(f)):
+        assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
+
+
+@_HALF_VS_FULL
+@given(_block_oracle_cases())
+def test_even_block_transforms_match_scipy_dct(case):
+    _check_block_against_scipy(*case)
+
+
+@pytest.mark.parametrize("n, N", [(3, 64), (2, 128), (2, 256), (1, 34), (1, 256)])
+def test_even_block_transforms_match_scipy_dct_on_production_shapes(n, N):
+    # 33^3, 65^2 and 129^2 are the blocks of the 3-D and 2-D default grids;
+    # at 1-D N = 34 a cosine of the unreduced angle breaks the floor
+    block = Grid(n, N, 15.0).even
+    for seed in range(3):
+        f = Field(block, np.random.default_rng(seed).standard_normal(block.shape))
+        _check_block_against_scipy(f, p_c(4.0))
 
 
 def test_even_block_rejects_foreign_fields():
@@ -275,6 +332,33 @@ def test_intersection_norm_takes_q_2n():
         for width_sq in (8.0, 0.5):
             f = Field(grid, np.exp(-grid.radius_sq / width_sq))
             assert intersection_norm(f) == max(norm_h1(f), norm_w1q(f, 2.0 * n))
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("amplitude", [1e300, 1e307, 1.7e308])
+@pytest.mark.parametrize("on_block", [True, False], ids=["block", "full"])
+def test_intersection_norm_near_the_float64_limit(n, N, amplitude, on_block):
+    # the transform sums of these finite fields overflow, to inf and to
+    # inf - inf = nan; the norm is homogeneous and the unit field's max is 1,
+    # so it must be exactly amplitude times the unit field's norm (inf when
+    # that overflows, finite at 1e300)
+    grid = Grid(n, N, 5.0)
+    if on_block:
+        grid = grid.even
+    signs = np.sign(np.random.default_rng(n).standard_normal(grid.shape))
+    unit = intersection_norm(Field(grid, signs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = intersection_norm(Field(grid, amplitude * signs))
+    assert got == amplitude * unit
+
+
+def test_integer_norm_powers_match_the_float_power():
+    # _lq takes q = 2, 4, 6 by repeated multiplication
+    grid = Grid(3, 32, 5.0).even
+    f = Field(grid, np.random.default_rng(17).standard_normal(grid.shape))
+    for q in (2.0, 4.0, 6.0):
+        ref = (grid.cell_volume * grid.lattice_sum(np.abs(f.values) ** q)) ** (1.0 / q)
+        assert norm_lq(f, q) == pytest.approx(ref, rel=1e-15)
 
 
 @pytest.mark.parametrize("N", [32, 64])
