@@ -153,7 +153,7 @@ def fit_rate(points) -> RateFit:
         raise ValueError(f"rate fit needs at least 4 points, got {len(pts)}")
     cs = np.array([c for c, _ in pts])
     ds = np.array([d for _, d in pts])
-    if len(np.unique(cs)) != len(cs):
+    if np.any(np.diff(cs) == 0.0):  # cs is sorted; np.unique would import numpy.ma
         raise ValueError("rate fit needs distinct c values")
     if np.any(ds <= 0):
         raise ValueError("rate fit needs positive distances")

@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError
-# not called here: kept importable because bench/tracing.PATCHES wraps this name
-from .ground_state import GroundState, solve_limit_equation  # noqa: F401
+# solve_limit_equation is not called here: kept importable because
+# bench/tracing.PATCHES wraps this name
+from .ground_state import _COLLAPSE_FLOOR, GroundState, solve_limit_equation  # noqa: F401
 from .linsolve import LinearizedOperator, invert, linearized_operator
 from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
@@ -41,7 +42,6 @@ from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplie
 from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
-_COLLAPSE_FLOOR = 1e-10
 _MAX_PICARD = 200
 _START_KMAX = 4.0
 
@@ -107,16 +107,12 @@ def random_start(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
     """Random radial perturbation on grid's even block, with intersection norm equal to scale.
 
     The radial projection of full-grid white noise, band-limited to
-    |xi| <= _START_KMAX, built on the block: the sign-flip average of the
-    noise is even, so its block values carry it, and the DCT-I band mask and
-    the permutation average finish the projection.
+    |xi| <= _START_KMAX, built on the block: restrict takes the noise's
+    sign-flip average, and the DCT-I band mask and the permutation average
+    finish the projection.
     """
     block = grid.even
-    half = np.arange(grid.N // 2 + 1)
-    v = rng.standard_normal(grid.shape)
-    for axis in range(grid.n):  # the average over x_a -> -x_a, at the block's points only
-        v = 0.5 * (np.take(v, (grid.N // 2 + half) % grid.N, axis)
-                   + np.take(v, grid.N // 2 - half, axis))
+    v = block.restrict(Field(grid, rng.standard_normal(grid.shape))).values
     mask = (block.xi_sq <= _START_KMAX * _START_KMAX).astype(np.float64)
     f = symmetrize_radial(Field(block, half_spectrum_apply(block, v, mask)))
     size = intersection_norm(f)

@@ -6,9 +6,9 @@ Solved by the Petviashvili spectral renormalization iteration
     M_k     = <P_inf(D) u_k, u_k> / <u_k^p, u_k>,
 
 with radial symmetrization after every step. The iterates are radial, so the
-iteration runs on the grid's even block (see spectral) and lifts the result
-to the full grid. The normalization factor M_k converges to 1 exactly when
-the iterates converge to a solution. Negative values of an iterate
+seed is built and the iteration runs on the grid's even block (see spectral),
+and only the result is lifted to the full grid. The normalization factor M_k
+converges to 1 exactly when the iterates converge to a solution. Negative values of an iterate
 (transients of the first few steps) are clamped to zero before taking
 fractional powers; the clamp count is reported in full-grid points.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CollapseError, ConvergenceError
 from .params import ReducedParams, ToleranceSet
-from .spectral import (Field, Grid, gradient, half_spectrum_apply, norm_lq, signed_power,
+from .spectral import (Field, Grid, half_spectrum_apply, norm_h1, norm_lq, signed_power,
                        symmetrize_radial)
 
 _COLLAPSE_FLOOR = 1e-10
@@ -53,13 +53,14 @@ class GroundState:
 
 
 def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:
-    """Gaussian seed A exp(-|x|^2 / (2 width^2)) with unit Nehari quotient.
+    """Gaussian seed A exp(-|x|^2 / (2 width^2)) with unit Nehari quotient, on grid's even block.
 
-    A solves (||grad g||^2 + ||g||^2) / ||g||_{p+1}^{p+1} = 1 for g = A * shape,
-    which puts the seed on the correct amplitude scale for any (n, p).
+    A solves ||g||_{H^1}^2 / ||g||_{p+1}^{p+1} = 1 for g = A * shape, which
+    puts the seed on the correct amplitude scale for any (n, p).
     """
-    shape = Field(grid, np.exp(-grid.radius_sq / (2.0 * width * width)))
-    quad = sum(norm_lq(d, 2) ** 2 for d in gradient(shape)) + norm_lq(shape, 2) ** 2
+    block = grid.even
+    shape = Field(block, np.exp(-block.radius_sq / (2.0 * width * width)))
+    quad = norm_h1(shape) ** 2
     source = norm_lq(shape, p + 1.0) ** (p + 1.0)
     return float((quad / source) ** (1.0 / (p - 1.0))) * shape
 
@@ -96,7 +97,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     pinf = block.xi_sq + 1.0
     vol = grid.cell_volume
 
-    u = block.restrict(symmetrize_radial(initial_gaussian(grid, p))).values
+    u = symmetrize_radial(initial_gaussian(grid, p)).values
     clamps = 0
     factor = np.nan
     last_res = np.inf

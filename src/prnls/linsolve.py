@@ -49,7 +49,7 @@ class LinearizedOperator:
 
     rp: ReducedParams
     gs: GroundState
-    potential: Field
+    potential_even: Field  # p max(u_inf, 0)^{p-1} on the even block
 
     @property
     def grid(self) -> Grid:
@@ -64,8 +64,9 @@ class LinearizedOperator:
         return half_spectrum_multiplier(self.grid, p_c(self.c))
 
     @cached_property
-    def potential_even(self) -> Field:
-        return self.grid.even.restrict(self.potential)
+    def potential(self) -> Field:
+        """The potential on the full grid."""
+        return self.grid.even.lift(self.potential_even)
 
     @cached_property
     def pc_even(self) -> np.ndarray:
@@ -81,8 +82,8 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
         raise ValueError(f"parameter exponent p={rp.p} does not match ground state p={gs.p}")
     if rp.n != gs.grid.n:
         raise ValueError("parameter dimension does not match ground-state grid")
-    pot = rp.p * np.maximum(gs.u.values, 0.0) ** (rp.p - 1.0)
-    return LinearizedOperator(rp, gs, Field(gs.grid, pot))
+    pot = rp.p * np.maximum(gs.u_even.values, 0.0) ** (rp.p - 1.0)
+    return LinearizedOperator(rp, gs, Field(gs.grid.even, pot))
 
 
 def apply(op: LinearizedOperator, w: Field) -> Field:
@@ -172,11 +173,12 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
     f is projected onto the radial subspace first (symmetrize_radial), and so
     is every Krylov iterate; a non-radial f is solved for its projection. f
     may live on op's grid or on its even block, and w lives where f does: a
-    full-grid f is projected, restricted, solved on the block and lifted.
+    full-grid f is restricted (its sign-flip average), solved on the block and
+    lifted.
     """
     block = op.grid.even
     if f.grid == op.grid:
-        return block.lift(invert(op, block.restrict(symmetrize_radial(f)), tol))
+        return block.lift(invert(op, block.restrict(f), tol))
     if f.grid != block:
         raise ValueError("field grid does not match operator grid")
     f = symmetrize_radial(f)

@@ -8,14 +8,17 @@ Two substrates
 --------------
 * The full periodic grid (Grid): N^n points, any real field. What leaves
   the solver lives here: ground states, solutions, dumps, diagnostics,
-  resample and the norm probe.
+  resample and the norm probe. No radial field is built or projected here.
 * The even block (Grid.even, an EvenBlock): the non-negative orthant
   x = j h, j = 0..N/2 per axis. A field even in every coordinate is fully set
   by these (N/2+1)^n values, and every field the solver iterates on is radial,
-  hence even; the solver works here and lifts its results to the full grid.
-  A block point stands for `weights` full-grid points (1 on the x = 0 and
-  x = L faces, 2 inside, multiplied over axes), so sums over the block
-  reproduce full-grid sums.
+  hence even; the solver builds its fields here and lifts its results to the
+  full grid. A block point stands for `weights` full-grid points (1 on the
+  x = 0 and x = L faces, 2 inside, multiplied over axes), so sums over the
+  block reproduce full-grid sums. EvenBlock.restrict is the one projection
+  from the full grid: the average over the sign flips x_a -> -x_a, so
+  symmetrize_radial on a Grid is restrict, the block's permutation average,
+  and lift.
 A Field lives on one of the two, and every function below takes the path of
 the grid its field lives on.
 
@@ -110,19 +113,6 @@ class Grid:
         return -self.L + self.h * np.arange(self.N)
 
     @cached_property
-    def coords(self) -> tuple:
-        """Broadcastable coordinate arrays, one per axis (open meshgrid)."""
-        return tuple(np.reshape(self.axis_coords, _axis_shape(self.n, a)) for a in range(self.n))
-
-    @cached_property
-    def radius_sq(self) -> np.ndarray:
-        """|x|^2 on the full grid."""
-        out = np.zeros(self.shape)
-        for c in self.coords:
-            out = out + c * c
-        return out
-
-    @cached_property
     def freqs(self) -> tuple:
         """Per-axis frequency values xi = (pi/L) k in FFT storage order."""
         xi = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
@@ -136,14 +126,7 @@ class Grid:
     @cached_property
     def xi_sq_half(self) -> np.ndarray:
         """|xi|^2 on the rfftn lattice (last axis halved)."""
-        shape = self.shape[:-1] + (self.N // 2 + 1,)
-        out = np.zeros(shape)
-        for a in range(self.n - 1):
-            xi = np.reshape(self.freqs[a], _axis_shape(self.n, a))
-            out = out + xi * xi
-        xi = self.freqs_half
-        out = out + np.reshape(xi * xi, (1,) * (self.n - 1) + (len(xi),))
-        return out
+        return _axis_sum([xi * xi for xi in self.freqs[:-1] + (self.freqs_half,)])
 
     @cached_property
     def deriv_freqs_half(self) -> tuple:
@@ -183,6 +166,11 @@ def _axis_shape(n: int, axis: int) -> tuple:
     shape = [1] * n
     shape[axis] = -1
     return tuple(shape)
+
+
+def _axis_sum(per_axis) -> np.ndarray:
+    """sum_a v_a[j_a] on the product lattice, for one 1-D array v_a per axis a."""
+    return sum(np.reshape(v, _axis_shape(len(per_axis), a)) for a, v in enumerate(per_axis))
 
 
 def _reduced_angles(m: int) -> np.ndarray:
@@ -244,19 +232,19 @@ class EvenBlock:
         """Full-grid points per block point: 1 on the x = 0 and x = L faces, 2 inside, per axis."""
         axis = np.full(self.N // 2 + 1, 2.0)
         axis[[0, -1]] = 1.0
-        out = np.ones(self.shape)
-        for a in range(self.n):
-            out = out * np.reshape(axis, _axis_shape(self.n, a))
-        return out
+        return math.prod(np.reshape(axis, _axis_shape(self.n, a)) for a in range(self.n))
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the non-negative frequency orthant k = 0..N/2 (the DCT-I lattice)."""
         xi = self.grid.freqs_half
-        out = np.zeros(self.shape)
-        for a in range(self.n):
-            out = out + np.reshape(xi * xi, _axis_shape(self.n, a))
-        return out
+        return _axis_sum([xi * xi] * self.n)
+
+    @property
+    def radius_sq(self) -> np.ndarray:
+        """|x|^2 at the block points x = j h."""
+        x = self.grid.h * np.arange(self.N // 2 + 1)
+        return _axis_sum([x * x] * self.n)
 
     @cached_property
     def dct_matrix(self) -> np.ndarray:
@@ -296,11 +284,19 @@ class EvenBlock:
         return synth @ self.dct_matrix
 
     def restrict(self, f: "Field") -> "Field":
-        """The block values of a full-grid field; the field is not symmetrized."""
+        """The block values of f's average over the sign flips x_a -> -x_a.
+
+        That average is the orthogonal projection of f onto the even fields,
+        which the block holds. An even field's own block values come back
+        bit for bit, since 0.5 (a + a) = a while a + a does not overflow.
+        """
         if f.grid != self.grid:
             raise ValueError("field does not live on this block's grid")
-        idx = (self.N // 2 + np.arange(self.N // 2 + 1)) % self.N
-        return Field(self, f.values[np.ix_(*(idx,) * self.n)])
+        m, j = self.N // 2, np.arange(self.N // 2 + 1)
+        v = f.values
+        for axis in range(self.n):  # full-grid index m + j is x = j h, m - j is x = -j h
+            v = 0.5 * (np.take(v, m + j, axis, mode="wrap") + np.take(v, m - j, axis))
+        return Field(self, v)
 
     def lift(self, f: "Field") -> "Field":
         """The even full-grid field with block values f (index i reads |i - N/2|)."""
@@ -505,31 +501,20 @@ def intersection_norm(f: Field) -> float:
 # radial (hyperoctahedral) symmetrization
 # ---------------------------------------------------------------------------
 
-def _reflect(values: np.ndarray, axis: int) -> np.ndarray:
-    # periodic point reflection x -> -x maps index j to (N - j) mod N
-    return np.roll(np.flip(values, axis=axis), 1, axis=axis)
-
-
 def symmetrize_radial(f: Field) -> Field:
     """Average over the grid symmetry group (sign flips and axis permutations).
 
-    Sequential per-axis even projections realize the sign-flip average; the
-    permutation average then completes the full group average (the flip
-    average is permutation-equivariant). On an EvenBlock every field is
-    already even, so only the permutation average is taken. Idempotent up to
-    roundoff.
+    On an EvenBlock every field is already even, so only the permutation
+    average is taken. On a Grid, EvenBlock.restrict takes the sign-flip
+    average, the block takes the permutation average, and the result is
+    lifted (the flip average is permutation-equivariant, so this is the full
+    group average). Idempotent up to roundoff.
     """
-    v = f.values
     if isinstance(f.grid, Grid):
-        for axis in range(f.grid.n):
-            v = 0.5 * (v + _reflect(v, axis))
-    if f.grid.n > 1:
-        perms = list(itertools.permutations(range(f.grid.n)))
-        acc = np.zeros_like(v)
-        for perm in perms:
-            acc += np.transpose(v, perm)
-        v = acc / len(perms)
-    return Field(f.grid, v)
+        block = f.grid.even
+        return block.lift(symmetrize_radial(block.restrict(f)))
+    perms = list(itertools.permutations(range(f.grid.n)))
+    return Field(f.grid, sum(np.transpose(f.values, perm) for perm in perms) / len(perms))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,23 @@ from prnls import fixed_point
 C5_LADDER = (8.0, 16.0, 32.0, 64.0)
 
 
+def coords(grid) -> tuple:
+    """Broadcastable full-grid coordinate arrays, one per axis (open meshgrid)."""
+    return tuple(np.reshape(grid.axis_coords, [-1 if b == a else 1 for b in range(grid.n)])
+                 for a in range(grid.n))
+
+
+def radius_sq(grid) -> np.ndarray:
+    """|x|^2 on the full grid."""
+    out = np.zeros(grid.shape)
+    for c in coords(grid):
+        out = out + c * c
+    return out
+
+
 def sample_field(grid, fn) -> Field:
     """Sample fn(x1, ..., xn) on the full grid (fn must broadcast)."""
-    return Field(grid, np.broadcast_to(fn(*grid.coords), grid.shape).astype(np.float64).copy())
+    return Field(grid, np.broadcast_to(fn(*coords(grid)), grid.shape).astype(np.float64).copy())
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,10 @@ complex fftn lattice, and serve the tests as an independent oracle.
 dct1_multiplier, dct1_plancherel_sum and dst1_partials are the even-block
 transforms as scipy.fft computes them (DCT-I, and DST-I for the partials),
 the path the block took before it became cached per-axis matrix products.
+full_grid_symmetrize_radial and full_grid_gaussian are the radial
+projection and the Petviashvili seed as they were built on the full grid,
+before the even block became the only place that builds or projects a
+radial field; gather is EvenBlock.restrict as it was then.
 full_grid_invert is the linearized inversion on the full periodic grid, the
 path invert() took before it moved to the even block. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
@@ -14,12 +18,16 @@ every step, the loop _gmres ran before it updated the residual by Givens
 rotations.
 """
 
+import itertools
+
 import numpy as np
 import scipy.fft
 
 from prnls.errors import ConvergenceError
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import Field, _require_real, half_spectrum_apply, symmetrize_radial
+from prnls.spectral import Field, _require_real, gradient, half_spectrum_apply, norm_lq
+
+from conftest import radius_sq
 
 
 def xi_sq_full(grid) -> np.ndarray:
@@ -80,11 +88,58 @@ def dst1_partials(f: Field) -> list:
     return out
 
 
+def gather(block, values: np.ndarray) -> np.ndarray:
+    """The values of a full-grid array at the block's points, x = j h, j = 0..N/2 per axis.
+
+    EvenBlock.restrict before it became the sign-flip average: on a field
+    that is not even it drops the x_a < 0 half instead of averaging it in.
+    """
+    idx = (block.N // 2 + np.arange(block.N // 2 + 1)) % block.N
+    return values[np.ix_(*(idx,) * block.n)]
+
+
+def reflect(values: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic point reflection x -> -x along one axis: index j goes to (N - j) mod N."""
+    return np.roll(np.flip(values, axis=axis), 1, axis=axis)
+
+
+def flip_average(values: np.ndarray) -> np.ndarray:
+    """Average of a full-grid array over the sign flips x_a -> -x_a, by sequential
+    per-axis even projections."""
+    for axis in range(values.ndim):
+        values = 0.5 * (values + reflect(values, axis))
+    return values
+
+
+def full_grid_symmetrize_radial(f: Field) -> Field:
+    """Average of a full-grid field over sign flips and axis permutations, on the full grid.
+
+    The permutation average of the flip average is the full group average.
+    """
+    v = flip_average(f.values)
+    if f.grid.n > 1:
+        perms = list(itertools.permutations(range(f.grid.n)))
+        acc = np.zeros_like(v)
+        for perm in perms:
+            acc += np.transpose(v, perm)
+        v = acc / len(perms)
+    return Field(f.grid, v)
+
+
+def full_grid_gaussian(grid, p: float, width: float = 1.0) -> Field:
+    """initial_gaussian on the full grid: A exp(-|x|^2 / (2 width^2)), with A from
+    the quadratic form ||grad g||^2 + ||g||^2 of the full-grid spectral gradient."""
+    shape = Field(grid, np.exp(-radius_sq(grid) / (2.0 * width * width)))
+    quad = sum(norm_lq(d, 2) ** 2 for d in gradient(shape)) + norm_lq(shape, 2) ** 2
+    source = norm_lq(shape, p + 1.0) ** (p + 1.0)
+    return float((quad / source) ** (1.0 / (p - 1.0))) * shape
+
+
 def full_grid_krylov_operator(op, project=True):
     """invert()'s Krylov operator Id - p u_inf^{p-1} P_c^{-1} on the full grid.
 
     An rfftn matvec on flattened full-grid arrays, followed by a full
-    symmetrize_radial unless project is False.
+    full_grid_symmetrize_radial unless project is False.
     """
     grid = op.grid
     inv_pc = 1.0 / op.pc_half
@@ -93,7 +148,7 @@ def full_grid_krylov_operator(op, project=True):
         flat = v.reshape(grid.shape)
         out = flat - op.potential.values * half_spectrum_apply(grid, flat, inv_pc)
         if project:
-            out = symmetrize_radial(Field(grid, out)).values
+            out = full_grid_symmetrize_radial(Field(grid, out)).values
         return out.ravel()
     return apply_b
 
@@ -105,7 +160,7 @@ def full_grid_invert(op, f: Field, tol: float):
     applications _gmres made.
     """
     grid = op.grid
-    f = symmetrize_radial(f)
+    f = full_grid_symmetrize_radial(f)
     apply_b = full_grid_krylov_operator(op)
     calls = []
 
@@ -116,7 +171,7 @@ def full_grid_invert(op, f: Field, tol: float):
     b = f.values.ravel()
     v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)), _RESTART, _MAX_KRYLOV)
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / op.pc_half))
-    return symmetrize_radial(w), len(calls)
+    return full_grid_symmetrize_radial(w), len(calls)
 
 
 def lstsq_gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):

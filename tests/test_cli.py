@@ -2,9 +2,11 @@ import csv
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prnls import fixed_point
-from prnls.cli import _SCHEMA, _write_manifest, main, parse_config
+from prnls.cli import _SCHEMA, COMMANDS, RunConfig, _write_manifest, main, parse_config
 from prnls.errors import ConfigError, ConvergenceError
 from prnls.spectral import read_field
 
@@ -96,6 +98,42 @@ def test_parse_config_reads_every_section():
     assert cfg.sweep.ladder() == pytest.approx([4.0, 8.0, 16.0, 32.0, 64.0])
     assert cfg.output_dir == "out-here"
     assert cfg.seed == 7 and cfg.workers == 2
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["1", "2", "3", "-1", "0", "3.0", "16", "64", "20.0", "1e-10", "1e308",
+                     "1e999", "inf", "-inf", "nan", "true", "", "x", "9" * 5000,
+                     "ground-state", "rate-sweep"]),
+    st.text(max_size=12))
+
+
+@st.composite
+def _config_texts(draw):
+    """INI-shaped text: schema sections and keys (and some that are not) with
+    awkward values, or, one time in four, arbitrary text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=200))
+    lines = []
+    if draw(st.booleans()):  # a valid [params] start, so later sections are reached
+        lines += ["[params]", f"n = {draw(st.integers(1, 3))}", "p = 3.0",
+                  f"c = {draw(st.sampled_from(['4.0', '0.5', 'inf']))}"]
+    for section in draw(st.lists(st.sampled_from(sorted(_SCHEMA) + ["extra"]), max_size=4,
+                                 unique=True)):
+        lines.append(f"[{section}]")
+        keys = sorted(_SCHEMA.get(section, {})) + ["bogus"]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
+            lines.append(f"{key} = {draw(_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_config_texts(), st.sampled_from((None,) + COMMANDS))
+def test_parse_config_returns_a_config_or_raises_config_error(text, command):
+    try:
+        cfg = parse_config(text, command)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_manifest_echoes_every_config_key(tmp_path):

@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import prnls
 from prnls.diagnostics import (action, check_identities, extension_weights, fit_rate,
                                nonexistence_certificate, trace_inequality_check)
 from prnls.params import PhysicalParams, ReducedParams
@@ -116,6 +121,19 @@ def test_fit_rate_input_validation():
         fit_rate([(4.0, 1.0), (4.0, 0.9), (8.0, 0.5), (16.0, 0.25)])  # repeat c
     with pytest.raises(ValueError):
         fit_rate([(4.0, 1.0), (8.0, 0.0), (16.0, 0.25), (32.0, 0.1)])  # zero dist
+
+
+def test_fit_rate_imports_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call (about 10 ms in a fresh
+    # process); the CLI loads no module that does, so the fit must not either
+    code = ("import sys, prnls.cli\n"
+            "from prnls.diagnostics import fit_rate\n"
+            "fit_rate([(4.0, 1.0), (8.0, 0.3), (16.0, 0.1), (32.0, 0.02)])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(prnls.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_fit_rate_flat_data_is_a_perfect_zero_slope():

@@ -8,8 +8,11 @@ from prnls import ground_state
 from prnls.errors import ConvergenceError
 from prnls.ground_state import initial_gaussian, limit_residual, solve_limit_equation
 from prnls.params import ReducedParams
-from prnls.spectral import (Field, Grid, gradient, norm_lq, plancherel_sum,
+from prnls.spectral import (Field, Grid, gradient, norm_h1, norm_lq, plancherel_sum,
                             symmetrize_radial)
+
+from conftest import radius_sq
+from fft_reference import full_grid_gaussian
 
 
 def norm_hs(f, s):
@@ -67,7 +70,7 @@ def test_positive_everywhere(gs1d, gs2d_small):
     # statement is "no visible negative mass"
     for gs in (gs1d, gs2d_small):
         peak = np.max(gs.u.values)
-        bulk = gs.grid.radius_sq <= (gs.grid.L / 3.0) ** 2
+        bulk = radius_sq(gs.grid) <= (gs.grid.L / 3.0) ** 2
         assert np.all(gs.u.values[bulk] > 0.0)
         assert np.min(gs.u.values) >= -1e-6 * peak
 
@@ -93,7 +96,7 @@ def test_boundary_decay(gs1d, gs2d_small):
     # shell is below 1e-6 of the peak
     for gs in (gs1d, gs2d_small):
         grid = gs.grid
-        shell = grid.radius_sq >= (0.9 * grid.L) ** 2
+        shell = radius_sq(grid) >= (0.9 * grid.L) ** 2
         peak = np.max(gs.u.values)
         assert np.max(gs.u.values[shell]) < 1e-6 * peak
 
@@ -127,8 +130,24 @@ def test_uniqueness_across_seed_widths(monkeypatch):
 def test_initial_gaussian_has_unit_nehari_quotient():
     grid = Grid(2, 64, 20.0)
     g = initial_gaussian(grid, 3.0, width=1.0)
-    quad_form = sum(norm_lq(d, 2) ** 2 for d in gradient(g)) + norm_lq(g, 2) ** 2
-    assert quad_form == pytest.approx(norm_lq(g, 4.0) ** 4, rel=1e-12)
+    assert g.grid == grid.even
+    assert norm_h1(g) ** 2 == pytest.approx(norm_lq(g, 4.0) ** 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gs3d", "gs2d", "gs2d_small"])
+def test_block_seed_gives_the_full_grid_seeds_ground_state(name, request, monkeypatch):
+    # on the three benchmark grids (3-D 64^3, 2-D 256^2 and 128^2) the block
+    # seed and the ground state it leads to are bit-identical to those of the
+    # full-grid seed, restricted as solve_limit_equation once took it
+    gs = request.getfixturevalue(name)
+    grid, p = gs.grid, gs.p
+    oracle = grid.even.restrict(full_grid_gaussian(grid, p))
+    assert np.array_equal(symmetrize_radial(initial_gaussian(grid, p)).values,
+                          symmetrize_radial(oracle).values)
+    monkeypatch.setattr(ground_state, "initial_gaussian", lambda g, p: oracle)
+    ref = solve_limit_equation(ReducedParams(grid.n, p, 8.0), grid, tol=1e-12)
+    assert np.array_equal(gs.u.values, ref.u.values)
+    assert (gs.iterations, gs.residual) == (ref.iterations, ref.residual)
 
 
 def test_regularity_report(gs1d):

@@ -7,7 +7,8 @@ belongs in tests/. Dunder methods and overrides of a base-class method are
 exempt: Python or the base class calls them.
 
 numpy is the package's only dependency: no module there imports scipy, which
-only the tests use.
+only the tests use. A module-level name is assigned in one module only; the
+others import it, so a constant cannot drift between two copies.
 """
 
 import ast
@@ -76,6 +77,24 @@ def imported_modules(src=SRC):
 def test_no_module_in_src_imports_scipy():
     assert [(m, name) for m, name in imported_modules()
             if name.split(".")[0] == "scipy"] == []
+
+
+def assigned_names(src=SRC):
+    """Module-level name -> sorted modules of src that assign it."""
+    out = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out.setdefault(name.id, set()).add(path.stem)
+    return {name: sorted(modules) for name, modules in out.items()}
+
+
+def test_no_module_level_name_is_assigned_in_two_modules():
+    assert {name: mods for name, mods in assigned_names().items() if len(mods) > 1} == {}
 
 
 def test_the_check_flags_an_unreferenced_method(tmp_path, monkeypatch):

@@ -14,8 +14,8 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             random_band_limited, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
-from conftest import sample_field
-from fft_reference import full_grid_invert, full_grid_krylov_operator, lstsq_gmres
+from conftest import radius_sq, sample_field
+from fft_reference import full_grid_invert, full_grid_krylov_operator, gather, lstsq_gmres
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -42,10 +42,21 @@ def test_potential_invariants(gs2d_small):
     # nonnegative everywhere (the far field of the wave carries exact zeros),
     # strictly positive on the bulk, and radially symmetric
     assert np.all(op.potential.values >= 0.0)
-    bulk = gs2d_small.grid.radius_sq <= (gs2d_small.grid.L / 3.0) ** 2
+    bulk = radius_sq(gs2d_small.grid) <= (gs2d_small.grid.L / 3.0) ** 2
     assert np.all(op.potential.values[bulk] > 0.0)
     sym = symmetrize_radial(op.potential)
     assert np.max(np.abs(sym.values - op.potential.values)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
+def test_block_potential_is_the_full_grid_formula(name, request):
+    # p max(u, 0)^{p-1} works point by point, so building it on the block and
+    # lifting it gives the full-grid formula bit for bit
+    gs = request.getfixturevalue(name)
+    op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
+    ref = gs.p * np.maximum(gs.u.values, 0.0) ** (gs.p - 1.0)
+    assert np.array_equal(op.potential.values, ref)
+    assert np.array_equal(op.potential_even.values, gather(gs.grid.even, ref))
 
 
 def test_limit_operator_on_ground_state(gs2d_small):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
-from prnls.spectral import (Field, Grid, _block_partials, _reflect, _require_real, gradient,
+from prnls.spectral import (Field, Grid, _block_partials, _require_real, gradient,
                             half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
                             norm_h1, norm_lq, norm_w1q, norm_w2q, plancherel_sum,
                             random_band_limited, read_field, resample, symmetrize_radial,
@@ -17,9 +17,10 @@ from prnls.spectral import (Field, Grid, _block_partials, _reflect, _require_rea
 from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
 
-from conftest import sample_field
+from conftest import coords, radius_sq, sample_field
 from fft_reference import (dct1_multiplier, dct1_plancherel_sum, dst1_partials, fft_multiplier,
-                           fft_plancherel_sum)
+                           fft_plancherel_sum, flip_average, full_grid_symmetrize_radial,
+                           gather)
 
 
 def _random_field(grid, seed):
@@ -142,10 +143,7 @@ _BLOCK_NORM_FLOOR = 6e-16
 def _block_vs_full_cases(draw):
     """An even white-noise field (sign-flip averaged, not permuted) and a symbol."""
     f, sym = draw(_half_vs_full_cases())
-    v = f.values
-    for axis in range(f.grid.n):
-        v = 0.5 * (v + _reflect(v, axis))
-    return Field(f.grid, v), sym
+    return Field(f.grid, flip_average(f.values)), sym
 
 
 def _rel_gap(got, ref):
@@ -187,14 +185,16 @@ def test_even_block_norms_match_full_grid(case):
 
 def test_even_block_partials_are_the_restricted_gradient():
     # the DST-I partials inside the block norms are the full-grid spectral
-    # gradient restricted to the orthant, zero on both faces (worst gap over
-    # 200 seeds of these three grids: 7.5e-16 of the partial's max)
+    # gradient at the orthant's points, zero on both faces (worst gap over
+    # 200 seeds of these three grids: 7.5e-16 of the partial's max); a
+    # partial is odd along its axis, so it is gathered, not restricted
+    # (restrict would average it to zero)
     for n, N in ((1, 64), (2, 32), (3, 16)):
         grid = Grid(n, N, 5.0)
         f = symmetrize_radial(_random_field(grid, 20 + n))
         block = grid.even
         for got, full in zip(_block_partials(block.restrict(f)), gradient(f)):
-            ref = block.restrict(full).values
+            ref = gather(block, full.values)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -330,7 +330,7 @@ def test_intersection_norm_takes_q_2n():
     for n in (1, 2, 3):
         grid = Grid(n, 16, 6.0)
         for width_sq in (8.0, 0.5):
-            f = Field(grid, np.exp(-grid.radius_sq / width_sq))
+            f = Field(grid, np.exp(-radius_sq(grid) / width_sq))
             assert intersection_norm(f) == max(norm_h1(f), norm_w1q(f, 2.0 * n))
 
 
@@ -370,7 +370,7 @@ def test_norm_w2q_separable_cosine_closed_form(N, q, ka, kb):
     # lattice L^q norm unchanged for frequencies well below Nyquist
     grid = Grid(2, N, 5.0)
     a, b = math.pi * ka / grid.L, math.pi * kb / grid.L
-    x, y = grid.coords
+    x, y = coords(grid)
     f = Field(grid, np.cos(a * x) * np.cos(b * y))
     expected = (1 + a + b + a * a + a * b + b * b) * norm_lq(f, q)
     assert norm_w2q(f, q) == pytest.approx(expected, rel=2e-15)
@@ -396,9 +396,37 @@ def test_symmetrize_kills_odd_functions():
     # periodic lattice) carries nothing: the projection leaves a residue equal
     # to the function's value there
     grid = Grid(2, 32, 8.0)
-    x, _ = grid.coords
-    f = Field(grid, x * np.exp(-grid.radius_sq))
+    x, _ = coords(grid)
+    f = Field(grid, x * np.exp(-radius_sq(grid)))
     assert np.max(np.abs(symmetrize_radial(f).values)) < 1e-14
+
+
+@st.composite
+def _full_grid_fields(draw):
+    """White noise of amplitude 10^e, |e| <= 300, on a grid of n = 1..3 and even N."""
+    n = draw(st.integers(1, 3))
+    N = 2 * draw(st.integers(8, (128, 32, 16)[n - 1]))
+    amplitude = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Field(Grid(n, N, 5.0), amplitude * rng.standard_normal((N,) * n))
+
+
+@_HALF_VS_FULL
+@given(_full_grid_fields())
+def test_grid_symmetrize_matches_the_full_grid_oracle(f):
+    # restrict, the block's permutation average and lift do the full-grid
+    # pass's arithmetic at the block's points, in the same order
+    assert np.array_equal(symmetrize_radial(f).values, full_grid_symmetrize_radial(f).values)
+
+
+@_HALF_VS_FULL
+@given(_full_grid_fields())
+def test_restrict_is_the_sign_flip_average(f):
+    block = f.grid.even
+    flipped = flip_average(f.values)
+    assert np.array_equal(block.restrict(f).values, gather(block, flipped))
+    even = Field(f.grid, flipped)  # an even field keeps its own block values
+    assert np.array_equal(block.restrict(even).values, gather(block, flipped))
 
 
 def test_symmetrize_idempotent():
