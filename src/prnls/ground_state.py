@@ -7,7 +7,8 @@ Solved by the Petviashvili spectral renormalization iteration
 
 with radial symmetrization after every step. The iterates are radial, so the
 seed is built and the iteration runs on the grid's even block (see spectral),
-and only the result is lifted to the full grid. The normalization factor M_k
+and only the result is lifted to the full grid; the ground state keeps the
+block iterate too, as u_even. The normalization factor M_k
 converges to 1 exactly when the iterates converge to a solution. Negative values of an iterate
 (transients of the first few steps) are clamped to zero before taking
 fractional powers; the clamp count is reported in full-grid points.
@@ -16,7 +17,6 @@ fractional powers; the clamp count is reported in full-grid points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +36,7 @@ class GroundState:
     """Converged limit-equation ground state and its solve metadata."""
 
     u: Field
+    u_even: Field  # u on the even block of its grid: the iterate that u lifts
     p: float
     residual: float
     iterations: int
@@ -45,11 +46,6 @@ class GroundState:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    @cached_property
-    def u_even(self) -> Field:
-        """u on the even block of its grid."""
-        return self.grid.even.restrict(self.u)
 
 
 def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:
@@ -122,10 +118,11 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
         step = float(np.max(np.abs(unew - u)))
         u = unew
         if step < tol:
-            field = block.lift(Field(block, u))
+            u_even = Field(block, u)
+            field = block.lift(u_even)
             res = limit_residual(field, p)
             if res < 10.0 * tol:
-                return GroundState(field, p, res, k, factor, clamps)
+                return GroundState(field, u_even, p, res, k, factor, clamps)
             if res > _RESIDUAL_STALL * last_res:
                 raise ConvergenceError(
                     f"petviashvili iteration settled at iteration {k} on a fixed point that "

@@ -8,18 +8,23 @@ so the Krylov iteration only ever sees Id minus a compact operator. The
 restarted minimal-residual (GMRES) loop is written out here rather than taken
 from scipy because the contract calls for radial re-projection of every
 Krylov iterate, stagnation detection over a fixed window, and a convergence
-test phrased on the original system's relative residual. Its least-squares
-residual is updated by Givens rotations, one per Krylov step, and the small
-triangular system is solved once per restart cycle.
+test phrased on the original system's relative residual. Each new Krylov
+vector is orthogonalized against the basis by classical Gram-Schmidt taken
+twice (CGS2), two matrix-vector products with the basis block per pass; its
+least-squares residual is updated by Givens rotations, one per Krylov step,
+and the small triangular system is solved once per restart cycle.
 
 On the radial subspace L is invertible for large c; the translation modes
 d_i u_inf span its near-kernel, which is why omitting the projection makes
 inversion of antisymmetric data stagnate (probed in the tests).
 
-Radial fields are even, so the Krylov iteration runs on the grid's even block
-(see spectral), in the variables y = sqrt(weights) v: the Euclidean inner
-products of y are then the full-grid inner products of v, and the iteration
-is the full-grid one up to roundoff on a (N/2+1)^n instead of N^n lattice.
+Radial fields are even and permutation-symmetric, so the Krylov iteration
+runs on the representatives of the axis-permutation orbits of the grid's even
+block (see spectral), in the variables y = sqrt(orbit weights) v: the
+Euclidean inner products of y are then the full-grid inner products of v,
+and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
+of N^n points. A matvec expands y to the block, applies the operator there,
+and projects back by the orbits' permutation average.
 """
 
 from __future__ import annotations
@@ -101,9 +106,14 @@ def apply(op: LinearizedOperator, w: Field) -> Field:
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
     """Restarted GMRES on flattened real arrays; returns (x, iterations).
 
-    Each new Hessenberg column is reduced to upper-triangular form by the
-    earlier Givens rotations and one new one, so the least-squares residual
-    is |g_{j+1}| at every step, and the triangular system is solved once per
+    Starts from x = 0, where apply_b is zero for a linear operator, so the
+    first cycle's residual is b with no operator application. Each new
+    Krylov vector w is orthogonalized against the basis block V by CGS2,
+    h = V w, w -= V^T h, taken twice with the two h summed (Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 2005: twice is enough). Each new
+    Hessenberg column is reduced to upper-triangular form by the earlier
+    Givens rotations and one new one, so the least-squares residual is
+    |g_{j+1}| at every step, and the triangular system is solved once per
     cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 1986). Raises
     ConvergenceError when no iteration in a window of _STALL_WINDOW improves
     the best residual by at least 0.1% (a near-singular operator), or when
@@ -111,11 +121,11 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
     """
     size = b.size
     x = np.zeros(size)
+    r = b
     best = np.inf
     last_improve = 0
     total = 0
     while True:
-        r = b - apply_b(x)
         beta = float(np.linalg.norm(r))
         if beta <= tol_abs:
             return x, total
@@ -131,10 +141,12 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
         used = 0
         for j in range(m):
             w = apply_b(basis[j])
-            col = []
-            for i in range(j + 1):  # modified Gram-Schmidt
-                col.append(float(np.dot(basis[i], w)))
-                w -= col[i] * basis[i]
+            span = basis[:j + 1]
+            h = span @ w
+            w -= h @ span
+            again = span @ w
+            w -= again @ span
+            col = (h + again).tolist()
             h_next = float(np.linalg.norm(w))
             total += 1
             used = j + 1
@@ -165,16 +177,17 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
         x = x + np.tensordot(y, basis[:used], axes=(0, 0))
         if res <= tol_abs:
             return x, total
+        r = b - apply_b(x)
 
 
 def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
     f is projected onto the radial subspace first (symmetrize_radial), and so
-    is every Krylov iterate; a non-radial f is solved for its projection. f
-    may live on op's grid or on its even block, and w lives where f does: a
-    full-grid f is restricted (its sign-flip average), solved on the block and
-    lifted.
+    is every Krylov iterate (by the block's orbit average); a non-radial f is
+    solved for its projection. f may live on op's grid or on its even block,
+    and w lives where f does: a full-grid f is restricted (its sign-flip
+    average), solved on the block and lifted.
     """
     block = op.grid.even
     if f.grid == op.grid:
@@ -188,18 +201,20 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
 
     pot = op.potential_even.values
     inv_pc = op.inv_pc_even
-    scale = np.sqrt(block.weights)  # the Krylov variable is y = scale * v
+    orbits = block.orbits
+    scale = np.sqrt(orbits.weights)  # the Krylov variable is y = scale * v at the representatives
+
+    def expand(y):
+        return (y / scale)[orbits.expand].reshape(block.shape)
 
     def apply_b(y):
-        v = y.reshape(block.shape) / scale
-        out = v - pot * half_spectrum_apply(block, v, inv_pc)
-        return (symmetrize_radial(Field(block, out)).values * scale).ravel()
+        v = expand(y)
+        return orbits.project(v - pot * half_spectrum_apply(block, v, inv_pc)) * scale
 
-    b = (f.values * scale).ravel()
+    b = f.values.ravel()[orbits.reps] * scale
     bnorm = float(np.linalg.norm(b))
     y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
-    w_values = half_spectrum_apply(block, y.reshape(block.shape) / scale, inv_pc)
-    w = symmetrize_radial(Field(block, w_values))
+    w = symmetrize_radial(Field(block, half_spectrum_apply(block, expand(y), inv_pc)))
 
     residual = norm_lq(apply(op, w) - f, 2) / fnorm
     if not residual <= tol:  # nan when ||f|| overflows and GMRES stopped at w = 0

@@ -18,7 +18,9 @@ Two substrates
   block reproduce full-grid sums. EvenBlock.restrict is the one projection
   from the full grid: the average over the sign flips x_a -> -x_a, so
   symmetrize_radial on a Grid is restrict, the block's permutation average,
-  and lift.
+  and lift. EvenBlock.orbits describes the block's axis-permutation orbits,
+  whose representatives j_1 <= ... <= j_n (C(N/2+n, n) points) set a
+  permutation-symmetric block field, so the Krylov solve runs on them alone.
 A Field lives on one of the two, and every function below takes the path of
 the grid its field lives on.
 
@@ -201,6 +203,30 @@ def _transform(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Orbits:
+    """The axis-permutation orbits of an EvenBlock's points.
+
+    A permutation-symmetric block field is set by its values at the orbit
+    representatives, the points j_1 <= ... <= j_n: 2,145 of 4,225 on 65^2,
+    6,545 of 35,937 on 33^3. Indices are into the row-major flattened block.
+    """
+
+    reps: np.ndarray     # the representatives, in row-major order
+    expand: np.ndarray   # per block point, the position of its representative in reps
+    gathers: tuple       # per axis permutation (itertools order), where each representative goes
+    weights: np.ndarray  # full-grid points per orbit: block weight times orbit size
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """The permutation average of block values, at the representatives.
+
+        The same additions in the same order as symmetrize_radial's, so the
+        values are that function's at the representatives, bit for bit.
+        """
+        flat = values.ravel()
+        return sum(flat[g] for g in self.gathers) / len(self.gathers)
+
+
+@dataclass(frozen=True)
 class EvenBlock:
     """Non-negative orthant x = j h, j = 0..N/2 per axis, of a Grid.
 
@@ -283,19 +309,37 @@ class EvenBlock:
         synth[1:-1, 1:-1] = sin * (-self.grid.freqs_half[1:-1] / m)
         return synth @ self.dct_matrix
 
+    @cached_property
+    def orbits(self) -> "Orbits":
+        """The block's axis-permutation orbits (see Orbits)."""
+        shape = self.shape
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        # each point's sorted multi-index j_1 <= ... <= j_n names its orbit
+        rep_of = np.ravel_multi_index(np.sort(np.indices(shape).reshape(self.n, -1), axis=0),
+                                      shape)
+        reps = np.flatnonzero(rep_of == flat.ravel())
+        position = np.zeros(flat.size, dtype=np.intp)
+        position[reps] = np.arange(reps.size)
+        expand = position[rep_of]
+        gathers = tuple(np.transpose(flat, perm).ravel()[reps]
+                        for perm in itertools.permutations(range(self.n)))
+        weights = self.weights.ravel()[reps] * np.bincount(expand)
+        return Orbits(reps, expand, gathers, weights)
+
     def restrict(self, f: "Field") -> "Field":
         """The block values of f's average over the sign flips x_a -> -x_a.
 
         That average is the orthogonal projection of f onto the even fields,
-        which the block holds. An even field's own block values come back
-        bit for bit, since 0.5 (a + a) = a while a + a does not overflow.
+        which the block holds. It is taken as 0.5 a + 0.5 b, which is finite
+        for finite a and b and, outside the subnormal range, the same bits as
+        0.5 (a + b); an even field's own block values come back bit for bit.
         """
         if f.grid != self.grid:
             raise ValueError("field does not live on this block's grid")
         m, j = self.N // 2, np.arange(self.N // 2 + 1)
         v = f.values
         for axis in range(self.n):  # full-grid index m + j is x = j h, m - j is x = -j h
-            v = 0.5 * (np.take(v, m + j, axis, mode="wrap") + np.take(v, m - j, axis))
+            v = 0.5 * np.take(v, m + j, axis, mode="wrap") + 0.5 * np.take(v, m - j, axis)
         return Field(self, v)
 
     def lift(self, f: "Field") -> "Field":

@@ -55,6 +55,13 @@ def test_closed_form_family_satisfies_limit_equation():
         assert limit_residual(u, p) < 1e-7
 
 
+@pytest.mark.parametrize("name", ["gs3d", "gs2d_small", "gs2d"])
+def test_u_even_is_the_restricted_ground_state(name, request):
+    # the block iterate u lifts, which restrict gives back bit for bit
+    gs = request.getfixturevalue(name)
+    assert np.array_equal(gs.u_even.values, gs.grid.even.restrict(gs.u).values)
+
+
 def test_petviashvili_factor_converges_to_one(gs1d):
     assert abs(gs1d.final_factor - 1.0) < 1e-11
 

@@ -1,6 +1,7 @@
 """Grid/transform/norm substrate checks: exact single-mode identities, analytic
 integrals, and the roundtrip/idempotence properties everything else leans on."""
 
+import itertools
 import math
 
 import numpy as np
@@ -427,6 +428,44 @@ def test_restrict_is_the_sign_flip_average(f):
     assert np.array_equal(block.restrict(f).values, gather(block, flipped))
     even = Field(f.grid, flipped)  # an even field keeps its own block values
     assert np.array_equal(block.restrict(even).values, gather(block, flipped))
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 16), (3, 16)])
+def test_restrict_stays_finite_at_the_float64_limit(n, N):
+    # a + b overflows where two values exceed half the float64 maximum, but
+    # 0.5 a + 0.5 b does not: the flip average of 0.5 f, doubled
+    grid = Grid(n, N, 5.0)
+    f = Field(grid, 1e308 * np.sign(np.random.default_rng(n).standard_normal(grid.shape)))
+    block = grid.even
+    assert np.array_equal(block.restrict(f).values,
+                          2.0 * gather(block, flip_average(0.5 * f.values)))
+    even = block.lift(block.restrict(f))  # an even field keeps its own block values
+    assert np.array_equal(block.restrict(even).values, block.restrict(f).values)
+    top = Field(grid, np.full(grid.shape, -1e308))
+    assert np.array_equal(block.restrict(top).values, np.full(block.shape, -1e308))
+
+
+@st.composite
+def _block_fields(draw):
+    """White noise on the even block of a grid of n = 1..3 and even N <= 256/64/32."""
+    n = draw(st.integers(1, 3))
+    block = Grid(n, 2 * draw(st.integers(8, (128, 32, 16)[n - 1])), 5.0).even
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Field(block, rng.standard_normal(block.shape))
+
+
+@_HALF_VS_FULL
+@given(_block_fields())
+def test_orbit_projection_is_the_block_permutation_average(f):
+    block = f.grid
+    orbits = block.orbits
+    assert orbits.reps.size == math.comb(block.N // 2 + block.n, block.n)
+    assert np.sum(orbits.weights) == block.N ** block.n
+    proj = orbits.project(f.values)
+    assert np.array_equal(proj, symmetrize_radial(f).values.ravel()[orbits.reps])
+    expanded = proj[orbits.expand].reshape(block.shape)
+    for perm in itertools.permutations(range(block.n)):
+        assert np.array_equal(np.transpose(expanded, perm), expanded)
 
 
 def test_symmetrize_idempotent():
