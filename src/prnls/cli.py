@@ -285,7 +285,7 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
     center = float(gs.u.values[tuple([cfg.grid.N // 2] * cfg.params.n)])
     _write_csv(os.path.join(out, "ground_state.csv"), header,
                [(cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L, "converged",
-                 gs.iterations, gs.residual, norm_h1(gs.u), center)])
+                 gs.iterations, gs.residual, norm_h1(gs.u_even), center)])
     write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", cfg.params.p, math.inf)
     return 0
 
@@ -386,12 +386,12 @@ def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg, allow_supercritical=True)
-    cert = nonexistence_certificate(gs.u, rp)
+    cert = nonexistence_certificate(gs.u_even, rp)
     _write_csv(os.path.join(out, "certificate.csv"),
                ("regime", "combined_lhs", "combined_rhs", "conclusion"),
                [(cert.regime, cert.combined_lhs, cert.combined_rhs, cert.conclusion)])
 
-    scale = _PROBE_START_SCALE * intersection_norm(gs.u)
+    scale = _PROBE_START_SCALE * intersection_norm(gs.u_even)
     construction = prepare(rp, gs, cfg.tolerances.tol_lin)  # one R_c for every probe
     rows = []
     genuine = 0

@@ -16,8 +16,8 @@ returns as data in its report. Probe mode runs the same iteration for small c
 or supercritical p, where the construction preconditions do not hold.
 
 The iterates are radial, so the loop runs on the grid's even block (see
-spectral): R_c, Q(w), Phi_c(w) and their norms are block fields, and only a
-converged u_c is lifted to the full grid, where its residual is checked.
+spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
+there, and only a converged u_c is lifted to the full grid.
 
 What does not depend on the start w0 (the operator L, R_c and its norm, the
 contraction-ball ceiling) is a Construction, built by prepare(). solve()
@@ -34,11 +34,12 @@ import numpy as np
 from .errors import ConvergenceError
 # solve_limit_equation is not called here: kept importable because
 # bench/tracing.PATCHES wraps this name
-from .ground_state import _COLLAPSE_FLOOR, GroundState, solve_limit_equation  # noqa: F401
+from .ground_state import (_COLLAPSE_FLOOR, GroundState, limit_residual,  # noqa: F401
+                           solve_limit_equation)
 from .linsolve import LinearizedOperator, invert, linearized_operator
 from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier,
-                       intersection_norm, norm_h1, norm_lq, signed_power, symmetrize_radial)
+                       intersection_norm, norm_h1, signed_power, symmetrize_radial)
 from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
@@ -82,15 +83,15 @@ def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) 
     return invert(op, rhs, tol=tol_lin)
 
 
-def nonlinear_q(gs: GroundState, w: Field) -> Field:
-    """Superlinear remainder Q(w) of the nonlinearity around the ground state, on the even block.
+def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
+    """Superlinear remainder Q(w) of the nonlinearity around op's ground state, on the even block.
 
-    Raises OverflowError when Q(w) leaves the float64 range.
+    Its linear term is op's potential times w. Raises OverflowError when Q(w) leaves float64.
     """
-    u = gs.u_even.values
-    p = gs.p
+    u = op.gs.u_even.values
+    p = op.rp.p
     up = np.maximum(u, 0.0)
-    q = signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values
+    q = signed_power(u + w.values, p) - up ** p - op.potential_even.values * w.values
     if not np.all(np.isfinite(q)):
         raise OverflowError("Q(w) overflows float64")
     return Field(w.grid, q)
@@ -98,9 +99,8 @@ def nonlinear_q(gs: GroundState, w: Field) -> Field:
 
 def phi(op: LinearizedOperator, w: Field, rc: Field,
         tol_lin: float = ToleranceSet.tol_lin) -> Field:
-    """One application of the contraction map Phi_c(w) = R_c + L^{-1} Q(w), on the even block."""
-    correction = invert(op, nonlinear_q(op.gs, w), tol=tol_lin)
-    return symmetrize_radial(rc + correction)
+    """Phi_c(w) = R_c + L^{-1} Q(w) on the even block; both terms are radial, as invert returns."""
+    return rc + invert(op, nonlinear_q(op, w), tol=tol_lin)
 
 
 def random_start(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
@@ -226,12 +226,11 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                                  message=f"||w||={wn:.3e} left the contraction ball "
                                          f"(ceiling {ceiling:.3e})")
         if steps[-1] < tol.tol_step:
-            u_c = block.lift(u + w)
-            pcu = half_spectrum_apply(grid, u_c.values, op.pc_half)
-            residual = norm_lq(Field(grid, pcu - signed_power(u_c.values, rp.p)), 2)
+            u_c = u + w
+            residual = limit_residual(u_c, rp.p, rp.c_tilde)
             report = replace(report, final_residual=residual)
             if residual <= tol.tol_residual:
-                return u_c, replace(report, outcome=OUTCOME_CONVERGED)
+                return block.lift(u_c), replace(report, outcome=OUTCOME_CONVERGED)
             return None, replace(report, message=f"step tolerance met but residual "
                                                  f"{residual:.3e} > tol_residual "
                                                  f"{tol.tol_residual:g}")

@@ -6,24 +6,26 @@ Solved by the Petviashvili spectral renormalization iteration
     M_k     = <P_inf(D) u_k, u_k> / <u_k^p, u_k>,
 
 with radial symmetrization after every step. The iterates are radial, so the
-seed is built and the iteration runs on the grid's even block (see spectral),
-and only the result is lifted to the full grid; the ground state keeps the
-block iterate too, as u_even. The normalization factor M_k
-converges to 1 exactly when the iterates converge to a solution. Negative values of an iterate
-(transients of the first few steps) are clamped to zero before taking
+seed is built, the iteration runs and its residual is checked on the grid's
+even block (see spectral); the ground state keeps the block iterate, u_even,
+and lifts it to the full grid when u is first read. M_k converges to 1
+exactly when the iterates converge to a solution. Negative values of an
+iterate (transients of the first few steps) are clamped to zero before taking
 fractional powers; the clamp count is reported in full-grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CollapseError, ConvergenceError
 from .params import ReducedParams, ToleranceSet
-from .spectral import (Field, Grid, half_spectrum_apply, norm_h1, norm_lq, signed_power,
-                       symmetrize_radial)
+from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier, norm_h1,
+                       norm_lq, signed_power, symmetrize_radial)
+from .symbols import p_c
 
 _COLLAPSE_FLOOR = 1e-10
 _BLOWUP_CEILING = 1e12
@@ -35,8 +37,7 @@ _RESIDUAL_STALL = 0.999  # a settled iterate "improves" if it beats the last res
 class GroundState:
     """Converged limit-equation ground state and its solve metadata."""
 
-    u: Field
-    u_even: Field  # u on the even block of its grid: the iterate that u lifts
+    u_even: Field  # the ground state on the even block of its grid
     p: float
     residual: float
     iterations: int
@@ -45,7 +46,12 @@ class GroundState:
 
     @property
     def grid(self) -> Grid:
-        return self.u.grid
+        return self.u_even.grid.grid
+
+    @cached_property
+    def u(self) -> Field:
+        """The ground state on the full grid, lifted from u_even on first read."""
+        return self.u_even.grid.lift(self.u_even)
 
 
 def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:
@@ -61,10 +67,13 @@ def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:
     return float((quad / source) ** (1.0 / (p - 1.0))) * shape
 
 
-def limit_residual(u: Field, p: float) -> float:
-    """Discrete L^2 residual ||P_inf(D) u - sign(u)|u|^p||_2."""
+def limit_residual(u: Field, p: float, c: float = np.inf) -> float:
+    """Discrete L^2 residual ||P_c(D) u - sign(u)|u|^p||_2, on a Grid or an EvenBlock.
+
+    The default c = inf, where P_inf(D) = -Laplace + 1, is the limit equation.
+    """
     grid = u.grid
-    pu = half_spectrum_apply(grid, u.values, grid.xi_sq_half + 1.0)
+    pu = half_spectrum_apply(grid, u.values, half_spectrum_multiplier(grid, p_c(c)))
     return norm_lq(Field(grid, pu - signed_power(u.values, p)), 2)
 
 
@@ -119,10 +128,9 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
         u = unew
         if step < tol:
             u_even = Field(block, u)
-            field = block.lift(u_even)
-            res = limit_residual(field, p)
+            res = limit_residual(u_even, p)
             if res < 10.0 * tol:
-                return GroundState(field, u_even, p, res, k, factor, clamps)
+                return GroundState(u_even, p, res, k, factor, clamps)
             if res > _RESIDUAL_STALL * last_res:
                 raise ConvergenceError(
                     f"petviashvili iteration settled at iteration {k} on a fixed point that "

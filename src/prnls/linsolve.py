@@ -6,11 +6,11 @@ The inversion uses the bounded-perturbation factorization
 
 so the Krylov iteration only ever sees Id minus a compact operator. The
 restarted minimal-residual (GMRES) loop is written out here rather than taken
-from scipy because the contract calls for radial re-projection of every
-Krylov iterate, stagnation detection over a fixed window, and a convergence
-test phrased on the original system's relative residual. Each new Krylov
-vector is orthogonalized against the basis by classical Gram-Schmidt taken
-twice (CGS2), two matrix-vector products with the basis block per pass; its
+from scipy because the contract keeps every Krylov iterate radial and calls
+for stagnation detection over a fixed window and a convergence test phrased
+on the original system's relative residual. Each new Krylov vector is
+orthogonalized against the basis by classical Gram-Schmidt taken twice
+(CGS2), two matrix-vector products with the basis block per pass; its
 least-squares residual is updated by Givens rotations, one per Krylov step,
 and the small triangular system is solved once per restart cycle.
 
@@ -23,8 +23,9 @@ runs on the representatives of the axis-permutation orbits of the grid's even
 block (see spectral), in the variables y = sqrt(orbit weights) v: the
 Euclidean inner products of y are then the full-grid inner products of v,
 and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
-of N^n points. A matvec expands y to the block, applies the operator there,
-and projects back by the orbits' permutation average.
+of N^n points. A matvec expands y to the block, applies the operator there
+and reads the result at the representatives, with no permutation average:
+the result of a symmetric expansion is symmetric up to rounding.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
 def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
-    f is projected onto the radial subspace first (symmetrize_radial), and so
-    is every Krylov iterate (by the block's orbit average); a non-radial f is
-    solved for its projection. f may live on op's grid or on its even block,
-    and w lives where f does: a full-grid f is restricted (its sign-flip
-    average), solved on the block and lifted.
+    f is projected onto the radial subspace first (symmetrize_radial), and
+    every Krylov iterate is radial, as it lives on the orbit representatives;
+    a non-radial f is solved for its projection. f may live on op's grid or on
+    its even block, and w lives where f does: a full-grid f is restricted (its
+    sign-flip average), solved on the block and lifted.
     """
     block = op.grid.even
     if f.grid == op.grid:
@@ -209,7 +210,8 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
 
     def apply_b(y):
         v = expand(y)
-        return orbits.project(v - pot * half_spectrum_apply(block, v, inv_pc)) * scale
+        bv = v - pot * half_spectrum_apply(block, v, inv_pc)
+        return bv.ravel()[orbits.reps] * scale
 
     b = f.values.ravel()[orbits.reps] * scale
     bnorm = float(np.linalg.norm(b))

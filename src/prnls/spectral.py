@@ -209,21 +209,13 @@ class Orbits:
     A permutation-symmetric block field is set by its values at the orbit
     representatives, the points j_1 <= ... <= j_n: 2,145 of 4,225 on 65^2,
     6,545 of 35,937 on 33^3. Indices are into the row-major flattened block.
+    Reading a field at reps takes no permutation average, so a field that is
+    symmetric only to rounding keeps its representatives' rounding.
     """
 
     reps: np.ndarray     # the representatives, in row-major order
     expand: np.ndarray   # per block point, the position of its representative in reps
-    gathers: tuple       # per axis permutation (itertools order), where each representative goes
     weights: np.ndarray  # full-grid points per orbit: block weight times orbit size
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """The permutation average of block values, at the representatives.
-
-        The same additions in the same order as symmetrize_radial's, so the
-        values are that function's at the representatives, bit for bit.
-        """
-        flat = values.ravel()
-        return sum(flat[g] for g in self.gathers) / len(self.gathers)
 
 
 @dataclass(frozen=True)
@@ -313,18 +305,15 @@ class EvenBlock:
     def orbits(self) -> "Orbits":
         """The block's axis-permutation orbits (see Orbits)."""
         shape = self.shape
-        flat = np.arange(math.prod(shape)).reshape(shape)
         # each point's sorted multi-index j_1 <= ... <= j_n names its orbit
         rep_of = np.ravel_multi_index(np.sort(np.indices(shape).reshape(self.n, -1), axis=0),
                                       shape)
-        reps = np.flatnonzero(rep_of == flat.ravel())
-        position = np.zeros(flat.size, dtype=np.intp)
+        reps = np.flatnonzero(rep_of == np.arange(rep_of.size))
+        position = np.zeros(rep_of.size, dtype=np.intp)
         position[reps] = np.arange(reps.size)
         expand = position[rep_of]
-        gathers = tuple(np.transpose(flat, perm).ravel()[reps]
-                        for perm in itertools.permutations(range(self.n)))
         weights = self.weights.ravel()[reps] * np.bincount(expand)
-        return Orbits(reps, expand, gathers, weights)
+        return Orbits(reps, expand, weights)
 
     def restrict(self, f: "Field") -> "Field":
         """The block values of f's average over the sign flips x_a -> -x_a.

@@ -53,7 +53,8 @@ def test_remainder_decay_rate_3d(gs3d):
 def test_nonlinear_q_zero(gs2d_small):
     # Q(0) = (u)^p - u^p - 0, identical terms computed by two code paths; the
     # difference is pure roundoff, not exactly zero
-    out = fp.nonlinear_q(gs2d_small, Field.zeros(gs2d_small.grid.even))
+    op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
+    out = fp.nonlinear_q(op, Field.zeros(gs2d_small.grid.even))
     assert np.max(np.abs(out.values)) <= 1e-15
 
 
@@ -61,7 +62,7 @@ def test_nonlinear_q_cubic_closed_form(gs2d_small):
     rng = np.random.default_rng(31)
     block = gs2d_small.grid.even
     w = block.restrict(Field(gs2d_small.grid, 0.1 * rng.standard_normal(gs2d_small.grid.shape)))
-    got = fp.nonlinear_q(gs2d_small, w)
+    got = fp.nonlinear_q(linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small), w)
     u = block.restrict(gs2d_small.u).values
     uw = u + w.values
     exact = signed_power(uw, 3.0) - u ** 3 - 3.0 * u ** 2 * w.values
@@ -85,9 +86,25 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
     v = grid.even.restrict(symmetrize_radial(random_band_limited(grid, rng, 3.0)))
     v = Field(v.grid, v.values / norm_h1(v))
     eps = np.array([1e-1, 1e-2, 1e-3])
-    norms = [norm_lq(fp.nonlinear_q(gs, Field(v.grid, e * v.values)), 2) for e in eps]
+    op = linearized_operator(ReducedParams(2, p, 8.0), gs)
+    norms = [norm_lq(fp.nonlinear_q(op, Field(v.grid, e * v.values)), 2) for e in eps]
     slope = np.polyfit(np.log(eps), np.log(norms), 1)[0]
     assert slope >= min(p, 2.0) - 0.1
+
+
+@pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
+def test_nonlinear_q_linear_term_is_the_operator_potential(name, request):
+    # Q(w)'s linear term is op.potential_even times w, which computes
+    # p max(u, 0)^{p-1} in the same operations, so Q is the formula bit for bit
+    gs = request.getfixturevalue(name)
+    op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
+    block = gs.grid.even
+    w = symmetrize_radial(Field(block, 0.1 * np.random.default_rng(5).standard_normal(block.shape)))
+    u = gs.u_even.values
+    up = np.maximum(u, 0.0)
+    p = gs.p
+    formula = signed_power(u + w.values, p) - up ** p - p * up ** (p - 1.0) * w.values
+    assert np.array_equal(fp.nonlinear_q(op, w).values, formula)
 
 
 def test_phi_at_zero_is_remainder(gs2d_small):
