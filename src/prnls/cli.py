@@ -282,18 +282,18 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
                    [(cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L, outcome,
                      0, math.nan, math.nan, math.nan)])
         return 2
-    center = float(gs.u.values[tuple([cfg.grid.N // 2] * cfg.params.n)])
+    center = float(gs.u_even.values[(0,) * cfg.params.n])
     _write_csv(os.path.join(out, "ground_state.csv"), header,
                [(cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L, "converged",
                  gs.iterations, gs.residual, norm_h1(gs.u_even), center)])
-    write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", cfg.params.p, math.inf)
+    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     return 0
 
 
 def _cmd_solve(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg, allow_supercritical=False)
-    write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", rp.p, math.inf)
+    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", rp.p, math.inf)
     u_c, rep, act = _run_one(cfg, rp, gs, probe=False)
     _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
     if u_c is None:
@@ -302,7 +302,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     scale = math.sqrt(2.0 * cfg.params.m * cfg.params.mu)
     if abs(scale - 1.0) > 1e-15 or abs(cfg.params.mu - 1.0) > 1e-15:
         target = Grid(cfg.grid.n, cfg.grid.N, cfg.grid.L / scale)
-        physical = lift_solution(u_c, cfg.params, target)
+        physical = lift_solution(cfg.grid.even.lift(u_c), cfg.params, target)
         write_field(os.path.join(out, "u_c_physical.bin"), physical,
                     "u_c_physical", cfg.params.p, cfg.params.c)
     return 0
@@ -321,7 +321,7 @@ def _sweep_rows(cfg: RunConfig, gs, probe: bool):
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     gs = _limit_state(cfg, allow_supercritical=cfg.probe)
-    write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", cfg.params.p, math.inf)
+    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     if cfg.find_threshold:
         return _cmd_find_threshold(cfg, gs, out)
     results = _sweep_rows(cfg, gs, cfg.probe)
@@ -349,7 +349,7 @@ def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
 
 def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
     gs = _limit_state(cfg, allow_supercritical=False)
-    write_field(os.path.join(out, "u_inf.bin"), gs.u, "u_inf", cfg.params.p, math.inf)
+    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     results = _sweep_rows(cfg, gs, probe=False)
     _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
                [_solve_row(rep, act) for rep, act in results])

@@ -17,7 +17,7 @@ or supercritical p, where the construction preconditions do not hold.
 
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
-there, and only a converged u_c is lifted to the full grid.
+there, and solve() returns u_c there too.
 
 What does not depend on the start w0 (the operator L, R_c and its norm, the
 contraction-ball ceiling) is a Construction, built by prepare(). solve()
@@ -166,7 +166,7 @@ def prepare(rp: ReducedParams, gs: GroundState,
 def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
           probe: bool = False, tol: ToleranceSet = ToleranceSet(),
           construction: Construction = None):
-    """Construct the solitary wave u_c = u_inf + w; returns (u_c, SolveReport).
+    """Construct the solitary wave u_c = u_inf + w on grid.even; returns (u_c, SolveReport).
 
     gs is the limit ground state u_inf for rp.p on grid (checked); a start w0
     is a field on grid.even (checked), as random_start() builds it, and is
@@ -230,7 +230,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
             residual = limit_residual(u_c, rp.p, rp.c_tilde)
             report = replace(report, final_residual=residual)
             if residual <= tol.tol_residual:
-                return block.lift(u_c), replace(report, outcome=OUTCOME_CONVERGED)
+                return u_c, replace(report, outcome=OUTCOME_CONVERGED)
             return None, replace(report, message=f"step tolerance met but residual "
                                                  f"{residual:.3e} > tol_residual "
                                                  f"{tol.tol_residual:g}")

@@ -7,8 +7,8 @@ Solved by the Petviashvili spectral renormalization iteration
 
 with radial symmetrization after every step. The iterates are radial, so the
 seed is built, the iteration runs and its residual is checked on the grid's
-even block (see spectral); the ground state keeps the block iterate, u_even,
-and lifts it to the full grid when u is first read. M_k converges to 1
+even block (see spectral), and the ground state is the block iterate, u_even;
+only a field dump lifts it to the full grid. M_k converges to 1
 exactly when the iterates converge to a solution. Negative values of an
 iterate (transients of the first few steps) are clamped to zero before taking
 fractional powers; the clamp count is reported in full-grid points.
@@ -17,7 +17,6 @@ fractional powers; the clamp count is reported in full-grid points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,11 +46,6 @@ class GroundState:
     @property
     def grid(self) -> Grid:
         return self.u_even.grid.grid
-
-    @cached_property
-    def u(self) -> Field:
-        """The ground state on the full grid, lifted from u_even on first read."""
-        return self.u_even.grid.lift(self.u_even)
 
 
 def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:

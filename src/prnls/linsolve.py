@@ -66,15 +66,6 @@ class LinearizedOperator:
         return self.rp.c_tilde
 
     @cached_property
-    def pc_half(self) -> np.ndarray:
-        return half_spectrum_multiplier(self.grid, p_c(self.c))
-
-    @cached_property
-    def potential(self) -> Field:
-        """The potential on the full grid."""
-        return self.grid.even.lift(self.potential_even)
-
-    @cached_property
     def pc_even(self) -> np.ndarray:
         return half_spectrum_multiplier(self.grid.even, p_c(self.c))
 
@@ -93,15 +84,12 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
 
 
 def apply(op: LinearizedOperator, w: Field) -> Field:
-    """L w = P_c(D) w - p u_inf^{p-1} w, for w on op's grid or on its even block."""
-    if w.grid == op.grid:
-        pc, pot = op.pc_half, op.potential
-    elif w.grid == op.grid.even:
-        pc, pot = op.pc_even, op.potential_even
-    else:
-        raise ValueError("field grid does not match operator grid")
-    pw = half_spectrum_apply(w.grid, w.values, pc)
-    return Field(w.grid, pw - pot.values * w.values)
+    """L w = P_c(D) w - p u_inf^{p-1} w, for w on the even block of op's grid."""
+    block = op.grid.even
+    if w.grid != block:
+        raise ValueError("field does not live on the even block of the operator's grid")
+    pw = half_spectrum_apply(block, w.values, op.pc_even)
+    return Field(block, pw - op.potential_even.values * w.values)
 
 
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
@@ -184,17 +172,15 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
 def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) -> Field:
     """Solve L w = f to relative residual <= tol on the original system.
 
-    f is projected onto the radial subspace first (symmetrize_radial), and
-    every Krylov iterate is radial, as it lives on the orbit representatives;
-    a non-radial f is solved for its projection. f may live on op's grid or on
-    its even block, and w lives where f does: a full-grid f is restricted (its
-    sign-flip average), solved on the block and lifted.
+    f and w live on the even block of op's grid (a full-grid f raises
+    ValueError; EvenBlock.restrict takes its sign-flip average). f is
+    projected onto the radial subspace first (symmetrize_radial), and every
+    Krylov iterate is radial, as it lives on the orbit representatives; a
+    non-radial f is solved for its projection.
     """
     block = op.grid.even
-    if f.grid == op.grid:
-        return block.lift(invert(op, block.restrict(f), tol))
     if f.grid != block:
-        raise ValueError("field grid does not match operator grid")
+        raise ValueError("field does not live on the even block of the operator's grid")
     f = symmetrize_radial(f)
     fnorm = norm_lq(f, 2)
     if fnorm == 0.0:

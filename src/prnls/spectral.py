@@ -6,23 +6,24 @@ operators diagonally on the discrete frequency lattice xi_k = (pi/L) k.
 
 Two substrates
 --------------
-* The full periodic grid (Grid): N^n points, any real field. What leaves
-  the solver lives here: ground states, solutions, dumps, diagnostics,
-  resample and the norm probe. No radial field is built or projected here.
+* The full periodic grid (Grid): N^n points, any real field. Field dumps,
+  resample (hence lift_solution) and the norm probe live here. No radial
+  field is built, projected or solved for here.
 * The even block (Grid.even, an EvenBlock): the non-negative orthant
   x = j h, j = 0..N/2 per axis. A field even in every coordinate is fully set
-  by these (N/2+1)^n values, and every field the solver iterates on is radial,
-  hence even; the solver builds its fields here and lifts its results to the
-  full grid. A block point stands for `weights` full-grid points (1 on the
-  x = 0 and x = L faces, 2 inside, multiplied over axes), so sums over the
-  block reproduce full-grid sums. EvenBlock.restrict is the one projection
-  from the full grid: the average over the sign flips x_a -> -x_a, so
-  symmetrize_radial on a Grid is restrict, the block's permutation average,
-  and lift. EvenBlock.orbits describes the block's axis-permutation orbits,
-  whose representatives j_1 <= ... <= j_n (C(N/2+n, n) points) set a
-  permutation-symmetric block field, so the Krylov solve runs on them alone.
-A Field lives on one of the two, and every function below takes the path of
-the grid its field lives on.
+  by these (N/2+1)^n values, and every field the solver and the diagnostics
+  touch is radial, hence even: ground states, solutions and their identities
+  live here end to end. A block point stands for `weights` full-grid points
+  (1 on the x = 0 and x = L faces, 2 inside, multiplied over axes), so sums
+  over the block reproduce full-grid sums. EvenBlock.restrict is the one
+  projection from the full grid, the average over the sign flips
+  x_a -> -x_a, and EvenBlock.lift the one way back, which write_field takes
+  for a block field. EvenBlock.orbits describes the block's
+  axis-permutation orbits, whose representatives j_1 <= ... <= j_n
+  (C(N/2+n, n) points) set a permutation-symmetric block field, so the
+  Krylov solve runs on them alone.
+A Field lives on one of the two, and the transforms and norms below take the
+path of the grid its field lives on.
 
 Conventions
 -----------
@@ -535,17 +536,14 @@ def intersection_norm(f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 def symmetrize_radial(f: Field) -> Field:
-    """Average over the grid symmetry group (sign flips and axis permutations).
+    """Average of an EvenBlock field over the grid symmetry group.
 
-    On an EvenBlock every field is already even, so only the permutation
-    average is taken. On a Grid, EvenBlock.restrict takes the sign-flip
-    average, the block takes the permutation average, and the result is
-    lifted (the flip average is permutation-equivariant, so this is the full
-    group average). Idempotent up to roundoff.
+    A block field is already even, so the average is the one over the axis
+    permutations. A full-grid field raises ValueError: EvenBlock.restrict
+    takes its sign-flip average onto the block. Idempotent up to roundoff.
     """
-    if isinstance(f.grid, Grid):
-        block = f.grid.even
-        return block.lift(symmetrize_radial(block.restrict(f)))
+    if not isinstance(f.grid, EvenBlock):
+        raise ValueError("symmetrize_radial takes an even-block field; restrict it first")
     perms = list(itertools.permutations(range(f.grid.n)))
     return Field(f.grid, sum(np.transpose(f.values, perm) for perm in perms) / len(perms))
 
@@ -562,6 +560,8 @@ def resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
     DomainOverflowError if the rescaled points leave the source box.
     """
     src = f.grid
+    if not isinstance(src, Grid):
+        raise ValueError("resample takes a full-grid field; lift a block field first")
     if target.n != src.n:
         raise ValueError("resample requires matching dimensions")
     if scale <= 0 or not math.isfinite(scale):
@@ -609,10 +609,13 @@ def write_field(path, f: Field, label: str, p: float = float("nan"),
     """Write a field dump: one metadata line, then raw little-endian float64.
 
     Layout: b"n=<n> N=<N> L=<repr> p=<repr> c=<repr> label=<label>\\n" followed
-    by the values row-major. Round-trips bit-exactly.
+    by the full-grid values row-major; a block field is written as its lift.
+    A full-grid field round-trips bit-exactly.
     """
     if any(ch.isspace() for ch in label) or not label:
         raise ValueError(f"label must be non-empty and contain no whitespace: {label!r}")
+    if isinstance(f.grid, EvenBlock):
+        f = f.grid.lift(f)
     head = (f"n={f.grid.n} N={f.grid.N} L={f.grid.L!r} p={float(p)!r} "
             f"c={float(c)!r} label={label}\n")
     with open(path, "wb") as fh:

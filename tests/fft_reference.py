@@ -11,8 +11,10 @@ full_grid_symmetrize_radial and full_grid_gaussian are the radial
 projection and the Petviashvili seed as they were built on the full grid,
 before the even block became the only place that builds or projects a
 radial field; gather is EvenBlock.restrict as it was then.
-full_grid_invert is the linearized inversion on the full periodic grid, the
-path invert() took before it moved to the even block. lstsq_gmres is the
+full_grid_pc, full_grid_potential and full_grid_apply are the linearized
+operator on the full periodic grid, as LinearizedOperator and apply() once
+held it, and full_grid_invert is the linearized inversion there, the path
+invert() took before it moved to the even block. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
 every step, the loop _gmres ran before it updated the residual by Givens
 rotations.
@@ -25,7 +27,9 @@ import scipy.fft
 
 from prnls.errors import ConvergenceError
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import Field, _require_real, gradient, half_spectrum_apply, norm_lq
+from prnls.spectral import (Field, _require_real, gradient, half_spectrum_apply,
+                            half_spectrum_multiplier, norm_lq)
+from prnls.symbols import p_c
 
 from conftest import radius_sq
 
@@ -135,6 +139,22 @@ def full_grid_gaussian(grid, p: float, width: float = 1.0) -> Field:
     return float((quad / source) ** (1.0 / (p - 1.0))) * shape
 
 
+def full_grid_pc(op) -> np.ndarray:
+    """P_c(D) of op on the rfftn half lattice of its grid."""
+    return half_spectrum_multiplier(op.grid, p_c(op.c))
+
+
+def full_grid_potential(op) -> Field:
+    """op's potential p max(u_inf, 0)^{p-1} on the full grid, lifted from the block."""
+    return op.grid.even.lift(op.potential_even)
+
+
+def full_grid_apply(op, w: Field) -> Field:
+    """L w = P_c(D) w - p u_inf^{p-1} w for a full-grid w, by the rfftn pair."""
+    pw = half_spectrum_apply(op.grid, w.values, full_grid_pc(op))
+    return Field(op.grid, pw - full_grid_potential(op).values * w.values)
+
+
 def full_grid_krylov_operator(op, project=True):
     """invert()'s Krylov operator Id - p u_inf^{p-1} P_c^{-1} on the full grid.
 
@@ -142,11 +162,12 @@ def full_grid_krylov_operator(op, project=True):
     full_grid_symmetrize_radial unless project is False.
     """
     grid = op.grid
-    inv_pc = 1.0 / op.pc_half
+    inv_pc = 1.0 / full_grid_pc(op)
+    pot = full_grid_potential(op).values
 
     def apply_b(v):
         flat = v.reshape(grid.shape)
-        out = flat - op.potential.values * half_spectrum_apply(grid, flat, inv_pc)
+        out = flat - pot * half_spectrum_apply(grid, flat, inv_pc)
         if project:
             out = full_grid_symmetrize_radial(Field(grid, out)).values
         return out.ravel()
@@ -170,7 +191,7 @@ def full_grid_invert(op, f: Field, tol: float):
 
     b = f.values.ravel()
     v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)), _RESTART, _MAX_KRYLOV)
-    w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / op.pc_half))
+    w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
     return full_grid_symmetrize_radial(w), len(calls)
 
 

@@ -19,14 +19,14 @@ from prnls.diagnostics import (check_identities, extension_weights, fit_rate,
                                nonexistence_certificate, trace_inequality_check)
 from prnls.fixed_point import OUTCOME_CONVERGED, random_start, solve
 from prnls.ground_state import solve_limit_equation
-from prnls.linsolve import apply, invert, linearized_operator, operator_norm_probe
+from prnls.linsolve import invert, linearized_operator, operator_norm_probe
 from prnls.params import ReducedParams
-from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
-                            random_band_limited, symmetrize_radial)
+from prnls.spectral import Field, Grid, intersection_norm, norm_h1, norm_lq, random_band_limited
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds)
 
 from conftest import C5_LADDER, sample_field
+from fft_reference import full_grid_apply, full_grid_symmetrize_radial
 from strip_oracle import halfspace_fd_weights
 
 
@@ -76,7 +76,7 @@ def test_criterion_03_closed_form_ground_states():
     errors = {}
     for p, exact in cases.items():
         gs = solve_limit_equation(ReducedParams(1, p, 8.0), grid, tol=1e-12)
-        errors[p] = float(np.max(np.abs(gs.u.values - exact)))
+        errors[p] = float(np.max(np.abs(grid.even.lift(gs.u_even).values - exact)))
         assert errors[p] < 1e-6, (p, errors[p])
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -88,16 +88,19 @@ def test_criterion_04_linear_solver_roundtrip(gs2d_small, gs3d):
     start = time.perf_counter()
     worst = 0.0
     count = 0
+    # invert runs on the even block; the round trip is measured on the full
+    # grid, by the rfftn operator, independently of the block transforms
     for n, p, gs in ((2, 3.0, gs2d_small), (3, 1.8, gs3d)):
-        grid = gs.u.grid
+        grid = gs.grid
+        block = grid.even
         for c in (4.0, 16.0, 64.0):
             op = linearized_operator(ReducedParams(n, p, c), gs)
             for k in range(20):
                 rng = np.random.default_rng([4, n, int(c), k])
-                f = symmetrize_radial(random_band_limited(grid, rng, 4.0))
+                f = full_grid_symmetrize_radial(random_band_limited(grid, rng, 4.0))
                 f = Field(grid, f.values / norm_lq(f, 2))
-                w = invert(op, f, tol=1e-10)
-                rel = norm_lq(apply(op, w) - f, 2) / norm_lq(f, 2)
+                w = block.lift(invert(op, block.restrict(f), tol=1e-10))
+                rel = norm_lq(full_grid_apply(op, w) - f, 2) / norm_lq(f, 2)
                 worst = max(worst, rel)
                 count += 1
     elapsed = time.perf_counter() - start
@@ -121,7 +124,7 @@ def test_criterion_05_existence_sweep_converges(c5_runs, gs2d, grid2d):
     start = time.perf_counter()
     rp = ReducedParams(2, 3.0, 8.0)
     base = runs[8.0][0]
-    delta = 0.5 * norm_h1(gs2d.u)
+    delta = 0.5 * norm_h1(gs2d.u_even)
     dists = []
     for seed in (1, 2):
         w0 = random_start(grid2d, np.random.default_rng(seed), delta)
@@ -193,7 +196,7 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
     outcomes = set()
     for c in (0.5, 1.0, 1.4):
         rp = ReducedParams(2, 3.0, c)
-        scale = 0.3 * intersection_norm(gs2d_small.u)
+        scale = 0.3 * intersection_norm(gs2d_small.u_even)
         for k in range(50):
             rng = np.random.default_rng([0, k])
             w0 = random_start(grid2d_small, rng, scale)
@@ -201,13 +204,13 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
             outcomes.add(rep.outcome)
             assert u_c is None
             assert rep.outcome in ("collapsed", "diverged"), (c, k, rep.outcome)
-        cert = nonexistence_certificate(gs2d_small.u, rp)
+        cert = nonexistence_certificate(gs2d_small.u_even, rp)
         assert cert.regime == "A"
         assert cert.combined_lhs > 0.0 >= cert.combined_rhs
 
     rp3 = ReducedParams(3, 5.0, 4.0)
     gs3 = solve_limit_equation(rp3, grid3d, tol=1e-12, allow_supercritical=True)
-    scale = 0.3 * intersection_norm(gs3.u)
+    scale = 0.3 * intersection_norm(gs3.u_even)
     genuine = 0
     converged = 0
     for k in range(50):
@@ -218,7 +221,7 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
             converged += 1
             if check_identities(u_c, rp3).max_mismatch < 1e-6:
                 genuine += 1
-    cert_b = nonexistence_certificate(gs3.u, rp3)
+    cert_b = nonexistence_certificate(gs3.u_even, rp3)
     assert cert_b.regime == "B" and cert_b.combined_lhs > 0.0
     elapsed = time.perf_counter() - start
     assert genuine == 0

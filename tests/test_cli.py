@@ -1,11 +1,12 @@
 import csv
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prnls import fixed_point
+from prnls import cli, fixed_point
 from prnls.cli import _SCHEMA, COMMANDS, RunConfig, _write_manifest, main, parse_config
 from prnls.errors import ConfigError, ConvergenceError
 from prnls.spectral import read_field
@@ -512,6 +513,33 @@ rungs = 3
     rows = _read_rows(out / "sweep.csv")
     assert len(rows) == 3
     assert [r["outcome"] for r in rows] == ["diverged", "converged", "converged"]
+
+
+def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch):
+    # writing u_inf.bin must leave no full-grid copy on the ground state, which
+    # every job of a --workers sweep pickles
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
+    sizes = []
+    limit_state, sweep_rows = cli._limit_state, cli._sweep_rows
+
+    def job_size(cfg, gs):
+        return len(pickle.dumps((cfg, cfg.sweep.c_min, gs, False)))
+
+    def recording_limit_state(cfg, allow_supercritical):
+        gs = limit_state(cfg, allow_supercritical)
+        sizes.append(job_size(cfg, gs))
+        return gs
+
+    def recording_sweep_rows(cfg, gs, probe):
+        sizes.append(job_size(cfg, gs))
+        return sweep_rows(cfg, gs, probe)
+
+    monkeypatch.setattr(cli, "_limit_state", recording_limit_state)
+    monkeypatch.setattr(cli, "_sweep_rows", recording_sweep_rows)
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+    assert (out / "u_inf.bin").exists()
+    assert len(sizes) == 2 and sizes[0] == sizes[1]
 
 
 def test_sweep_find_threshold(tmp_path):

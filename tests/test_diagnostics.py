@@ -70,7 +70,7 @@ def test_identities_hold_for_converged_solution(uc16_small):
 def test_identities_reject_wrong_speed(gs2d_small):
     # u_inf solves the limit equation, not the c = 4 equation: the mismatch is
     # far above solver noise and scales like 1/c^2
-    rep = check_identities(gs2d_small.u, ReducedParams(2, 3.0, 4.0))
+    rep = check_identities(gs2d_small.u_even, ReducedParams(2, 3.0, 4.0))
     assert rep.nehari.rel_mismatch > 1e-3
 
 
@@ -173,7 +173,7 @@ def test_certificate_vacuous_for_zero_field():
 
 def test_certificate_regime_a_signs(gs2d_small):
     for c in (0.5, 1.0, 1.4):
-        cert = nonexistence_certificate(gs2d_small.u, ReducedParams(2, 3.0, c))
+        cert = nonexistence_certificate(gs2d_small.u_even, ReducedParams(2, 3.0, c))
         assert cert.regime == "A"
         assert cert.combined_lhs > 0.0
         assert cert.combined_rhs <= 0.0

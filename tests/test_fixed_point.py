@@ -18,8 +18,7 @@ from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
                             signed_power, symmetrize_radial)
 from prnls.symbols import p_c
 
-from conftest import radius_sq
-from fft_reference import fft_multiplier
+from fft_reference import fft_multiplier, full_grid_symmetrize_radial
 
 
 def test_remainder_vanishes_at_infinite_speed(gs2d_small):
@@ -63,7 +62,7 @@ def test_nonlinear_q_cubic_closed_form(gs2d_small):
     block = gs2d_small.grid.even
     w = block.restrict(Field(gs2d_small.grid, 0.1 * rng.standard_normal(gs2d_small.grid.shape)))
     got = fp.nonlinear_q(linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small), w)
-    u = block.restrict(gs2d_small.u).values
+    u = gs2d_small.u_even.values
     uw = u + w.values
     exact = signed_power(uw, 3.0) - u ** 3 - 3.0 * u ** 2 * w.values
     # for p = 3 that expansion collapses to 3 u w^2 + w^3 wherever u + w >= 0
@@ -83,7 +82,7 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
         gs = solve_limit_equation(ReducedParams(2, p, 8.0), grid, tol=1e-12)
     rng = np.random.default_rng(7)
     from prnls.spectral import random_band_limited
-    v = grid.even.restrict(symmetrize_radial(random_band_limited(grid, rng, 3.0)))
+    v = symmetrize_radial(grid.even.restrict(random_band_limited(grid, rng, 3.0)))
     v = Field(v.grid, v.values / norm_h1(v))
     eps = np.array([1e-1, 1e-2, 1e-3])
     op = linearized_operator(ReducedParams(2, p, 8.0), gs)
@@ -119,7 +118,7 @@ def test_phi_at_zero_is_remainder(gs2d_small):
 def test_phi_contracts_small_pairs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 64.0), gs2d_small)
     rc = fp.remainder_rc(op)
-    delta = 0.1 * norm_h1(gs2d_small.u)
+    delta = 0.1 * norm_h1(gs2d_small.u_even)
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(500 + seed)
@@ -136,7 +135,7 @@ def test_random_start_properties(grid2d_small):
     assert w.grid == grid2d_small.even
     assert intersection_norm(w) == pytest.approx(0.25, rel=1e-12)
     full = grid2d_small.even.lift(w)
-    sym = symmetrize_radial(full)
+    sym = full_grid_symmetrize_radial(full)
     assert np.max(np.abs(sym.values - full.values)) < 1e-12
 
 
@@ -146,7 +145,8 @@ def test_random_start_matches_full_grid_construction(grid):
     # rfftn band mask, full symmetrization, then restriction (gap 1.0e-15 on 64^3)
     from prnls.spectral import random_band_limited
     for seed in range(3):
-        full = symmetrize_radial(random_band_limited(grid, np.random.default_rng(seed), 4.0))
+        full = full_grid_symmetrize_radial(
+            random_band_limited(grid, np.random.default_rng(seed), 4.0))
         ref = grid.even.restrict(full * (0.7 / intersection_norm(full))).values
         got = fp.random_start(grid, np.random.default_rng(seed), 0.7).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -159,9 +159,11 @@ def test_solve_baseline_converges(uc16_small):
     assert rep.final_residual < 1e-8
     assert rep.contraction_estimate < 1.0
     assert rep.iterations <= 200
-    # positive on the bulk; the far field carries ~1e-7 spectral ringing
+    # on the even block; positive on the bulk, while the far field carries
+    # ~1e-7 spectral ringing
+    assert u_c.grid == u_c.grid.grid.even
     peak = np.max(u_c.values)
-    bulk = radius_sq(u_c.grid) <= (u_c.grid.L / 3.0) ** 2
+    bulk = u_c.grid.radius_sq <= (u_c.grid.grid.L / 3.0) ** 2
     assert np.all(u_c.values[bulk] > 0.0)
     assert np.min(u_c.values) >= -1e-6 * peak
     sym = symmetrize_radial(u_c)
@@ -178,6 +180,7 @@ def test_solve_report_steps_decrease(uc16_small):
 
 def test_independent_residual_recompute(uc16_small):
     u_c, rep = uc16_small
+    u_c = u_c.grid.lift(u_c)
     pc_u = fft_multiplier(p_c(16.0), u_c)
     resid = norm_lq(Field(u_c.grid, pc_u.values - signed_power(u_c.values, 3.0)), 2)
     assert resid <= 1e-8
@@ -188,7 +191,7 @@ def test_independent_residual_recompute(uc16_small):
 
 def test_fixed_point_property(uc16_small, gs2d_small):
     u_c, rep = uc16_small
-    w_star = gs2d_small.grid.even.restrict(u_c - gs2d_small.u)
+    w_star = u_c - gs2d_small.u_even
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     rc = fp.remainder_rc(op)
     drift = intersection_norm(fp.phi(op, w_star, rc=rc) - w_star)
@@ -198,7 +201,7 @@ def test_fixed_point_property(uc16_small, gs2d_small):
 def test_multi_start_uniqueness(gs2d_small, uc16_small):
     u_base, _ = uc16_small
     rp = ReducedParams(2, 3.0, 16.0)
-    delta = norm_h1(gs2d_small.u)
+    delta = norm_h1(gs2d_small.u_even)
     for seed in (1, 2):
         rng = np.random.default_rng(seed)
         w0 = fp.random_start(gs2d_small.grid, rng, delta / 2)
@@ -211,7 +214,7 @@ def test_large_speed_limit_1d(gs1d):
     rp = ReducedParams(1, 3.0, 1e4)
     u_c, rep = fp.solve(rp, gs1d.grid, gs=gs1d)
     assert rep.converged
-    assert np.max(np.abs(u_c.values - gs1d.u.values)) < 1e-6
+    assert np.max(np.abs(u_c.values - gs1d.u_even.values)) < 1e-6
 
 
 def test_probe_mode_below_existence_threshold(gs2d_small):
@@ -254,7 +257,7 @@ def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, se
     except SolverError:
         assume(False)
     w0 = fp.random_start(grid, np.random.default_rng(seed),
-                         10.0 ** scale_exp * intersection_norm(gs.u))
+                         10.0 ** scale_exp * intersection_norm(gs.u_even))
     u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=probe)
     assert rep.outcome in _OUTCOMES
     assert (u_c is None) == (not rep.converged)
@@ -268,7 +271,7 @@ def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
     grid = Grid(2, 32, 10.0)
     gs = solve_limit_equation(rp, grid)
     w0 = fp.random_start(grid, np.random.default_rng(0),
-                         10.0 ** exponent * intersection_norm(gs.u))
+                         10.0 ** exponent * intersection_norm(gs.u_even))
     u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
     assert u_c is None
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
@@ -282,7 +285,7 @@ def test_start_near_the_float64_limit_reports_its_norm(exponent):
     rp = ReducedParams(2, 1.2, 1.0)
     grid = Grid(2, 32, 10.0)
     gs = solve_limit_equation(rp, grid)
-    scale = 10.0 ** exponent * intersection_norm(gs.u)
+    scale = 10.0 ** exponent * intersection_norm(gs.u_even)
     w0 = fp.random_start(grid, np.random.default_rng(0), scale)
     u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
     assert u_c is None
@@ -306,7 +309,7 @@ def test_prepared_construction_changes_nothing(gs2d_small, monkeypatch):
     assert _solve_both_ways(ReducedParams(2, 3.0, 16.0), gs2d_small).converged
 
     w0 = fp.random_start(gs2d_small.grid, np.random.default_rng(7),
-                         0.3 * intersection_norm(gs2d_small.u))
+                         0.3 * intersection_norm(gs2d_small.u_even))
     rep = _solve_both_ways(ReducedParams(2, 3.0, 1.0), gs2d_small, w0=w0, probe=True)
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations >= 1
 
@@ -340,9 +343,10 @@ def test_preconditions_without_probe(gs2d_small, gs3d):
         fp.solve(ReducedParams(2, 3.0, 16.0), Grid(3, 16, 10.0), gs=gs2d_small)
     with pytest.raises(ValueError, match="does not match"):
         fp.solve(ReducedParams(2, 2.5, 16.0), gs2d_small.grid, gs=gs2d_small)
-    with pytest.raises(ValueError, match="even block"):
-        fp.solve(ReducedParams(2, 3.0, 16.0), gs2d_small.grid, gs=gs2d_small,
-                 w0=Field.zeros(gs2d_small.grid))
+    # a start on the full grid, or on another grid's block
+    for w0 in (Field.zeros(gs2d_small.grid), Field.zeros(Grid(2, 64, 20.0).even)):
+        with pytest.raises(ValueError, match="even block"):
+            fp.solve(ReducedParams(2, 3.0, 16.0), gs2d_small.grid, gs=gs2d_small, w0=w0)
 
 
 def test_convergence_threshold_bisection():

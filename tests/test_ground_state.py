@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_multiplier, nor
                             plancherel_sum, symmetrize_radial)
 from prnls.symbols import p_c
 
-from conftest import radius_sq
 from fft_reference import full_grid_gaussian
 
 
@@ -23,7 +23,7 @@ def norm_hs(f, s):
 
 def regularity_report(gs, s_values=(1.0, 2.0, 3.0, 4.0)):
     """Sobolev norms ||u||_{H^s} of the ground state for each requested s."""
-    return {float(s): norm_hs(gs.u, float(s)) for s in s_values}
+    return {float(s): norm_hs(gs.u_even, float(s)) for s in s_values}
 
 
 def _closed_form_soliton(x, p):
@@ -35,8 +35,8 @@ def _closed_form_soliton(x, p):
 def test_1d_cubic_matches_sqrt2_sech(gs1d):
     x = gs1d.grid.axis_coords
     exact = math.sqrt(2) * (1.0 / np.cosh(x))
-    assert np.max(np.abs(gs1d.u.values - exact)) < 1e-6
-    center = gs1d.u.values[gs1d.grid.N // 2]
+    assert np.max(np.abs(gs1d.grid.even.lift(gs1d.u_even).values - exact)) < 1e-6
+    center = gs1d.u_even.values[0]
     assert center == pytest.approx(1.4142136, abs=1e-6)
 
 
@@ -44,8 +44,8 @@ def test_1d_quadratic_matches_sech_squared():
     grid = Grid(1, 1024, 20.0 * np.pi)
     gs = solve_limit_equation(ReducedParams(1, 2.0, 8.0), grid, tol=1e-12)
     exact = _closed_form_soliton(grid.axis_coords, 2.0)
-    assert np.max(np.abs(gs.u.values - exact)) < 1e-6
-    assert gs.u.values[grid.N // 2] == pytest.approx(1.5, abs=1e-6)
+    assert np.max(np.abs(grid.even.lift(gs.u_even).values - exact)) < 1e-6
+    assert gs.u_even.values[0] == pytest.approx(1.5, abs=1e-6)
 
 
 def test_closed_form_family_satisfies_limit_equation():
@@ -58,9 +58,11 @@ def test_closed_form_family_satisfies_limit_equation():
 
 @pytest.mark.parametrize("name", ["gs3d", "gs2d_small", "gs2d"])
 def test_u_even_is_the_restricted_ground_state(name, request):
-    # the block iterate u lifts, which restrict gives back bit for bit
+    # the block iterate lifts to the full grid, where restrict gives it back
+    # bit for bit
     gs = request.getfixturevalue(name)
-    assert np.array_equal(gs.u_even.values, gs.grid.even.restrict(gs.u).values)
+    block = gs.grid.even
+    assert np.array_equal(gs.u_even.values, block.restrict(block.lift(gs.u_even)).values)
 
 
 def test_petviashvili_factor_converges_to_one(gs1d):
@@ -68,7 +70,9 @@ def test_petviashvili_factor_converges_to_one(gs1d):
 
 
 def test_residual_definition_consistent(gs1d):
-    assert gs1d.residual == pytest.approx(limit_residual(gs1d.u, 3.0), rel=1e-12)
+    # the same block computation as the solver's exit check, so equal bit for
+    # bit; abs=0 keeps pytest.approx from accepting any gap below 1e-12
+    assert gs1d.residual == pytest.approx(limit_residual(gs1d.u_even, 3.0), rel=1e-12, abs=0)
     assert gs1d.residual <= 1e-11
 
 
@@ -92,7 +96,7 @@ _BLOCK_RESIDUAL_ABS_FLOOR = 2.5e-14
 def test_limit_residual_on_the_block_is_the_lifted_one(name, request):
     gs = request.getfixturevalue(name)
     block = gs.grid.even
-    gap = abs(limit_residual(gs.u_even, gs.p) - limit_residual(gs.u, gs.p))
+    gap = abs(limit_residual(gs.u_even, gs.p) - limit_residual(block.lift(gs.u_even), gs.p))
     assert gap <= _BLOCK_RESIDUAL_ABS_FLOOR
     noise = np.random.default_rng(3).standard_normal(block.shape)
     f = symmetrize_radial(Field(block, gs.u_even.values * (1.0 + 0.1 * noise)))
@@ -101,11 +105,14 @@ def test_limit_residual_on_the_block_is_the_lifted_one(name, request):
         assert abs(limit_residual(f, gs.p, c) - lifted) <= _BLOCK_RESIDUAL_REL_FLOOR * lifted
 
 
-def test_ground_state_lifts_u_on_first_read():
+def test_ground_state_holds_only_the_block_field():
+    # no full-grid copy rides along: a pickled ground state (a sweep job)
+    # carries the (N/2+1)^n block values and nothing N^n
     gs = solve_limit_equation(ReducedParams(2, 3.0, 8.0), Grid(2, 32, 10.0))
-    assert "u" not in vars(gs)
-    assert np.array_equal(gs.u.values, gs.grid.even.lift(gs.u_even).values)
-    assert gs.u is gs.u
+    assert not hasattr(gs, "u")
+    held = [f.name for f in dataclasses.fields(gs) if isinstance(getattr(gs, f.name), Field)]
+    assert held == ["u_even"] and gs.u_even.grid == gs.grid.even
+    assert vars(gs).keys() == {f.name for f in dataclasses.fields(gs)}
 
 
 def test_positive_everywhere(gs1d, gs2d_small):
@@ -113,19 +120,20 @@ def test_positive_everywhere(gs1d, gs2d_small):
     # iterate carries ~1e-7 spectral ringing around zero, so the global
     # statement is "no visible negative mass"
     for gs in (gs1d, gs2d_small):
-        peak = np.max(gs.u.values)
-        bulk = radius_sq(gs.grid) <= (gs.grid.L / 3.0) ** 2
-        assert np.all(gs.u.values[bulk] > 0.0)
-        assert np.min(gs.u.values) >= -1e-6 * peak
+        u = gs.u_even.values
+        peak = np.max(u)
+        bulk = gs.grid.even.radius_sq <= (gs.grid.L / 3.0) ** 2
+        assert np.all(u[bulk] > 0.0)
+        assert np.min(u) >= -1e-6 * peak
 
 
 def test_radially_invariant(gs2d_small):
-    s = symmetrize_radial(gs2d_small.u)
-    assert np.max(np.abs(s.values - gs2d_small.u.values)) < 1e-10
+    s = symmetrize_radial(gs2d_small.u_even)
+    assert np.max(np.abs(s.values - gs2d_small.u_even.values)) < 1e-10
 
 
 def test_nehari_identity(gs2d_small):
-    u = gs2d_small.u
+    u = gs2d_small.grid.even.lift(gs2d_small.u_even)
     lhs = sum(norm_lq(d, 2) ** 2 for d in gradient(u)) + norm_lq(u, 2) ** 2
     rhs = norm_lq(u, 4.0) ** 4
     # rel 1e-6 rather than solver tolerance: the two sides are discretized
@@ -139,10 +147,10 @@ def test_boundary_decay(gs1d, gs2d_small):
     # shell still holds ~e^{-10} ~ 5e-5 of genuine amplitude; only the outer
     # shell is below 1e-6 of the peak
     for gs in (gs1d, gs2d_small):
-        grid = gs.grid
-        shell = radius_sq(grid) >= (0.9 * grid.L) ** 2
-        peak = np.max(gs.u.values)
-        assert np.max(gs.u.values[shell]) < 1e-6 * peak
+        u = gs.u_even.values
+        shell = gs.grid.even.radius_sq >= (0.9 * gs.grid.L) ** 2
+        peak = np.max(u)
+        assert np.max(u[shell]) < 1e-6 * peak
 
 
 def test_monotone_along_axes(gs2d_small):
@@ -150,7 +158,7 @@ def test_monotone_along_axes(gs2d_small):
     # checked down to 1e-6 of the peak; past that the profile is buried in
     # ~1e-7 spectral ringing
     N = gs2d_small.grid.N
-    vals = gs2d_small.u.values
+    vals = gs2d_small.grid.even.lift(gs2d_small.u_even).values
     peak = np.max(vals)
     for line in (vals[N // 2, N // 2:], vals[N // 2:, N // 2]):
         above = line >= 1e-6 * peak
@@ -166,7 +174,7 @@ def test_uniqueness_across_seed_widths(monkeypatch):
     for w in (0.5, 1.0, 2.0):
         monkeypatch.setattr(ground_state, "initial_gaussian",
                             lambda g, p, w=w: initial_gaussian(g, p, width=w))
-        solutions.append(solve_limit_equation(rp, grid, tol=1e-12).u.values)
+        solutions.append(solve_limit_equation(rp, grid, tol=1e-12).u_even.values)
     for other in solutions[1:]:
         assert np.max(np.abs(other - solutions[0])) < 1e-8
 
@@ -190,7 +198,7 @@ def test_block_seed_gives_the_full_grid_seeds_ground_state(name, request, monkey
                           symmetrize_radial(oracle).values)
     monkeypatch.setattr(ground_state, "initial_gaussian", lambda g, p: oracle)
     ref = solve_limit_equation(ReducedParams(grid.n, p, 8.0), grid, tol=1e-12)
-    assert np.array_equal(gs.u.values, ref.u.values)
+    assert np.array_equal(gs.u_even.values, ref.u_even.values)
     assert (gs.iterations, gs.residual) == (ref.iterations, ref.residual)
 
 
@@ -202,7 +210,7 @@ def test_regularity_report(gs1d):
     assert values == sorted(values)  # multiplier grows with s
 
     # H^0 consistency between the multiplier route and the plain L^2 norm
-    assert norm_hs(gs1d.u, 0.0) == pytest.approx(norm_lq(gs1d.u, 2), rel=1e-12)
+    assert norm_hs(gs1d.u_even, 0.0) == pytest.approx(norm_lq(gs1d.u_even, 2), rel=1e-12)
 
     # quadrature oracle: u = sqrt(2) sech has continuum transform
     # sqrt(2) pi sech(pi xi / 2), so ||u||_{H^s}^2 = pi * int (1+xi^2)^s sech^2(pi xi/2)

@@ -8,7 +8,9 @@ exempt: Python or the base class calls them.
 
 numpy is the package's only dependency: no module there imports scipy, which
 only the tests use. A module-level name is assigned in one module only; the
-others import it, so a constant cannot drift between two copies.
+others import it, so a constant cannot drift between two copies. Only spectral
+and cli lift a block field to the full grid (EvenBlock.lift), so no solver
+module grows a full-grid path back.
 """
 
 import ast
@@ -95,6 +97,23 @@ def assigned_names(src=SRC):
 
 def test_no_module_level_name_is_assigned_in_two_modules():
     assert {name: mods for name, mods in assigned_names().items() if len(mods) > 1} == {}
+
+
+def modules_referencing(name: str, src=SRC):
+    """Modules of src that use name as a bare name or an attribute name."""
+    return [path.stem for path in sorted(src.glob("*.py"))
+            if _references(ast.parse(path.read_text()))[name]]
+
+
+def test_only_spectral_and_cli_lift_to_the_full_grid():
+    assert [m for m in modules_referencing("lift") if m not in ("spectral", "cli")] == []
+
+
+def test_the_lift_check_flags_a_call_not_a_word(tmp_path):
+    (tmp_path / "calls.py").write_text("def f(block, u):\n    return block.lift(u)\n")
+    (tmp_path / "says.py").write_text('"""Lifts nothing; lift_solution is another name."""\n'
+                                      "def lift_solution(v):\n    return v\n")
+    assert modules_referencing("lift", tmp_path) == ["calls"]
 
 
 def test_the_check_flags_an_unreferenced_method(tmp_path, monkeypatch):

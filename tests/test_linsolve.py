@@ -15,13 +15,16 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             random_band_limited, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
-from conftest import radius_sq, sample_field
-from fft_reference import full_grid_invert, full_grid_krylov_operator, gather, lstsq_gmres
+from conftest import sample_field
+from fft_reference import (full_grid_invert, full_grid_krylov_operator, full_grid_pc,
+                           full_grid_potential, gather, lstsq_gmres)
 
 
 def _random_radial(grid, seed, kmax=4.0):
-    f = symmetrize_radial(random_band_limited(grid, np.random.default_rng(seed), kmax))
-    return Field(grid, f.values / norm_lq(f, 2))
+    """A radial band-limited field of unit L^2 norm, on grid's even block."""
+    f = random_band_limited(grid, np.random.default_rng(seed), kmax)
+    f = symmetrize_radial(grid.even.restrict(f))
+    return Field(f.grid, f.values / norm_lq(f, 2))
 
 
 def test_invert_raises_when_the_norm_of_f_overflows():
@@ -34,7 +37,7 @@ def test_invert_raises_when_the_norm_of_f_overflows():
 
 def test_apply_zero_is_zero(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    out = apply(op, Field.zeros(gs2d_small.grid))
+    out = apply(op, Field.zeros(gs2d_small.grid.even))
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -42,11 +45,12 @@ def test_potential_invariants(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     # nonnegative everywhere (the far field of the wave carries exact zeros),
     # strictly positive on the bulk, and radially symmetric
-    assert np.all(op.potential.values >= 0.0)
-    bulk = radius_sq(gs2d_small.grid) <= (gs2d_small.grid.L / 3.0) ** 2
-    assert np.all(op.potential.values[bulk] > 0.0)
-    sym = symmetrize_radial(op.potential)
-    assert np.max(np.abs(sym.values - op.potential.values)) < 1e-10
+    pot = op.potential_even
+    assert np.all(pot.values >= 0.0)
+    bulk = gs2d_small.grid.even.radius_sq <= (gs2d_small.grid.L / 3.0) ** 2
+    assert np.all(pot.values[bulk] > 0.0)
+    sym = symmetrize_radial(pot)
+    assert np.max(np.abs(sym.values - pot.values)) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
@@ -55,17 +59,19 @@ def test_block_potential_is_the_full_grid_formula(name, request):
     # lifting it gives the full-grid formula bit for bit
     gs = request.getfixturevalue(name)
     op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
-    ref = gs.p * np.maximum(gs.u.values, 0.0) ** (gs.p - 1.0)
-    assert np.array_equal(op.potential.values, ref)
+    u = gs.grid.even.lift(gs.u_even)
+    ref = gs.p * np.maximum(u.values, 0.0) ** (gs.p - 1.0)
+    assert np.array_equal(full_grid_potential(op).values, ref)
     assert np.array_equal(op.potential_even.values, gather(gs.grid.even, ref))
 
 
 def test_limit_operator_on_ground_state(gs2d_small):
     # with the nonrelativistic symbol the operator sends u_inf to (1-p) u_inf^p
     op = linearized_operator(ReducedParams(2, 3.0, math.inf), gs2d_small)
-    got = apply(op, gs2d_small.u)
-    expected = (1.0 - 3.0) * np.maximum(gs2d_small.u.values, 0.0) ** 3
-    diff = norm_lq(Field(gs2d_small.grid, got.values - expected), 2)
+    u = gs2d_small.u_even
+    got = apply(op, u)
+    expected = (1.0 - 3.0) * np.maximum(u.values, 0.0) ** 3
+    diff = norm_lq(Field(u.grid, got.values - expected), 2)
     assert diff < 1e-8
 
 
@@ -85,23 +91,23 @@ def test_roundtrip_recovers_input(gs2d_small, c):
         g = _random_radial(gs2d_small.grid, 100 + seed)
         f = apply(op, g)
         w = invert(op, f, tol=1e-10)
-        assert norm_lq(Field(gs2d_small.grid, w.values - g.values), 2) <= 1e-9
+        assert norm_lq(w - g, 2) <= 1e-9
 
 
 def test_invert_ground_state_at_large_speed(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 1e8), gs2d_small)
-    w = invert(op, gs2d_small.u, tol=1e-10)
-    back = apply(op, w)
-    err = norm_lq(Field(gs2d_small.grid, back.values - gs2d_small.u.values), 2)
-    assert err <= 1e-9 * norm_lq(gs2d_small.u, 2)
+    u = gs2d_small.u_even
+    w = invert(op, u, tol=1e-10)
+    err = norm_lq(apply(op, w) - u, 2)
+    assert err <= 1e-9 * norm_lq(u, 2)
 
 
 def test_invert_solves_for_the_radial_projection(gs2d_small):
-    # a non-radial right-hand side is solved for its radial projection, and
-    # the result is radial
+    # a right-hand side that is even but not permutation-symmetric is solved
+    # for its radial projection, and the result is radial
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     grid = gs2d_small.grid
-    f = random_band_limited(grid, np.random.default_rng(41), 4.0)
+    f = grid.even.restrict(random_band_limited(grid, np.random.default_rng(41), 4.0))
     sym_f = symmetrize_radial(f)
     assert np.max(np.abs(sym_f.values - f.values)) > 1e-2 * norm_lq(f, math.inf)
     w = invert(op, f, tol=1e-10)
@@ -115,7 +121,7 @@ def test_kernel_direction_defeats_unprojected_inversion(gs2d_small):
     # radial projection the inversion must fail to meet tolerance (or blow up)
     op = linearized_operator(ReducedParams(2, 3.0, math.inf), gs2d_small)
     grid = op.grid
-    d1 = gradient(gs2d_small.u)[0]
+    d1 = gradient(gs2d_small.grid.even.lift(gs2d_small.u_even))[0]
     apply_b = full_grid_krylov_operator(op, project=False)
 
     b = d1.values.ravel()
@@ -123,7 +129,7 @@ def test_kernel_direction_defeats_unprojected_inversion(gs2d_small):
         v, _ = _gmres(apply_b, b, 0.8e-10 * np.linalg.norm(b), 50, 500)
     except ConvergenceError:
         return
-    w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / op.pc_half))
+    w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
     assert norm_h1(w) > 1e3 * norm_h1(d1)
 
 
@@ -155,13 +161,14 @@ def test_invert_matches_full_grid_krylov_reference(dim, c, gs2d_small, gs3d_coar
         return gmres(counted, *args, **kwargs)
 
     monkeypatch.setattr(linsolve, "_gmres", counting_gmres)
+    block = op.grid.even
     for seed in (0, 1):
         f = _random_radial(op.grid, seed)
-        ref, matvecs = full_grid_invert(op, f, 1e-10)
+        ref, matvecs = full_grid_invert(op, block.lift(f), 1e-10)
         applied.clear()
         w = invert(op, f, tol=1e-10)
         assert len(applied) == matvecs
-        assert norm_lq(w - ref, 2) <= _FULL_GRID_ORACLE_FLOOR * norm_lq(ref, 2)
+        assert norm_lq(block.lift(w) - ref, 2) <= _FULL_GRID_ORACLE_FLOOR * norm_lq(ref, 2)
 
 
 def _counted(apply_b):
@@ -266,7 +273,7 @@ def test_matvec_output_is_permutation_symmetric(name, request, monkeypatch):
 
 def test_invert_zero_rhs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    w = invert(op, Field.zeros(gs2d_small.grid))
+    w = invert(op, Field.zeros(gs2d_small.grid.even))
     assert np.max(np.abs(w.values)) == 0.0
 
 
@@ -310,7 +317,12 @@ def test_probe_deterministic(grid2d_small):
 
 
 def test_operator_grid_mismatch(gs2d_small):
+    # fields of another grid, of its block, and of the operator's own full
+    # grid: invert and apply take only the operator's even block
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    other = Field.zeros(Grid(2, 64, 20.0))
-    with pytest.raises(ValueError):
-        invert(op, other)
+    other = Grid(2, 64, 20.0)
+    for f in (Field.zeros(other), Field.zeros(other.even), Field.zeros(gs2d_small.grid)):
+        with pytest.raises(ValueError):
+            invert(op, f)
+        with pytest.raises(ValueError):
+            apply(op, f)

@@ -106,6 +106,9 @@ def test_lifted_residual_nearly_solves_physical_equation(grid2d, gs2d):
     assert rep.converged and rep.final_residual < 1e-10
 
     target = Grid(2, 256, 10.0)  # scale sqrt(2 m mu) = 2 halves the box
+    with pytest.raises(ValueError, match="lift"):  # solve returns u_c on the even block
+        lift_solution(u_c, params, target)
+    u_c = grid2d.even.lift(u_c)
     lifted = lift_solution(u_c, params, target)
     transfer_dev = np.max(np.abs(lifted.values - math.sqrt(2.0) * u_c.values))
     assert transfer_dev < 1e-7

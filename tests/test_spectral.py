@@ -192,7 +192,7 @@ def test_even_block_partials_are_the_restricted_gradient():
     # (restrict would average it to zero)
     for n, N in ((1, 64), (2, 32), (3, 16)):
         grid = Grid(n, N, 5.0)
-        f = symmetrize_radial(_random_field(grid, 20 + n))
+        f = full_grid_symmetrize_radial(_random_field(grid, 20 + n))
         block = grid.even
         for got, full in zip(_block_partials(block.restrict(f)), gradient(f)):
             ref = gather(block, full.values)
@@ -399,7 +399,7 @@ def test_symmetrize_kills_odd_functions():
     grid = Grid(2, 32, 8.0)
     x, _ = coords(grid)
     f = Field(grid, x * np.exp(-radius_sq(grid)))
-    assert np.max(np.abs(symmetrize_radial(f).values)) < 1e-14
+    assert np.max(np.abs(symmetrize_radial(grid.even.restrict(f)).values)) < 1e-14
 
 
 @st.composite
@@ -417,7 +417,11 @@ def _full_grid_fields(draw):
 def test_grid_symmetrize_matches_the_full_grid_oracle(f):
     # restrict, the block's permutation average and lift do the full-grid
     # pass's arithmetic at the block's points, in the same order
-    assert np.array_equal(symmetrize_radial(f).values, full_grid_symmetrize_radial(f).values)
+    block = f.grid.even
+    got = block.lift(symmetrize_radial(block.restrict(f)))
+    assert np.array_equal(got.values, full_grid_symmetrize_radial(f).values)
+    with pytest.raises(ValueError, match="even-block"):
+        symmetrize_radial(f)
 
 
 @_HALF_VS_FULL
@@ -473,22 +477,24 @@ def test_orbit_projection_is_the_block_permutation_average(f):
 
 def test_symmetrize_idempotent():
     grid = Grid(2, 32, 5.0)
-    once = symmetrize_radial(_random_field(grid, 9))
+    once = symmetrize_radial(grid.even.restrict(_random_field(grid, 9)))
     twice = symmetrize_radial(once)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-15 * norm_lq(once, math.inf)
 
 
 def test_symmetrize_kills_ground_state_translation_mode(gs2d_small):
-    d1 = gradient(gs2d_small.u)[0]
-    assert np.max(np.abs(symmetrize_radial(d1).values)) < 1e-12
+    d1 = gradient(gs2d_small.grid.even.lift(gs2d_small.u_even))[0]
+    assert np.max(np.abs(symmetrize_radial(gs2d_small.grid.even.restrict(d1)).values)) < 1e-12
 
 
 def test_multipliers_commute_with_symmetrization():
     grid = Grid(2, 32, 5.0)
     f = _random_field(grid, 11)
     sym = lambda r2: 1.0 / (1.0 + r2)
-    a = symmetrize_radial(_apply_symbol(sym, f))
-    b = _apply_symbol(sym, symmetrize_radial(f))
+    # the full-grid multiplier then the projection, against the projection
+    # then the block multiplier
+    a = symmetrize_radial(grid.even.restrict(_apply_symbol(sym, f)))
+    b = _apply_symbol(sym, symmetrize_radial(grid.even.restrict(f)))
     assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(norm_lq(f, math.inf), 1.0)
 
 
@@ -543,6 +549,11 @@ def test_field_dump_roundtrip(tmp_path):
     assert g.grid == grid
     assert meta["label"] == "unit"
     assert meta["p"] == 2.5 and meta["c"] == 8.0
+    # a block field is written as its lift, byte for byte the full-grid dump
+    block = grid.even.restrict(f)
+    write_field(tmp_path / "block.bin", block, "unit", p=2.5, c=8.0)
+    write_field(path, grid.even.lift(block), "unit", p=2.5, c=8.0)
+    assert (tmp_path / "block.bin").read_bytes() == path.read_bytes()
 
 
 def _dump_bytes(tmp_path):
