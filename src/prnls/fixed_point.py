@@ -86,12 +86,11 @@ def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) 
 def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
     """Superlinear remainder Q(w) of the nonlinearity around op's ground state, on the even block.
 
-    Its linear term is op's potential times w. Raises OverflowError when Q(w) leaves float64.
+    Its ground-state and linear terms are op's source and potential times w.
+    Raises OverflowError when Q(w) leaves float64.
     """
-    u = op.gs.u_even.values
-    p = op.rp.p
-    up = np.maximum(u, 0.0)
-    q = signed_power(u + w.values, p) - up ** p - op.potential_even.values * w.values
+    q = (signed_power(op.gs.u_even.values + w.values, op.rp.p) - op.source_even.values
+         - op.potential_even.values * w.values)
     if not np.all(np.isfinite(q)):
         raise OverflowError("Q(w) overflows float64")
     return Field(w.grid, q)

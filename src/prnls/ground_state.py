@@ -9,7 +9,11 @@ with radial symmetrization after every step. The iterates are radial, so the
 seed is built, the iteration runs and its residual is checked on the grid's
 even block (see spectral), and the ground state is the block iterate, u_even;
 only a field dump lifts it to the full grid. M_k converges to 1
-exactly when the iterates converge to a solution. Negative values of an
+exactly when the iterates converge to a solution. Each step takes one
+transform pair, for P_inf(D)^{-1}: P_inf(D) u_{k+1} = M_k^gamma u_k^p is
+exact, since the radial projection commutes with P_inf(D) and leaves the
+radial u_k^p unchanged, so M_{k+1}'s numerator needs no transform of its
+own; only P_inf(D) u_0 is transformed, once. Negative values of an
 iterate (transients of the first few steps) are clamped to zero before taking
 fractional powers; the clamp count is reported in full-grid points.
 """
@@ -97,13 +101,13 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     vol = grid.cell_volume
 
     u = symmetrize_radial(initial_gaussian(grid, p)).values
+    pu = half_spectrum_apply(block, u, pinf)
     clamps = 0
     factor = np.nan
     last_res = np.inf
     for k in range(1, _MAX_PETVIASHVILI + 1):
         up = np.maximum(u, 0.0) ** p
         clamps += int(block.lattice_sum(u < 0.0))
-        pu = half_spectrum_apply(block, u, pinf)
         num = vol * block.lattice_sum(pu * u)
         den = vol * block.lattice_sum(up * u)
         if den <= 0.0:
@@ -120,6 +124,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
 
         step = float(np.max(np.abs(unew - u)))
         u = unew
+        pu = factor ** gamma * up  # P_inf(D) u_{k+1}, exact but for the transforms' rounding
         if step < tol:
             u_even = Field(block, u)
             res = limit_residual(u_even, p)

@@ -25,7 +25,10 @@ Euclidean inner products of y are then the full-grid inner products of v,
 and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
 of N^n points. A matvec expands y to the block, applies the operator there
 and reads the result at the representatives, with no permutation average:
-the result of a symmetric expansion is symmetric up to rounding.
+the image of an exactly symmetric expansion is symmetric up to the
+transforms' rounding. invert's solution passes through symmetrize_radial
+once more, so it is radial bit for bit, and the Picard loop measures it
+from one partial (see spectral.intersection_norm).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class LinearizedOperator:
     rp: ReducedParams
     gs: GroundState
     potential_even: Field  # p max(u_inf, 0)^{p-1} on the even block
+    source_even: Field     # max(u_inf, 0)^p on the even block, Q(w)'s ground-state term
 
     @property
     def grid(self) -> Grid:
@@ -79,8 +83,10 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
         raise ValueError(f"parameter exponent p={rp.p} does not match ground state p={gs.p}")
     if rp.n != gs.grid.n:
         raise ValueError("parameter dimension does not match ground-state grid")
-    pot = rp.p * np.maximum(gs.u_even.values, 0.0) ** (rp.p - 1.0)
-    return LinearizedOperator(rp, gs, Field(gs.grid.even, pot))
+    block = gs.grid.even
+    positive = np.maximum(gs.u_even.values, 0.0)
+    return LinearizedOperator(rp, gs, Field(block, rp.p * positive ** (rp.p - 1.0)),
+                              Field(block, positive ** rp.p))
 
 
 def apply(op: LinearizedOperator, w: Field) -> Field:

@@ -14,7 +14,9 @@ radial field; gather is EvenBlock.restrict as it was then.
 full_grid_pc, full_grid_potential and full_grid_apply are the linearized
 operator on the full periodic grid, as LinearizedOperator and apply() once
 held it, and full_grid_invert is the linearized inversion there, the path
-invert() took before it moved to the even block. lstsq_gmres is the
+invert() took before it moved to the even block. two_pair_petviashvili is
+solve_limit_equation's loop as it was when each step took P_inf(D) u_k by a
+transform pair of its own. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
 every step, the loop _gmres ran before it updated the residual by Givens
 rotations.
@@ -26,9 +28,11 @@ import numpy as np
 import scipy.fft
 
 from prnls.errors import ConvergenceError
+from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
+                                limit_residual)
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
 from prnls.spectral import (Field, _require_real, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, norm_lq)
+                            half_spectrum_multiplier, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
 
 from conftest import radius_sq
@@ -118,15 +122,26 @@ def flip_average(values: np.ndarray) -> np.ndarray:
 def full_grid_symmetrize_radial(f: Field) -> Field:
     """Average of a full-grid field over sign flips and axis permutations, on the full grid.
 
-    The permutation average of the flip average is the full group average.
+    The permutation average of the flip average v is the full group average.
+    In 2-D it is (v + v^T) / 2. In 3-D each point x sums the values at the
+    permutations of x in symmetrize_radial's order, which is fixed per orbit:
+    the coordinates of x are sorted by |x_a| (stably), and the value at the
+    sorted coordinates permuted by s, t_s, is taken for s in
+    itertools.permutations order. The mean is t_1 + sum_s (t_s - t_1) / 6.
     """
     v = flip_average(f.values)
-    if f.grid.n > 1:
-        perms = list(itertools.permutations(range(f.grid.n)))
-        acc = np.zeros_like(v)
-        for perm in perms:
-            acc += np.transpose(v, perm)
-        v = acc / len(perms)
+    if f.grid.n == 2:
+        v = (v + v.T) / 2.0
+    elif f.grid.n == 3:
+        idx = np.indices(v.shape)
+        by_radius = np.argsort(np.abs(idx - f.grid.N // 2), axis=0, kind="stable")
+        coords = np.take_along_axis(idx, by_radius, axis=0)
+        terms = [v[tuple(coords[a] for a in perm)]
+                 for perm in itertools.permutations(range(3))]
+        spread = terms[1] - terms[0]
+        for t in terms[2:]:
+            spread += t - terms[0]
+        v = terms[0] + spread / len(terms)
     return Field(f.grid, v)
 
 
@@ -193,6 +208,41 @@ def full_grid_invert(op, f: Field, tol: float):
     v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)), _RESTART, _MAX_KRYLOV)
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
     return full_grid_symmetrize_radial(w), len(calls)
+
+
+def two_pair_petviashvili(rp, grid, tol: float):
+    """The Petviashvili iteration from initial_gaussian with two transform pairs per step.
+
+    P_inf(D) u_k is applied to each iterate, where solve_limit_equation
+    carries M_k^gamma u_k^p over from the step before. Stops as it does, on
+    step < tol and residual < 10 tol, and raises ConvergenceError where it
+    would. Returns (u_even values, iterations, negative clamps).
+    """
+    p = rp.p
+    gamma = p / (p - 1.0)
+    block = grid.even
+    pinf = block.xi_sq + 1.0
+    vol = grid.cell_volume
+    u = symmetrize_radial(initial_gaussian(grid, p)).values
+    clamps = 0
+    last_res = np.inf
+    for k in range(1, _MAX_PETVIASHVILI + 1):
+        up = np.maximum(u, 0.0) ** p
+        clamps += int(block.lattice_sum(u < 0.0))
+        num = vol * block.lattice_sum(half_spectrum_apply(block, u, pinf) * u)
+        factor = num / (vol * block.lattice_sum(up * u))
+        unew = factor ** gamma * half_spectrum_apply(block, up, 1.0 / pinf)
+        unew = symmetrize_radial(Field(block, unew)).values
+        step = float(np.max(np.abs(unew - u)))
+        u = unew
+        if step < tol:
+            res = limit_residual(Field(block, u), p)
+            if res < 10.0 * tol:
+                return u, k, clamps
+            if res > _RESIDUAL_STALL * last_res:
+                raise ConvergenceError(f"settled at iteration {k} on residual {res:.3e}")
+            last_res = res
+    raise ConvergenceError(f"no convergence within {_MAX_PETVIASHVILI} steps")
 
 
 def lstsq_gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prnls import fixed_point as fp
+from prnls import spectral
 from prnls.errors import ConvergenceError, SolverError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
@@ -93,7 +94,8 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
 
 @pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
 def test_nonlinear_q_linear_term_is_the_operator_potential(name, request):
-    # Q(w)'s linear term is op.potential_even times w, which computes
+    # Q(w)'s ground-state and linear terms are op.source_even and
+    # op.potential_even times w, which compute max(u, 0)^p and
     # p max(u, 0)^{p-1} in the same operations, so Q is the formula bit for bit
     gs = request.getfixturevalue(name)
     op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
@@ -291,6 +293,33 @@ def test_start_near_the_float64_limit_reports_its_norm(exponent):
     assert u_c is None
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
     assert rep.w_norm == pytest.approx(scale, rel=1e-12)
+
+
+def test_every_norm_of_a_3d_solve_takes_the_one_partial_path(monkeypatch):
+    # every field solve() measures is exactly radial (symmetrize_radial's
+    # output, invert's, and their sums and differences), so intersection_norm
+    # measures each from one partial; a change that breaks the exact symmetry
+    # sends norms down the general path and fails here
+    rp = ReducedParams(3, 1.8, 4.0)
+    grid = Grid(3, 32, 10.0)
+    gs = solve_limit_equation(rp, grid)
+    counts = {"norms": 0, "one_partial": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fp, "intersection_norm", counted("norms", fp.intersection_norm))
+    monkeypatch.setattr(spectral, "_symmetric_block_norms",
+                        counted("one_partial", spectral._symmetric_block_norms))
+    w0 = fp.random_start(grid, np.random.default_rng(0), 0.01 * norm_h1(gs.u_even))
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0)
+    assert rep.converged
+    # the start's, R_c's, and the step's and w's at each Picard step
+    assert counts["norms"] == 2 + 2 * rep.iterations
+    assert counts["one_partial"] == counts["norms"]
 
 
 def _solve_both_ways(rp, gs, **kwargs):
