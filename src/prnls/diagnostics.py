@@ -10,6 +10,9 @@ the Nehari and Pohozaev identities (exact for true solutions; their residual
 measures solver plus discretization error), the trace-inequality ratio, the
 variational action, convergence-rate fits, and the coefficient-sign
 certificates for the non-existence regimes.
+
+Every quantity here takes a radial candidate on the even block of its grid
+(see spectral); a full-grid field raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ExtensionWeights:
 
 
 def extension_weights(u: Field, c: float, p: float) -> ExtensionWeights:
-    """Half-space integrals of the extension, via closed-form t-integration.
+    """Half-space integrals of the extension of an even-block field u, in closed form.
 
     With U(xi,t) = u(xi) e^{-t sigma}, every t-integral collapses analytically
     (int_0^inf e^{-2 t sigma} dt = 1/(2 sigma)), leaving pure Plancherel sums.
@@ -99,7 +102,7 @@ def _identity_row(label, lhs, rhs) -> IdentityRow:
 
 
 def check_identities(u_c: Field, rp: ReducedParams) -> IdentityReport:
-    """Evaluate the three half-space identities for a candidate solution.
+    """Evaluate the three half-space identities for a candidate solution on the even block.
 
     All three hold exactly for true solutions, so each rel_mismatch measures
     discretization plus solver error; macroscopic values flag a non-solution
@@ -125,7 +128,7 @@ def check_identities(u_c: Field, rp: ReducedParams) -> IdentityReport:
 
 
 def trace_inequality_check(u: Field, c: float) -> float:
-    """Ratio ||u||_2^2 / (2 ||U||_2 ||dt U||_2); Cauchy-Schwarz keeps it <= 1."""
+    """Ratio ||u||_2^2 / (2 ||U||_2 ||dt U||_2), <= 1 by Cauchy-Schwarz; u on the even block."""
     sigma = sigma_halfspace(c)
     mass_raw = plancherel_sum(u, lambda r2: 0.5 / sigma(r2))
     grad_t_raw = plancherel_sum(u, lambda r2: 0.5 * sigma(r2))
@@ -169,7 +172,7 @@ def fit_rate(points) -> RateFit:
 
 
 def action(u: Field, params: PhysicalParams) -> float:
-    """Variational action whose critical points are the solitary waves.
+    """Variational action, whose critical points are the solitary waves, of an even-block field.
 
     (1/2) <(sqrt(-c^2 Lap + m^2 c^4) - m c^2) u, u> + (mu/2) ||u||_2^2
     - ||u||_{p+1}^{p+1} / (p+1), the kinetic term in cancellation-free form.
@@ -201,7 +204,7 @@ def nonexistence_regime(rp: ReducedParams):
 
 
 def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
-    """Evaluate the identity combination that rules out nontrivial solutions.
+    """Evaluate the identity combination that rules out nontrivial solutions, on the even block.
 
     Regime A (c^2/2 <= 1, p >= (n+1)/(n-1)): the Nehari/Poho1 combination has
     non-negative bulk coefficients against a non-positive boundary side, so a

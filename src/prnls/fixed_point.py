@@ -202,39 +202,43 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     block = grid.even
     u = gs.u_even
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
-    w = symmetrize_radial(w0) if w0 is not None else Field.zeros(block)
-    step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
-    for k in range(1, _MAX_PICARD + 1):
-        try:
-            w_new = phi(op, w, rc, tol.tol_lin)
-        except (ConvergenceError, OverflowError) as exc:
-            return None, replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
-                                 w_norm=intersection_norm(w),
-                                 message=f"Phi_c(w) failed at iteration {k}: {exc}")
-        steps = report.steps + (intersection_norm(w_new - w),)
-        wn = intersection_norm(w_new)
-        w = w_new
-        report = replace(report, iterations=k, steps=steps, w_norms=report.w_norms + (wn,),
-                         w_norm=wn, contraction_estimate=_contraction_estimate(steps, step_floor))
+    # a start far outside the ball overflows float64 on its way to a diverged
+    # outcome, which the report carries, so numpy's overflow warnings stay quiet
+    with np.errstate(over="ignore"):
+        w = symmetrize_radial(w0) if w0 is not None else Field.zeros(block)
+        step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
+        for k in range(1, _MAX_PICARD + 1):
+            try:
+                w_new = phi(op, w, rc, tol.tol_lin)
+            except (ConvergenceError, OverflowError) as exc:
+                return None, replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
+                                     w_norm=intersection_norm(w),
+                                     message=f"Phi_c(w) failed at iteration {k}: {exc}")
+            steps = report.steps + (intersection_norm(w_new - w),)
+            wn = intersection_norm(w_new)
+            w = w_new
+            report = replace(report, iterations=k, steps=steps,
+                             w_norms=report.w_norms + (wn,), w_norm=wn,
+                             contraction_estimate=_contraction_estimate(steps, step_floor))
 
-        if float(np.max(np.abs(u.values + w.values))) < _COLLAPSE_FLOOR:
-            return None, replace(report, outcome=OUTCOME_COLLAPSED,
-                                 message="iterate collapsed to zero")
-        if not np.isfinite(wn) or wn > ceiling:
-            return None, replace(report, outcome=OUTCOME_DIVERGED,
-                                 message=f"||w||={wn:.3e} left the contraction ball "
-                                         f"(ceiling {ceiling:.3e})")
-        if steps[-1] < tol.tol_step:
-            u_c = u + w
-            residual = limit_residual(u_c, rp.p, rp.c_tilde)
-            report = replace(report, final_residual=residual)
-            if residual <= tol.tol_residual:
-                return u_c, replace(report, outcome=OUTCOME_CONVERGED)
-            return None, replace(report, message=f"step tolerance met but residual "
-                                                 f"{residual:.3e} > tol_residual "
-                                                 f"{tol.tol_residual:g}")
+            if float(np.max(np.abs(u.values + w.values))) < _COLLAPSE_FLOOR:
+                return None, replace(report, outcome=OUTCOME_COLLAPSED,
+                                     message="iterate collapsed to zero")
+            if not np.isfinite(wn) or wn > ceiling:
+                return None, replace(report, outcome=OUTCOME_DIVERGED,
+                                     message=f"||w||={wn:.3e} left the contraction ball "
+                                             f"(ceiling {ceiling:.3e})")
+            if steps[-1] < tol.tol_step:
+                u_c = u + w
+                residual = limit_residual(u_c, rp.p, rp.c_tilde)
+                report = replace(report, final_residual=residual)
+                if residual <= tol.tol_residual:
+                    return u_c, replace(report, outcome=OUTCOME_CONVERGED)
+                return None, replace(report, message=f"step tolerance met but residual "
+                                                     f"{residual:.3e} > tol_residual "
+                                                     f"{tol.tol_residual:g}")
 
-    return None, replace(report, message=f"no convergence within {_MAX_PICARD} iterations")
+        return None, replace(report, message=f"no convergence within {_MAX_PICARD} iterations")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ transform pair, for P_inf(D)^{-1}: P_inf(D) u_{k+1} = M_k^gamma u_k^p is
 exact, since the radial projection commutes with P_inf(D) and leaves the
 radial u_k^p unchanged, so M_{k+1}'s numerator needs no transform of its
 own; only P_inf(D) u_0 is transformed, once. Negative values of an
-iterate (transients of the first few steps) are clamped to zero before taking
-fractional powers; the clamp count is reported in full-grid points.
+iterate are clamped to zero before taking fractional powers; negative_clamps
+counts, in full-grid points, every negative point of every step: early
+transients and rounding-level negatives in the decayed tail alike.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Two substrates
 --------------
 * The full periodic grid (Grid): N^n points, any real field. Field dumps,
   resample (hence lift_solution) and the norm probe live here. No radial
-  field is built, projected or solved for here.
+  field is built, projected, solved for or measured here.
 * The even block (Grid.even, an EvenBlock): the non-negative orthant
   x = j h, j = 0..N/2 per axis. A field even in every coordinate is fully set
   by these (N/2+1)^n values, and every field the solver and the diagnostics
@@ -24,8 +24,10 @@ Two substrates
   Krylov solve runs on them alone. symmetrize_radial writes one mean to
   every point of an orbit, so its output equals its axis transposes bit for
   bit, and intersection_norm measures such a field from one partial.
-A Field lives on one of the two, and the transforms and norms below take the
-path of the grid its field lives on.
+A Field lives on one of the two; the transforms and norm_lq take the path of
+its grid. Each radial quantity has one path, on the block: plancherel_sum
+(hence norm_h1 and the diagnostics), symmetrize_radial and intersection_norm
+raise ValueError for a full-grid field, which EvenBlock.restrict takes there.
 
 Conventions
 -----------
@@ -408,13 +410,10 @@ def _require_real(w: np.ndarray, what: str) -> np.ndarray:
     return w.real.copy()
 
 
-def _lattice_xi_sq(grid) -> np.ndarray:
-    return grid.xi_sq if isinstance(grid, EvenBlock) else grid.xi_sq_half
-
-
 def half_spectrum_multiplier(grid, sym) -> np.ndarray:
     """Values of a radial symbol, a callable of |xi|^2 (see symbols), on grid's frequency grid."""
-    return np.asarray(sym(_lattice_xi_sq(grid)), dtype=np.float64)
+    xi_sq = grid.xi_sq if isinstance(grid, EvenBlock) else grid.xi_sq_half
+    return np.asarray(sym(xi_sq), dtype=np.float64)
 
 
 def half_spectrum_apply(grid, values: np.ndarray, mult_half: np.ndarray) -> np.ndarray:
@@ -470,53 +469,31 @@ def norm_lq(f: Field, q: float) -> float:
 
 
 def plancherel_sum(f: Field, weight) -> float:
-    """Frequency-side quadratic form sum_k weight(|xi_k|^2) |fhat_k|^2.
+    """Frequency-side quadratic form sum_k weight(|xi_k|^2) |fhat_k|^2 of an even-block field.
 
     `weight` maps |xi|^2 to a radial weight. The sum runs over the full
-    lattice. On a Grid it is evaluated on the rfftn half: a real field has
-    |fhat(-k)| = |fhat(k)|, so last-axis columns 1..N/2-1 stand for
-    themselves and their mirror columns and count twice, while columns 0 and
-    N/2 are their own mirrors. On an EvenBlock the DCT-I coefficients are
-    fhat on the non-negative orthant and count with the block's weights.
-    Normalized to match (2 pi)^{-n} * integral of weight * |continuum FT|^2;
-    with weight 1 this equals the squared L^2 norm.
+    lattice: the DCT-I coefficients are fhat on the non-negative orthant and
+    count with the block's weights. Normalized to match (2 pi)^{-n} *
+    integral of weight * |continuum FT|^2; with weight 1 this equals the
+    squared L^2 norm. A full-grid field raises ValueError: EvenBlock.restrict
+    takes its sign-flip average onto the block.
     """
     g = f.grid
-    if isinstance(g, EvenBlock):
-        power = g.weights * _transform(f.values, g.dct_matrix) ** 2
-    else:
-        power = np.abs(np.fft.rfftn(f.values)) ** 2
-        power[..., 1:g.N // 2] *= 2.0
-    w = np.asarray(weight(_lattice_xi_sq(g)), dtype=np.float64)
-    return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
+    if not isinstance(g, EvenBlock):
+        raise ValueError("plancherel_sum takes an even-block field; "
+                         "EvenBlock.restrict takes a full-grid field there")
+    power = g.weights * _transform(f.values, g.dct_matrix) ** 2
+    return float(g.cell_volume / g.N ** g.n * np.sum(half_spectrum_multiplier(g, weight) * power))
 
 
 def norm_h1(f: Field) -> float:
-    """Sobolev H^1 norm via the (1 + |xi|^2) multiplier."""
+    """Sobolev H^1 norm of an even-block field, via the (1 + |xi|^2) multiplier."""
     return math.sqrt(plancherel_sum(f, lambda r2: 1.0 + r2))
 
 
-def _block_partials(f: Field) -> list:
-    """First partials of an EvenBlock field, as raw arrays on the block.
-
-    d_a f is odd along axis a, so it is no block Field: it is diff_matrix
-    along axis a, the DST-I of -xi_a times the DCT-I coefficients, zero on
-    the x = 0 and x = L faces, where an odd periodic field vanishes. The
-    DST-I has no k = N/2 term, as the full-grid convention drops the Nyquist
-    mode.
-    """
-    g = f.grid
-    return [_along_axis(f.values, g.diff_matrix, a) for a in range(g.n)]
-
-
 def norm_w1q(f: Field, q: float) -> float:
-    """W^{1,q} norm: ||f||_q + sum_i ||d_i f||_q."""
-    if isinstance(f.grid, EvenBlock):
-        partials = _block_partials(f)
-    else:
-        partials = [half_spectrum_apply(f.grid, f.values, 1j * xi)
-                    for xi in f.grid.deriv_freqs_half]
-    return norm_lq(f, q) + sum(_lq(f.grid, d, q) for d in partials)
+    """W^{1,q} norm of a full-grid field: ||f||_q + sum_i ||d_i f||_q."""
+    return norm_lq(f, q) + sum(norm_lq(d, q) for d in gradient(f))
 
 
 def norm_w2q(f: Field, q: float) -> float:
@@ -559,20 +536,22 @@ def _symmetric_block_norms(f: Field) -> tuple:
 
 
 def intersection_norm(f: Field) -> float:
-    """Norm of H^1 intersect W^{1,2n} on an n-dimensional grid: the max of the two norms.
+    """Norm of H^1 intersect W^{1,2n} of a radial even-block field: the max of the two norms.
 
-    A block field that equals its axis transposes bit for bit, as
-    symmetrize_radial returns it, is measured from one partial
-    (_symmetric_block_norms); every other field from norm_h1 and norm_w1q.
-    Near the float64 limit the transform sums of a finite field can overflow,
-    to inf or to inf - inf = nan. Both norms are homogeneous, so the field is
+    f must equal its axis transposes bit for bit, as symmetrize_radial and
+    invert return it (and their sums and differences); it is measured from
+    one partial (_symmetric_block_norms). A full-grid field, or a block field
+    that is not permutation-symmetric, raises ValueError: EvenBlock.restrict
+    takes a field to the block and symmetrize_radial makes it radial. Near
+    the float64 limit the transform sums of a finite field can overflow, to
+    inf or to inf - inf = nan. Both norms are homogeneous, so the field is
     then measured at unit max and scaled back: the result is the true value
     or inf.
     """
-    if isinstance(f.grid, EvenBlock) and _is_permutation_symmetric(f.values):
-        norms = _symmetric_block_norms(f)
-    else:
-        norms = (norm_h1(f), norm_w1q(f, 2.0 * f.grid.n))
+    if not (isinstance(f.grid, EvenBlock) and _is_permutation_symmetric(f.values)):
+        raise ValueError("intersection_norm takes a permutation-symmetric even-block field; "
+                         "EvenBlock.restrict and symmetrize_radial make one")
+    norms = _symmetric_block_norms(f)
     if all(math.isfinite(x) for x in norms):
         return max(norms)
     scale = float(np.max(np.abs(f.values)))

@@ -7,6 +7,10 @@ complex fftn lattice, and serve the tests as an independent oracle.
 dct1_multiplier, dct1_plancherel_sum and dst1_partials are the even-block
 transforms as scipy.fft computes them (DCT-I, and DST-I for the partials),
 the path the block took before it became cached per-axis matrix products.
+block_partials and general_norms are intersection_norm's general path, the
+way it measured a block field before it took only permutation-symmetric
+ones: all n partials (diff_matrix along each axis), norm_h1 and the
+W^{1,2n} norm summed over the partials.
 full_grid_symmetrize_radial and full_grid_gaussian are the radial
 projection and the Petviashvili seed as they were built on the full grid,
 before the even block became the only place that builds or projects a
@@ -31,8 +35,8 @@ from prnls.errors import ConvergenceError
 from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
                                 limit_residual)
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import (Field, _require_real, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, norm_lq, symmetrize_radial)
+from prnls.spectral import (Field, _along_axis, _require_real, gradient, half_spectrum_apply,
+                            half_spectrum_multiplier, norm_h1, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
 
 from conftest import radius_sq
@@ -94,6 +98,23 @@ def dst1_partials(f: Field) -> list:
             d = scipy.fft.idctn(d, type=1, axes=others)
         out.append(np.pad(d, [(1, 1) if b == a else (0, 0) for b in range(g.n)]))
     return out
+
+
+def block_partials(f: Field) -> list:
+    """First partials of a block field, as raw arrays on the block.
+
+    d_a f is odd along axis a, so it is no block Field: it is diff_matrix
+    along axis a, zero on the x = 0 and x = L faces.
+    """
+    g = f.grid
+    return [_along_axis(f.values, g.diff_matrix, a) for a in range(g.n)]
+
+
+def general_norms(f: Field) -> tuple:
+    """(H^1, W^{1,2n}) norms of any block field, from norm_h1 and all n partials."""
+    g = f.grid
+    q = 2.0 * g.n
+    return norm_h1(f), norm_lq(f, q) + sum(norm_lq(Field(g, d), q) for d in block_partials(f))
 
 
 def gather(block, values: np.ndarray) -> np.ndarray:

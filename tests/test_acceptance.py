@@ -177,7 +177,7 @@ def test_criterion_07_identity_suite(c5_runs):
     grid = Grid(1, 256, 20.0)
     u = sample_field(grid, lambda x: np.exp(-0.5 * x * x))
     c, p = 4.0, 3.0
-    exact = extension_weights(u, c, p)
+    exact = extension_weights(grid.even.restrict(u), c, p)
     coarse = halfspace_fd_weights(u, c, p, n_t=192)
     fine = halfspace_fd_weights(u, c, p, n_t=192, refine=1)
     worst_fd = 0.0

@@ -25,7 +25,7 @@ from strip_oracle import halfspace_fd_weights
 def test_extension_weights_single_mode():
     grid = Grid(1, 64, math.pi)
     amp, k, c, p = 2.3, 4.0, 3.0, 3.0
-    u = sample_field(grid, lambda x: amp * np.cos(k * x))
+    u = grid.even.restrict(sample_field(grid, lambda x: amp * np.cos(k * x)))
     l2sq = norm_lq(u, 2) ** 2
     sigma = math.sqrt(k * k + c * c / 4.0)
     w = extension_weights(u, c, p)
@@ -42,7 +42,7 @@ def test_bulk_summand_identity():
     # the three bulk terms collapse to a single sigma-weighted Plancherel sum
     grid = Grid(2, 32, 10.0)
     rng = np.random.default_rng(2)
-    u = Field(grid, rng.standard_normal(grid.shape))
+    u = grid.even.restrict(Field(grid, rng.standard_normal(grid.shape)))
     for c in (2.0, 16.0):
         w = extension_weights(u, c, 3.0)
         total = w.grad_x_bulk + w.grad_t_bulk + w.mass_bulk
@@ -53,7 +53,7 @@ def test_bulk_summand_identity():
 
 def test_extension_weights_zero_field():
     grid = Grid(1, 32, 5.0)
-    w = extension_weights(Field.zeros(grid), 4.0, 3.0)
+    w = extension_weights(Field.zeros(grid.even), 4.0, 3.0)
     assert w.grad_bulk == 0.0 and w.mass_bulk == 0.0 and w.boundary_l2 == 0.0
 
 
@@ -76,7 +76,7 @@ def test_identities_reject_wrong_speed(gs2d_small):
 
 def test_trace_inequality_single_mode_equality():
     grid = Grid(1, 64, math.pi)
-    u = sample_field(grid, lambda x: np.cos(3.0 * x))
+    u = grid.even.restrict(sample_field(grid, lambda x: np.cos(3.0 * x)))
     assert trace_inequality_check(u, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,14 +84,14 @@ def test_trace_inequality_bounded_by_one():
     grid = Grid(2, 32, 10.0)
     rng = np.random.default_rng(5)
     for c in (2.0, 8.0):
-        u = Field(grid, rng.standard_normal(grid.shape))
+        u = grid.even.restrict(Field(grid, rng.standard_normal(grid.shape)))
         ratio = trace_inequality_check(u, c)
         assert ratio <= 1.0 + 1e-12
 
 
 def test_trace_inequality_zero_field():
     grid = Grid(1, 32, 5.0)
-    assert trace_inequality_check(Field.zeros(grid), 4.0) == 0.0
+    assert trace_inequality_check(Field.zeros(grid.even), 4.0) == 0.0
 
 
 # ------------------------------------------------------------------ rate fits
@@ -147,7 +147,7 @@ def test_fit_rate_flat_data_is_a_perfect_zero_slope():
 def test_action_zero_field():
     grid = Grid(2, 32, 10.0)
     params = PhysicalParams(n=2, p=3.0, m=0.5, mu=1.0, c=16.0)
-    assert action(Field.zeros(grid), params) == 0.0
+    assert action(Field.zeros(grid.even), params) == 0.0
 
 
 def test_action_of_solution_matches_nehari_form(uc16_small):
@@ -165,7 +165,7 @@ def test_action_of_solution_matches_nehari_form(uc16_small):
 
 def test_certificate_vacuous_for_zero_field():
     grid = Grid(2, 32, 10.0)
-    cert = nonexistence_certificate(Field.zeros(grid), ReducedParams(2, 3.0, 1.0))
+    cert = nonexistence_certificate(Field.zeros(grid.even), ReducedParams(2, 3.0, 1.0))
     assert cert.regime == "A"
     assert cert.combined_lhs == 0.0 and cert.combined_rhs == 0.0
     assert cert.conclusion.startswith("vacuously consistent")
@@ -181,7 +181,7 @@ def test_certificate_regime_a_signs(gs2d_small):
 
 def test_certificate_regime_b_signs():
     grid = Grid(3, 32, 10.0)
-    u = sample_field(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+    u = grid.even.restrict(sample_field(grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z))))
     rp = ReducedParams(3, 5.0, 4.0)
     cert = nonexistence_certificate(u, rp)
     assert cert.regime == "B"
@@ -191,7 +191,7 @@ def test_certificate_regime_b_signs():
 
 def test_certificate_rejects_out_of_regime():
     grid = Grid(2, 32, 10.0)
-    u = sample_field(grid, lambda x, y: np.exp(-(x * x + y * y)))
+    u = grid.even.restrict(sample_field(grid, lambda x, y: np.exp(-(x * x + y * y))))
     with pytest.raises(ValueError):
         nonexistence_certificate(u, ReducedParams(2, 3.0, 8.0))  # existence range
     with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ def test_fd_oracle_richardson_agrees_with_closed_form():
     grid = Grid(1, 256, 20.0)
     u = sample_field(grid, lambda x: np.exp(-0.5 * x * x))
     c, p = 4.0, 3.0
-    exact = extension_weights(u, c, p)
+    exact = extension_weights(grid.even.restrict(u), c, p)
     coarse = halfspace_fd_weights(u, c, p, n_t=192)
     fine = halfspace_fd_weights(u, c, p, n_t=192, refine=1)
     for name in ("grad_x_bulk", "grad_t_bulk", "mass_bulk"):

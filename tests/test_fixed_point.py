@@ -147,9 +147,9 @@ def test_random_start_matches_full_grid_construction(grid):
     # rfftn band mask, full symmetrization, then restriction (gap 1.0e-15 on 64^3)
     from prnls.spectral import random_band_limited
     for seed in range(3):
-        full = full_grid_symmetrize_radial(
-            random_band_limited(grid, np.random.default_rng(seed), 4.0))
-        ref = grid.even.restrict(full * (0.7 / intersection_norm(full))).values
+        radial = grid.even.restrict(full_grid_symmetrize_radial(
+            random_band_limited(grid, np.random.default_rng(seed), 4.0)))
+        ref = (radial * (0.7 / intersection_norm(radial))).values
         got = fp.random_start(grid, np.random.default_rng(seed), 0.7).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -265,10 +265,12 @@ def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, se
     assert (u_c is None) == (not rep.converged)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("p,c,exponent", [(3.0, 16.0, 62), (5.0, 1.0, 80), (5.0, 1.0, 200)])
 def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
     # at 1e62 ||f||_2 of Q(w) overflows, so the inversion must fail instead of
-    # returning w = 0; at 1e80 and 1e200 Q(w) itself overflows
+    # returning w = 0; at 1e80 and 1e200 Q(w) itself overflows. The report
+    # says so, and numpy's overflow warnings stay quiet
     rp = ReducedParams(2, p, c)
     grid = Grid(2, 32, 10.0)
     gs = solve_limit_equation(rp, grid)
@@ -280,10 +282,12 @@ def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
     assert "iteration 1" in rep.message
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("exponent", [250, 307])
 def test_start_near_the_float64_limit_reports_its_norm(exponent):
     # the start's transform sums overflow (to inf, and at 1e307 to inf - inf =
-    # nan); the report must still carry the start's true, finite norm
+    # nan); the report must still carry the start's true, finite norm, and
+    # numpy's overflow warnings stay quiet
     rp = ReducedParams(2, 1.2, 1.0)
     grid = Grid(2, 32, 10.0)
     gs = solve_limit_equation(rp, grid)
@@ -299,7 +303,7 @@ def test_every_norm_of_a_3d_solve_takes_the_one_partial_path(monkeypatch):
     # every field solve() measures is exactly radial (symmetrize_radial's
     # output, invert's, and their sums and differences), so intersection_norm
     # measures each from one partial; a change that breaks the exact symmetry
-    # sends norms down the general path and fails here
+    # makes intersection_norm raise ValueError and fails here
     rp = ReducedParams(3, 1.8, 4.0)
     grid = Grid(3, 32, 10.0)
     gs = solve_limit_equation(rp, grid)

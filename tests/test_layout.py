@@ -10,7 +10,8 @@ numpy is the package's only dependency: no module there imports scipy, which
 only the tests use. A module-level name is assigned in one module only; the
 others import it, so a constant cannot drift between two copies. Only spectral
 and cli lift a block field to the full grid (EvenBlock.lift), so no solver
-module grows a full-grid path back.
+module grows a full-grid path back, and only spectral names EvenBlock, so the
+choice between the full grid and the even block stays in that one module.
 """
 
 import ast
@@ -107,6 +108,10 @@ def modules_referencing(name: str, src=SRC):
 
 def test_only_spectral_and_cli_lift_to_the_full_grid():
     assert [m for m in modules_referencing("lift") if m not in ("spectral", "cli")] == []
+
+
+def test_only_spectral_names_the_even_block_type():
+    assert [m for m in modules_referencing("EvenBlock") if m != "spectral"] == []
 
 
 def test_the_lift_check_flags_a_call_not_a_word(tmp_path):

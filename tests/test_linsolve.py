@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from prnls import linsolve
+from prnls.diagnostics import action, check_identities
 from prnls.errors import ConvergenceError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import (_gmres, apply, invert, linearized_operator,
                             operator_norm_probe)
-from prnls.params import ReducedParams
+from prnls.params import PhysicalParams, ReducedParams
 from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
-                            half_spectrum_multiplier, norm_h1, norm_lq,
-                            random_band_limited, symmetrize_radial)
+                            half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
+                            plancherel_sum, random_band_limited, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
 from conftest import sample_field
-from fft_reference import (full_grid_invert, full_grid_krylov_operator, full_grid_pc,
-                           full_grid_potential, gather, lstsq_gmres)
+from fft_reference import (fft_plancherel_sum, full_grid_invert, full_grid_krylov_operator,
+                           full_grid_pc, full_grid_potential, gather, lstsq_gmres)
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -130,7 +131,8 @@ def test_kernel_direction_defeats_unprojected_inversion(gs2d_small):
     except ConvergenceError:
         return
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
-    assert norm_h1(w) > 1e3 * norm_h1(d1)
+    h1_weight = lambda r2: 1.0 + r2
+    assert fft_plancherel_sum(w, h1_weight) > 1e6 * fft_plancherel_sum(d1, h1_weight)
 
 
 @pytest.fixture(scope="module")
@@ -319,10 +321,23 @@ def test_probe_deterministic(grid2d_small):
 def test_operator_grid_mismatch(gs2d_small):
     # fields of another grid, of its block, and of the operator's own full
     # grid: invert and apply take only the operator's even block
-    op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
+    rp = ReducedParams(2, 3.0, 16.0)
+    op = linearized_operator(rp, gs2d_small)
     other = Grid(2, 64, 20.0)
     for f in (Field.zeros(other), Field.zeros(other.even), Field.zeros(gs2d_small.grid)):
         with pytest.raises(ValueError):
             invert(op, f)
         with pytest.raises(ValueError):
             apply(op, f)
+    # the radial quantities take only block fields, and intersection_norm
+    # only permutation-symmetric ones
+    full = Field.zeros(gs2d_small.grid)
+    for measure in (lambda f: plancherel_sum(f, lambda r2: 1.0 + r2), norm_h1,
+                    intersection_norm, lambda f: check_identities(f, rp),
+                    lambda f: action(f, PhysicalParams(2, 3.0, 0.5, 1.0, 16.0))):
+        with pytest.raises(ValueError, match="EvenBlock.restrict"):
+            measure(full)
+    block = gs2d_small.grid.even
+    skew = Field(block, np.indices(block.shape)[0].astype(np.float64))
+    with pytest.raises(ValueError, match="symmetrize_radial"):
+        intersection_norm(skew)

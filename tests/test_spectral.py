@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prnls.errors import SymmetryError
-from prnls.spectral import (Field, Grid, _block_partials, _is_permutation_symmetric,
-                            _require_real, _symmetric_block_norms, gradient,
+from prnls.spectral import (Field, Grid, _is_permutation_symmetric, _require_real,
+                            _symmetric_block_norms, gradient,
                             half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
                             norm_h1, norm_lq, norm_w1q, norm_w2q, plancherel_sum,
                             random_band_limited, read_field, resample, symmetrize_radial,
@@ -20,9 +20,9 @@ from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
 
 from conftest import coords, radius_sq, sample_field
-from fft_reference import (dct1_multiplier, dct1_plancherel_sum, dst1_partials, fft_multiplier,
-                           fft_plancherel_sum, flip_average, full_grid_symmetrize_radial,
-                           gather)
+from fft_reference import (block_partials, dct1_multiplier, dct1_plancherel_sum, dst1_partials,
+                           fft_multiplier, fft_plancherel_sum, flip_average,
+                           full_grid_symmetrize_radial, gather, general_norms)
 
 
 def _random_field(grid, seed):
@@ -90,10 +90,8 @@ def test_inverse_rejects_broken_conjugate_symmetry():
 
 # ------------------------------------------- half spectrum against full fftn
 
-# measured over 400 random cases of _half_vs_full_cases: worst relative gap
-# 5.3e-16 for plancherel_sum and 7.1e-16 (of the field's max) for
-# half_spectrum_apply; each floor sits just above its measured value
-_PLANCHEREL_FLOOR = 1e-15
+# measured over 400 random cases of _half_vs_full_cases: worst gap 7.1e-16
+# (of the field's max) for half_spectrum_apply; the floor sits just above it
 _MULTIPLIER_FLOOR = 1.5e-15
 
 _WEIGHTS = (lambda c: (lambda r2: np.ones_like(r2)), lambda c: (lambda r2: r2 + 1.0), p_c,
@@ -115,14 +113,6 @@ _HALF_VS_FULL = settings(max_examples=60, deadline=None, derandomize=True, datab
 
 @_HALF_VS_FULL
 @given(_half_vs_full_cases())
-def test_plancherel_sum_matches_full_fft(case):
-    f, weight = case
-    ref = fft_plancherel_sum(f, weight)
-    assert abs(plancherel_sum(f, weight) - ref) <= _PLANCHEREL_FLOOR * abs(ref)
-
-
-@_HALF_VS_FULL
-@given(_half_vs_full_cases())
 def test_half_spectrum_apply_matches_full_fft(case):
     f, sym = case
     ref = fft_multiplier(sym, f).values
@@ -133,9 +123,9 @@ def test_half_spectrum_apply_matches_full_fft(case):
 # ------------------------------------------------ even block against full grid
 
 # measured over 1,200 random cases of _block_vs_full_cases: worst relative gap
-# 9.3e-16 (of the field's max) for half_spectrum_apply, 5.5e-16 for
-# plancherel_sum, 3.7e-16 for norm_lq and 4.2e-16 for intersection_norm; each
-# floor sits just above its measured value
+# 9.3e-16 (of the field's max) for half_spectrum_apply and 3.7e-16 for
+# norm_lq; over 4,000 cases, 8.5e-16 for the block plancherel_sum against the
+# full fftn lattice's. Each floor sits just above its measured value
 _BLOCK_MULTIPLIER_FLOOR = 1.5e-15
 _BLOCK_PLANCHEREL_FLOOR = 1e-15
 _BLOCK_NORM_FLOOR = 6e-16
@@ -184,28 +174,34 @@ def test_even_block_multiplier_matches_full_grid(case):
 
 @_HALF_VS_FULL
 @given(_block_vs_full_cases())
-def test_even_block_norms_match_full_grid(case):
+def test_plancherel_sum_matches_full_fft(case):
+    # the block sum of an even field against the sum over its full fftn lattice
     f, weight = case
-    fb = f.grid.even.restrict(f)
-    n = f.grid.n
-    assert _rel_gap(plancherel_sum(fb, weight), plancherel_sum(f, weight)) \
+    ref = fft_plancherel_sum(f, weight)
+    assert _rel_gap(plancherel_sum(f.grid.even.restrict(f), weight), ref) \
         <= _BLOCK_PLANCHEREL_FLOOR
-    for q in (2.0, 2.0 * n):
+
+
+@_HALF_VS_FULL
+@given(_block_vs_full_cases())
+def test_even_block_norms_match_full_grid(case):
+    f, _ = case
+    fb = f.grid.even.restrict(f)
+    for q in (2.0, 2.0 * f.grid.n):
         assert _rel_gap(norm_lq(fb, q), norm_lq(f, q)) <= _BLOCK_NORM_FLOOR
-    assert _rel_gap(intersection_norm(fb), intersection_norm(f)) <= _BLOCK_NORM_FLOOR
 
 
 def test_even_block_partials_are_the_restricted_gradient():
-    # the DST-I partials inside the block norms are the full-grid spectral
-    # gradient at the orthant's points, zero on both faces (worst gap over
-    # 200 seeds of these three grids: 7.5e-16 of the partial's max); a
-    # partial is odd along its axis, so it is gathered, not restricted
-    # (restrict would average it to zero)
+    # the block partials (diff_matrix along each axis, one of which the
+    # block norms take) are the full-grid spectral gradient at the orthant's
+    # points, zero on both faces (worst gap over 200 seeds of these three
+    # grids: 7.5e-16 of the partial's max); a partial is odd along its axis,
+    # so it is gathered, not restricted (restrict would average it to zero)
     for n, N in ((1, 64), (2, 32), (3, 16)):
         grid = Grid(n, N, 5.0)
         f = full_grid_symmetrize_radial(_random_field(grid, 20 + n))
         block = grid.even
-        for got, full in zip(_block_partials(block.restrict(f)), gradient(f)):
+        for got, full in zip(block_partials(block.restrict(f)), gradient(f)):
             ref = gather(block, full.values)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -247,7 +243,7 @@ def _check_block_against_scipy(f, sym):
     assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
     assert _rel_gap(plancherel_sum(f, sym), dct1_plancherel_sum(f, sym)) \
         <= _BLOCK_PLANCHEREL_FLOOR
-    for got, ref in zip(_block_partials(f), dst1_partials(f)):
+    for got, ref in zip(block_partials(f), dst1_partials(f)):
         assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
 
 
@@ -326,7 +322,7 @@ def test_norm_l2_gaussian():
 def test_norm_h1_gaussian():
     # ||f||_2^2 = sqrt(pi/2) and ||f'||_2^2 = sqrt(pi/2) for f = exp(-x^2)
     grid = Grid(1, 256, 12.0)
-    f = sample_field(grid, lambda x: np.exp(-(x ** 2)))
+    f = grid.even.restrict(sample_field(grid, lambda x: np.exp(-(x ** 2))))
     assert norm_h1(f) == pytest.approx(math.sqrt(2 * math.sqrt(math.pi / 2)), rel=1e-10)
 
 
@@ -342,18 +338,16 @@ def test_intersection_norm_takes_q_2n():
     for n in (1, 2, 3):
         grid = Grid(n, 16, 6.0)
         for width_sq in (8.0, 0.5):
-            f = Field(grid, np.exp(-radius_sq(grid) / width_sq))
-            assert intersection_norm(f) == max(norm_h1(f), norm_w1q(f, 2.0 * n))
+            f = symmetrize_radial(grid.even.restrict(
+                Field(grid, np.exp(-radius_sq(grid) / width_sq))))
+            assert _rel_gap(intersection_norm(f), max(general_norms(f))) <= _ONE_PARTIAL_FLOOR
 
 
 # measured over 1,500 restricted white-noise fields (n = 1..3, N = 16..256),
 # symmetrized and scaled to unit max: worst relative gap between the
-# one-partial norms and norm_h1 / norm_w1q 4.1e-16 for H^1, 2.7e-16 for W^{1,2n}
+# one-partial norms and the general path's (general_norms) 4.1e-16 for H^1,
+# 2.7e-16 for W^{1,2n}
 _ONE_PARTIAL_FLOOR = 6e-16
-
-
-def _general_norms(f):
-    return norm_h1(f), norm_w1q(f, 2.0 * f.grid.n)
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
@@ -363,21 +357,27 @@ def test_intersection_norm_near_the_float64_limit(n, N, amplitude, field):
     # the transform sums of these finite fields overflow, to inf and to
     # inf - inf = nan; the norm is homogeneous and the unit field's max is 1,
     # so it must be exactly amplitude times the unit field's norm (inf when
-    # that overflows, finite at 1e300). The radial field, signs constant on
-    # each axis-permutation orbit, is measured from one partial, and its
-    # unit norm is the general path's within the one-partial floor
+    # that overflows, finite at 1e300). Each unit field is radial with values
+    # in {-1, 0, 1}, so amplitude times it is exact: the signs of the radial
+    # projection of random signs on the block, or on the full grid, or random
+    # signs constant on each axis-permutation orbit. Its unit norm, from one
+    # partial, is the general path's within the one-partial floor
     grid = Grid(n, N, 5.0)
-    if field != "full":
-        grid = grid.even
-    signs = np.sign(np.random.default_rng(n).standard_normal(grid.shape))
+    block = grid.even
+    rng = np.random.default_rng(n)
+    if field == "full":
+        signs = block.restrict(Field(grid, np.sign(rng.standard_normal(grid.shape)))).values
+    else:
+        signs = np.sign(rng.standard_normal(block.shape))
     if field == "radial":
-        signs = signs.ravel()[grid.orbits.reps][grid.orbits.expand].reshape(grid.shape)
-        assert _is_permutation_symmetric(signs)
-        general = max(_general_norms(Field(grid, signs)))
-        assert _rel_gap(intersection_norm(Field(grid, signs)), general) <= _ONE_PARTIAL_FLOOR
-    unit = intersection_norm(Field(grid, signs))
+        signs = signs.ravel()[block.orbits.reps][block.orbits.expand].reshape(block.shape)
+    else:
+        signs = np.sign(symmetrize_radial(Field(block, signs)).values)
+    assert _is_permutation_symmetric(signs)
+    unit = intersection_norm(Field(block, signs))
+    assert _rel_gap(unit, max(general_norms(Field(block, signs)))) <= _ONE_PARTIAL_FLOOR
     with np.errstate(over="ignore", invalid="ignore"):
-        got = intersection_norm(Field(grid, amplitude * signs))
+        got = intersection_norm(Field(block, amplitude * signs))
     assert got == amplitude * unit
 
 
@@ -386,9 +386,9 @@ def test_intersection_norm_near_the_float64_limit(n, N, amplitude, field):
 def test_one_partial_norms_match_the_general_path(f):
     radial = symmetrize_radial(f.grid.even.restrict(f))
     unit = radial * (1.0 / norm_lq(radial, math.inf))
-    for got, ref in zip(_symmetric_block_norms(unit), _general_norms(unit)):
+    for got, ref in zip(_symmetric_block_norms(unit), general_norms(unit)):
         assert _rel_gap(got, ref) <= _ONE_PARTIAL_FLOOR
-    assert _rel_gap(intersection_norm(unit), max(_general_norms(unit))) <= _ONE_PARTIAL_FLOOR
+    assert _rel_gap(intersection_norm(unit), max(general_norms(unit))) <= _ONE_PARTIAL_FLOOR
 
 
 @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16), (3, 32)])
@@ -399,10 +399,10 @@ def test_one_partial_h1_counts_the_nyquist_planes(n, N):
     block = Grid(n, N, 5.0).even
     alternating = (-1.0) ** np.sum(np.indices(block.shape), axis=0)
     f = symmetrize_radial(Field(block, alternating * np.exp(-block.radius_sq / 4.0)))
-    for got, ref in zip(_symmetric_block_norms(f), _general_norms(f)):
+    for got, ref in zip(_symmetric_block_norms(f), general_norms(f)):
         assert _rel_gap(got, ref) <= _ONE_PARTIAL_FLOOR
     partials_only = math.sqrt(norm_lq(f, 2) ** 2 + sum(
-        norm_lq(Field(block, d), 2) ** 2 for d in _block_partials(f)))
+        norm_lq(Field(block, d), 2) ** 2 for d in block_partials(f)))
     assert norm_h1(f) > 1.4 * partials_only
 
 
@@ -432,7 +432,7 @@ def test_norm_w2q_separable_cosine_closed_form(N, q, ka, kb):
 
 def test_parseval():
     grid = Grid(2, 32, 5.0)
-    f = _random_field(grid, 7)
+    f = grid.even.restrict(_random_field(grid, 7))
     assert plancherel_sum(f, lambda r2: np.ones_like(r2)) == pytest.approx(
         norm_lq(f, 2) ** 2, rel=1e-12)
 
