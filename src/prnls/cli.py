@@ -150,6 +150,7 @@ def parse_config(text: str, command: str = None) -> RunConfig:
     mu = _get(cp, "params", "mu", float, 1.0)
     try:
         params = PhysicalParams(n, p, m, mu, c)
+        reduce_params(params)  # a finite c must reduce to a finite positive c_tilde
         default_grid = Grid.default(n)
         grid = Grid(n, _get(cp, "grid", "n_points", int, default_grid.N),
                     _get(cp, "grid", "box_radius", float, default_grid.L))
@@ -302,7 +303,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     scale = math.sqrt(2.0 * cfg.params.m * cfg.params.mu)
     if abs(scale - 1.0) > 1e-15 or abs(cfg.params.mu - 1.0) > 1e-15:
         target = Grid(cfg.grid.n, cfg.grid.N, cfg.grid.L / scale)
-        physical = lift_solution(cfg.grid.even.lift(u_c), cfg.params, target)
+        physical = lift_solution(u_c, cfg.params, target)
         write_field(os.path.join(out, "u_c_physical.bin"), physical,
                     "u_c_physical", cfg.params.p, cfg.params.c)
     return 0

@@ -13,10 +13,6 @@ class CollapseError(SolverError):
     """An iterate decayed to (numerical) zero; the trivial solution was reached."""
 
 
-class SymmetryError(ValueError):
-    """A field violated a realness/radial-symmetry requirement."""
-
-
 class DomainOverflowError(ValueError):
     """Requested resampling needs points outside the source periodic cell."""
 

@@ -65,10 +65,12 @@ class PhysicalParams(_Exponents):
 
     def __post_init__(self):
         _validate_common(self.n, self.p)
-        for name in ("m", "mu", "c"):
+        for name in ("m", "mu"):
             val = getattr(self, name)
-            if not (val > 0):
-                raise ValueError(f"{name} must be positive, got {val}")
+            if not (0 < val < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {val}")
+        if not (self.c > 0):
+            raise ValueError(f"c must be positive, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,25 @@ class ReducedParams(_Exponents):
 
 
 def reduce_params(params: PhysicalParams) -> ReducedParams:
-    """Map (m, mu, c) to the equivalent reduced speed c_tilde = c sqrt(mu / (2 m))."""
+    """Map (m, mu, c) to the equivalent reduced speed c_tilde = c sqrt(mu / (2 m)).
+
+    A finite c whose c_tilde underflows to 0 or overflows raises ValueError.
+    """
     c_tilde = params.c * math.sqrt(params.mu / (2.0 * params.m))
+    if math.isfinite(params.c) and not (0 < c_tilde < math.inf):
+        raise ValueError(f"c = {params.c!r}, m = {params.m!r}, mu = {params.mu!r} give "
+                         f"c_tilde = {c_tilde!r}; it must be positive and finite")
     return ReducedParams(params.n, params.p, c_tilde)
 
 
 def lift_solution(v: Field, params: PhysicalParams, target: Grid) -> Field:
     """Undo the reduction: u(x) = mu^{1/(p-1)} v(sqrt(2 m mu) x) on the target grid.
 
-    The reduced solution v is evaluated by trigonometric interpolation at the
-    rescaled coordinates; a DomainOverflowError is raised if the rescaled
-    target box does not fit inside v's periodic cell.
+    v is the reduced solution on its even block, as solve returns it, and so
+    is the result, on target.even (write_field writes its lift). v is
+    evaluated by trigonometric interpolation at the rescaled coordinates
+    (resample); a DomainOverflowError is raised if the rescaled target box
+    does not fit inside v's periodic cell, and a ValueError for a full-grid v.
     """
     if target.n != v.grid.n or target.n != params.n:
         raise ValueError("dimension mismatch between solution, parameters and target grid")

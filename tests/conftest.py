@@ -14,9 +14,14 @@ from prnls import fixed_point
 C5_LADDER = (8.0, 16.0, 32.0, 64.0)
 
 
+def axis_coords(grid) -> np.ndarray:
+    """Full-grid coordinates along one axis: x_j = -L + j h."""
+    return -grid.L + grid.h * np.arange(grid.N)
+
+
 def coords(grid) -> tuple:
     """Broadcastable full-grid coordinate arrays, one per axis (open meshgrid)."""
-    return tuple(np.reshape(grid.axis_coords, [-1 if b == a else 1 for b in range(grid.n)])
+    return tuple(np.reshape(axis_coords(grid), [-1 if b == a else 1 for b in range(grid.n)])
                  for a in range(grid.n))
 
 

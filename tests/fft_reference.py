@@ -7,6 +7,10 @@ complex fftn lattice, and serve the tests as an independent oracle.
 dct1_multiplier, dct1_plancherel_sum and dst1_partials are the even-block
 transforms as scipy.fft computes them (DCT-I, and DST-I for the partials),
 the path the block took before it became cached per-axis matrix products.
+full_grid_resample is resample as it was on the full grid, before it took
+even-block fields only: the complex fftn coefficients, phase-shifted to the
+box origin, evaluated by a complex exponential per axis, with the realness
+check (_require_real) that fft_multiplier also applies.
 block_partials and general_norms are intersection_norm's general path, the
 way it measured a block field before it took only permutation-symmetric
 ones: all n partials (diff_matrix along each axis), norm_h1 and the
@@ -35,11 +39,24 @@ from prnls.errors import ConvergenceError
 from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
                                 limit_residual)
 from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import (Field, _along_axis, _require_real, gradient, half_spectrum_apply,
+from prnls.spectral import (Field, Grid, _along_axis, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, norm_h1, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
 
-from conftest import radius_sq
+from conftest import axis_coords, radius_sq
+
+_IMAG_RESIDUE_TOL = 1e-12
+
+
+def _require_real(w: np.ndarray, what: str) -> np.ndarray:
+    """The real part of w; ValueError if its imaginary residue exceeds 1e-12 of its scale."""
+    scale = np.max(np.abs(w.real))
+    residue = np.max(np.abs(w.imag))
+    if residue > _IMAG_RESIDUE_TOL * max(scale, 1.0):
+        raise ValueError(
+            f"{what}: imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e} * scale"
+        )
+    return w.real.copy()
 
 
 def xi_sq_full(grid) -> np.ndarray:
@@ -66,6 +83,29 @@ def fft_plancherel_sum(f: Field, weight) -> float:
     w = np.asarray(weight(xi_sq_full(g)), dtype=np.float64)
     power = np.abs(np.fft.fftn(f.values)) ** 2
     return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
+
+
+def full_grid_resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
+    """The trigonometric interpolant of a full-grid field at scale * target's coordinates.
+
+    The Nyquist plane is dropped on every axis (it has no conjugate partner).
+    """
+    src = f.grid
+    coeffs = np.fft.fftn(f.values)
+    k_int = np.rint(np.fft.fftfreq(src.N) * src.N).astype(int)
+    nyq = k_int == -src.N // 2
+    for axis in range(src.n):
+        idx = [slice(None)] * src.n
+        idx[axis] = nyq
+        coeffs[tuple(idx)] = 0.0
+
+    phase = np.where(k_int % 2 == 0, 1.0, -1.0)  # e^{i xi_k L} = (-1)^k
+    y = scale * axis_coords(target)
+    out = coeffs
+    for axis in range(src.n):
+        e = np.exp(1j * np.outer(y, src.freqs[axis])) * phase / src.N
+        out = np.moveaxis(np.tensordot(e, out, axes=(1, axis)), 0, axis)
+    return Field(target, _require_real(out, "resample"))
 
 
 def dct1_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:

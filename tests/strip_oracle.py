@@ -10,7 +10,9 @@ import numpy as np
 import scipy.fft
 
 from prnls.diagnostics import ExtensionWeights
-from prnls.spectral import Field, Grid, resample
+from prnls.spectral import Field, Grid
+
+from fft_reference import full_grid_resample
 
 
 def _thomas_constant_offdiag(diag, offdiag: float, rhs):
@@ -55,7 +57,7 @@ def halfspace_fd_weights(u: Field, c: float, p: float, n_t: int = 256,
         t_height = 40.0 / c
     if refine:
         fine = Grid(1, grid.N * 2 ** refine, grid.L)
-        u = resample(u, fine, 1.0)
+        u = full_grid_resample(u, fine, 1.0)
         grid = fine
         n_t = n_t * 2 ** refine
 

@@ -25,7 +25,7 @@ from prnls.spectral import Field, Grid, intersection_norm, norm_h1, norm_lq, ran
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds)
 
-from conftest import C5_LADDER, sample_field
+from conftest import C5_LADDER, axis_coords, sample_field
 from fft_reference import full_grid_apply, full_grid_symmetrize_radial
 from strip_oracle import halfspace_fd_weights
 
@@ -68,7 +68,7 @@ def test_criterion_02_derivative_constants_are_c_uniform():
 def test_criterion_03_closed_form_ground_states():
     start = time.perf_counter()
     grid = Grid(1, 1024, 20.0 * math.pi)
-    x = grid.axis_coords
+    x = axis_coords(grid)
     cases = {
         3.0: math.sqrt(2.0) / np.cosh(x),
         2.0: 1.5 / np.cosh(0.5 * x) ** 2,

@@ -263,6 +263,7 @@ def test_main_config_error_is_exit_1(tmp_path, capsys):
 
 _SUPERCRITICAL_3D = "[params]\nn = 3\np = 5.0\n\n[grid]\nn_points = 16\nbox_radius = 10.0\n"
 _SMALL_SPEED_2D = "[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius = 20.0\n"
+_TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10.0\n"
 
 
 @pytest.mark.parametrize("command,text,flags,reason", [
@@ -275,12 +276,18 @@ _SMALL_SPEED_2D = "[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius
      [], "floor"),
     ("sweep", _SUPERCRITICAL_3D + "\n[sweep]\nc_min = 2.0\nc_max = 8.0\nrungs = 2\n",
      ["--find-threshold"], "subcritical"),
+    ("solve", _TINY_2D.format("m = inf\nc = 16"), [], "finite"),
+    ("solve", _TINY_2D.format("m = 1e300\nc = 1e-300"), [], "c_tilde"),
+    ("solve", _TINY_2D.format("mu = inf\nc = 16"), [], "finite"),
+    ("identity-check", _TINY_2D.format("mu = 1e300\nm = 1e-300\nc = 16"), [], "c_tilde"),
 ], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
-        "rate-sweep-floor", "find-threshold-supercritical"])
+        "rate-sweep-floor", "find-threshold-supercritical", "solve-infinite-m",
+        "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde"])
 def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, text,
                                                      flags, reason):
-    # a run whose solves would break solve()'s preconditions exits 1 before it
-    # writes anything, instead of raising out of main()
+    # a run whose solves would break solve()'s preconditions, or whose mass,
+    # frequency or reduced speed leaves the float range, exits 1 before it
+    # writes anything, instead of raising out of main() or running on inf
     out = tmp_path / "out"
     assert main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
@@ -517,13 +524,18 @@ rungs = 3
 
 def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch):
     # writing u_inf.bin must leave no full-grid copy on the ground state, which
-    # every job of a --workers sweep pickles
+    # every job of a --workers sweep pickles, and the grid's cached matrices
+    # stay out of the pickle: a job is the ground state's values and little more
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
     sizes = []
     limit_state, sweep_rows = cli._limit_state, cli._sweep_rows
 
     def job_size(cfg, gs):
-        return len(pickle.dumps((cfg, cfg.sweep.c_min, gs, False)))
+        job = pickle.dumps((cfg, cfg.sweep.c_min, gs, False))
+        _, _, copy, _ = pickle.loads(job)
+        assert copy.u_even.grid is copy.grid.even and copy.grid == gs.grid
+        assert len(job) < gs.u_even.values.nbytes + 2048
+        return len(job)
 
     def recording_limit_state(cfg, allow_supercritical):
         gs = limit_state(cfg, allow_supercritical)

@@ -8,7 +8,6 @@ from prnls.params import PhysicalParams, ReducedParams, lift_solution, reduce_pa
 from prnls.spectral import Field, Grid, norm_lq, signed_power
 from prnls.symbols import relativistic_symbol
 
-from conftest import sample_field
 from fft_reference import fft_multiplier
 
 
@@ -42,6 +41,11 @@ def test_validation_errors():
         PhysicalParams(n=2, p=3.0, m=0.0, mu=1.0, c=4.0)
     with pytest.raises(ValueError):
         PhysicalParams(n=2, p=3.0, m=0.5, mu=-1.0, c=4.0)
+    for m, mu in ((math.inf, 1.0), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(n=2, p=3.0, m=m, mu=mu, c=4.0)
+    with pytest.raises(ValueError, match="c_tilde"):  # c_tilde overflows
+        reduce_params(PhysicalParams(n=2, p=3.0, m=1e-300, mu=1e300, c=16.0))
     with pytest.raises(ValueError):
         PhysicalParams(n=2, p=3.0, m=0.5, mu=1.0, c=0.0)
     with pytest.raises(ValueError):
@@ -64,7 +68,7 @@ def test_critical_exponents():
 
 def test_lift_identity_when_already_reduced():
     grid = Grid(1, 128, 12.0)
-    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
+    v = Field(grid.even, np.exp(-grid.even.radius_sq))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=1.0, c=4.0)
     lifted = lift_solution(v, params, grid)
     assert np.max(np.abs(lifted.values - v.values)) < 1e-13
@@ -73,17 +77,17 @@ def test_lift_identity_when_already_reduced():
 def test_lift_scaling_factors():
     # mu = 4, p = 3, m = 1/2: amplitude mu^{1/(p-1)} = 2, coordinate sqrt(2 m mu) = 2
     grid = Grid(1, 256, 12.0)
-    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
+    v = Field(grid.even, np.exp(-grid.even.radius_sq))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=4.0, c=4.0)
     target = Grid(1, 256, 6.0)
     lifted = lift_solution(v, params, target)
-    expected = 2.0 * np.exp(-((2.0 * target.axis_coords) ** 2))
+    expected = 2.0 * np.exp(-4.0 * target.even.radius_sq)
     assert np.max(np.abs(lifted.values - expected)) < 1e-10
 
 
 def test_lift_rejects_oversized_target():
     grid = Grid(1, 128, 12.0)
-    v = sample_field(grid, lambda x: np.exp(-(x ** 2)))
+    v = Field(grid.even, np.exp(-grid.even.radius_sq))
     params = PhysicalParams(n=1, p=3.0, m=0.5, mu=4.0, c=4.0)
     with pytest.raises(DomainOverflowError):
         lift_solution(v, params, Grid(1, 128, 10.0))  # 2 * 10 > 12
@@ -106,12 +110,13 @@ def test_lifted_residual_nearly_solves_physical_equation(grid2d, gs2d):
     assert rep.converged and rep.final_residual < 1e-10
 
     target = Grid(2, 256, 10.0)  # scale sqrt(2 m mu) = 2 halves the box
-    with pytest.raises(ValueError, match="lift"):  # solve returns u_c on the even block
-        lift_solution(u_c, params, target)
-    u_c = grid2d.even.lift(u_c)
+    with pytest.raises(ValueError, match="restrict"):  # solve returns u_c on the even block
+        lift_solution(grid2d.even.lift(u_c), params, target)
     lifted = lift_solution(u_c, params, target)
+    assert lifted.grid == target.even
     transfer_dev = np.max(np.abs(lifted.values - math.sqrt(2.0) * u_c.values))
     assert transfer_dev < 1e-7
+    lifted = target.even.lift(lifted)
 
     sym = relativistic_symbol(params.m, params.c)
     resid = fft_multiplier(sym, lifted).values + params.mu * lifted.values \
