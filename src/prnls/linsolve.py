@@ -43,7 +43,7 @@ from .errors import ConvergenceError
 from .ground_state import GroundState
 from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier, norm_lq,
-                       norm_w1q, norm_w2q, random_band_limited, symmetrize_radial)
+                       random_band_limited, sobolev_norms, symmetrize_radial)
 from .symbols import inverse_difference, p_c
 
 _RESTART = 50
@@ -222,7 +222,6 @@ class ProbeReport:
     """Empirical operator-norm ratios over random band-limited test fields."""
 
     c: float
-    q: float
     trials: int
     lower_ratio: float      # sup ||f||_{W^{1,q}} / ||P_c f||_q
     upper_ratio: float      # sup ||P_c f||_q / ||f||_{W^{2,q}}
@@ -269,8 +268,9 @@ def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
         af = Field(grid, half_spectrum_apply(grid, f.values, a_half))
         fq = norm_lq(f, q)
         pq = norm_lq(pf, q)
-        lower = max(lower, norm_w1q(f, q) / pq)
-        upper = max(upper, pq / norm_w2q(f, q))
+        w1, w2 = sobolev_norms(f, q)
+        lower = max(lower, w1 / pq)
+        upper = max(upper, pq / w2)
         inv_ratio = max(inv_ratio, c * c * norm_lq(af, q) / fq)
     lattice_sup = float(c * c * np.max(np.abs(a_half)))
-    return ProbeReport(c, q, len(fields), lower, upper, inv_ratio, lattice_sup)
+    return ProbeReport(c, len(fields), lower, upper, inv_ratio, lattice_sup)

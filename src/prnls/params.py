@@ -35,26 +35,8 @@ class ToleranceSet:
     tol_residual: float = 1e-8
 
 
-class _Exponents:
-    """Critical exponents of (n, p), shared by both parameter sets."""
-
-    @property
-    def critical_sobolev(self) -> float:
-        """H^1-critical exponent (n+2)/(n-2); inf for n <= 2."""
-        return (self.n + 2) / (self.n - 2) if self.n >= 3 else math.inf
-
-    @property
-    def critical_half(self) -> float:
-        """H^{1/2}-critical exponent (n+1)/(n-1); inf for n = 1."""
-        return (self.n + 1) / (self.n - 1) if self.n >= 2 else math.inf
-
-    @property
-    def subcritical_for_construction(self) -> bool:
-        return self.p < self.critical_sobolev
-
-
 @dataclass(frozen=True)
-class PhysicalParams(_Exponents):
+class PhysicalParams:
     """Parameters of the full equation: dimension, exponent, mass, frequency, speed."""
 
     n: int
@@ -74,7 +56,7 @@ class PhysicalParams(_Exponents):
 
 
 @dataclass(frozen=True)
-class ReducedParams(_Exponents):
+class ReducedParams:
     """Parameters of the reduced equation (m = 1/2, mu = 1): dimension, exponent, speed."""
 
     n: int
@@ -85,6 +67,20 @@ class ReducedParams(_Exponents):
         _validate_common(self.n, self.p)
         if not (self.c_tilde > 0):
             raise ValueError(f"c_tilde must be positive, got {self.c_tilde}")
+
+    @property
+    def critical_sobolev(self) -> float:
+        """H^1-critical exponent (n+2)/(n-2); inf for n <= 2."""
+        return (self.n + 2) / (self.n - 2) if self.n >= 3 else math.inf
+
+    @property
+    def critical_half(self) -> float:
+        """H^{1/2}-critical exponent (n+1)/(n-1); inf for n = 1."""
+        return (self.n + 1) / (self.n - 1) if self.n >= 2 else math.inf
+
+    @property
+    def subcritical_for_construction(self) -> bool:
+        return self.p < self.critical_sobolev
 
 
 def reduce_params(params: PhysicalParams) -> ReducedParams:

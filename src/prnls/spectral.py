@@ -486,20 +486,23 @@ def norm_h1(f: Field) -> float:
     return math.sqrt(plancherel_sum(f, lambda r2: 1.0 + r2))
 
 
-def norm_w1q(f: Field, q: float) -> float:
-    """W^{1,q} norm of a full-grid field: ||f||_q + sum_i ||d_i f||_q."""
-    return norm_lq(f, q) + sum(norm_lq(d, q) for d in gradient(f))
+def sobolev_norms(f: Field, q: float) -> tuple:
+    """(W^{1,q}, W^{2,q}) norms of a full-grid field, from one gradient.
 
-
-def norm_w2q(f: Field, q: float) -> float:
-    """W^{2,q} norm: ||f||_q + sum_i ||d_i f||_q + sum_{i<=j} ||d_i d_j f||_q."""
-    total = norm_lq(f, q)
+    W^{1,q} is ||f||_q + sum_i ||d_i f||_q, and W^{2,q} adds
+    sum_{i<=j} ||d_j d_i f||_q, each d_i f's second partials right after it.
+    Only the n(n+1)/2 second partials with j >= i are transformed.
+    """
+    g = f.grid
+    fq = norm_lq(f, q)
+    first, w2 = 0.0, fq
     for i, gi in enumerate(gradient(f)):
-        total += norm_lq(gi, q)
-        second = gradient(gi)
-        for j in range(i, f.grid.n):
-            total += norm_lq(second[j], q)
-    return total
+        di = norm_lq(gi, q)
+        first += di
+        w2 += di
+        for xi in g.deriv_freqs_half[i:]:
+            w2 += _lq(g, half_spectrum_apply(g, gi.values, 1j * xi), q)
+    return fq + first, w2
 
 
 def _is_permutation_symmetric(values: np.ndarray) -> bool:

@@ -27,7 +27,10 @@ solve_limit_equation's loop as it was when each step took P_inf(D) u_k by a
 transform pair of its own. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
 every step, the loop _gmres ran before it updated the residual by Givens
-rotations.
+rotations. norm_w1q and norm_w2q are the norm probe's W^{1,q} and W^{2,q}
+norms as two functions, before sobolev_norms returned both from one
+gradient: each builds the gradient, and norm_w2q transforms all n^2 second
+partials.
 """
 
 import itertools
@@ -155,6 +158,22 @@ def general_norms(f: Field) -> tuple:
     g = f.grid
     q = 2.0 * g.n
     return norm_h1(f), norm_lq(f, q) + sum(norm_lq(Field(g, d), q) for d in block_partials(f))
+
+
+def norm_w1q(f: Field, q: float) -> float:
+    """W^{1,q} norm of a full-grid field: ||f||_q + sum_i ||d_i f||_q."""
+    return norm_lq(f, q) + sum(norm_lq(d, q) for d in gradient(f))
+
+
+def norm_w2q(f: Field, q: float) -> float:
+    """W^{2,q} norm: ||f||_q + sum_i ||d_i f||_q + sum_{i<=j} ||d_i d_j f||_q."""
+    total = norm_lq(f, q)
+    for i, gi in enumerate(gradient(f)):
+        total += norm_lq(gi, q)
+        second = gradient(gi)
+        for j in range(i, f.grid.n):
+            total += norm_lq(second[j], q)
+    return total
 
 
 def gather(block, values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prnls import linsolve
+from prnls import linsolve, spectral
 from prnls.diagnostics import action, check_identities
 from prnls.errors import ConvergenceError
 from prnls.ground_state import solve_limit_equation
@@ -29,10 +29,11 @@ def _random_radial(grid, seed, kmax=4.0):
 
 
 def test_invert_raises_when_the_norm_of_f_overflows():
-    # ||f||_2 is inf, so GMRES stops at w = 0 and the relative residual is nan
+    # ||f||_2 is inf, so GMRES stops at w = 0 and the relative residual is nan;
+    # the overflows in _lq's power and in GMRES's norm warn on the way
     rp = ReducedParams(2, 3.0, 16.0)
     gs = solve_limit_equation(rp, Grid(2, 32, 10.0))
-    with pytest.raises(ConvergenceError):
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ConvergenceError):
         invert(linearized_operator(rp, gs), 1e160 * gs.u_even)
 
 
@@ -310,6 +311,24 @@ def test_probe_parseval_bound(grid2d_small):
         rep = operator_norm_probe(grid2d_small, c, 2.0, trials=8, seed=0)
         assert rep.inv_diff_ratio <= rep.lattice_sup + 1e-10
         assert rep.lower_ratio > 0 and rep.upper_ratio > 0
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_probe_takes_two_plus_n_plus_the_j_ge_i_second_partials_per_field(n, N, monkeypatch):
+    # per field: P_c f and a f, the n first partials and the n(n+1)/2 second
+    # partials d_j d_i f with j >= i, besides the pair that builds the field
+    pairs = []
+
+    def counted(*args):
+        pairs.append(1)
+        return half_spectrum_apply(*args)
+
+    monkeypatch.setattr(linsolve, "half_spectrum_apply", counted)
+    monkeypatch.setattr(spectral, "half_spectrum_apply", counted)
+    trials = 4
+    rep = operator_norm_probe(Grid(n, N, 8.0), 8.0, 2.0, trials=trials, seed=0)
+    assert rep.trials == trials
+    assert len(pairs) == trials * (1 + 2 + n + n * (n + 1) // 2)
 
 
 def test_probe_deterministic(grid2d_small):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from prnls.spectral import (Field, Grid, _is_permutation_symmetric,
                             _symmetric_block_norms, gradient,
                             half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
-                            norm_h1, norm_lq, norm_w1q, norm_w2q, plancherel_sum,
-                            random_band_limited, read_field, resample, symmetrize_radial,
+                            norm_h1, norm_lq, plancherel_sum, random_band_limited,
+                            read_field, resample, sobolev_norms, symmetrize_radial,
                             write_field)
 from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
@@ -22,7 +22,7 @@ from conftest import axis_coords, coords, radius_sq, sample_field
 from fft_reference import (_require_real, block_partials, dct1_multiplier, dct1_plancherel_sum,
                            dst1_partials, fft_multiplier, fft_plancherel_sum, flip_average,
                            full_grid_resample, full_grid_symmetrize_radial, gather,
-                           general_norms)
+                           general_norms, norm_w1q, norm_w2q)
 
 
 def _random_field(grid, seed):
@@ -329,7 +329,18 @@ def test_norm_h1_gaussian():
 def test_norm_w1q_gaussian_q2():
     grid = Grid(1, 256, 12.0)
     f = sample_field(grid, lambda x: np.exp(-(x ** 2)))
-    assert norm_w1q(f, 2) == pytest.approx(2 * (math.pi / 2) ** 0.25, rel=1e-10)
+    assert sobolev_norms(f, 2)[0] == pytest.approx(2 * (math.pi / 2) ** 0.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+def test_sobolev_norms_match_the_two_function_pair_bit_for_bit(n, N):
+    # one gradient and the j >= i second partials give the very sums of
+    # norm_w1q and norm_w2q, which build the gradient twice and all n^2 partials
+    grid = Grid(n, N, 6.0)
+    for seed in range(3):
+        f = random_band_limited(grid, np.random.default_rng(seed), 0.4 * grid.freqs_half[-1])
+        for q in (2.0, 2.0 * n, 2.8):
+            assert sobolev_norms(f, q) == (norm_w1q(f, q), norm_w2q(f, q))
 
 
 def test_intersection_norm_takes_q_2n():
@@ -427,7 +438,7 @@ def test_norm_w2q_separable_cosine_closed_form(N, q, ka, kb):
     x, y = coords(grid)
     f = Field(grid, np.cos(a * x) * np.cos(b * y))
     expected = (1 + a + b + a * a + a * b + b * b) * norm_lq(f, q)
-    assert norm_w2q(f, q) == pytest.approx(expected, rel=2e-15)
+    assert sobolev_norms(f, q)[1] == pytest.approx(expected, rel=2e-15)
 
 
 def test_parseval():
