@@ -250,9 +250,9 @@ def _solve_row(rep: SolveReport, act: float):
             rep.final_residual, rep.rc_norm, rep.w_norm, rep.gs_residual, act)
 
 
-def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
+def _run_one(cfg: RunConfig, rp: ReducedParams, gs):
     """Solve at one speed; returns (u_c, report, action)."""
-    u_c, rep = solve(rp, cfg.grid, gs, probe=probe, tol=cfg.tolerances)
+    u_c, rep = solve(rp, cfg.grid, gs, tol=cfg.tolerances)
     act = math.nan
     if u_c is not None:
         act = action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
@@ -260,23 +260,21 @@ def _run_one(cfg: RunConfig, rp: ReducedParams, gs, probe: bool):
 
 
 def _solve_rung(args):
-    cfg, c, gs, probe = args
+    cfg, c, gs = args
     rp = ReducedParams(cfg.params.n, cfg.params.p, c)
-    _, rep, act = _run_one(cfg, rp, gs, probe)
+    _, rep, act = _run_one(cfg, rp, gs)
     return rep, act
 
 
-def _limit_state(cfg: RunConfig, allow_supercritical: bool):
-    return solve_limit_equation(reduce_params(cfg.params), cfg.grid,
-                                tol=cfg.tolerances.tol_gs,
-                                allow_supercritical=allow_supercritical)
+def _limit_state(cfg: RunConfig):
+    return solve_limit_equation(reduce_params(cfg.params), cfg.grid, tol=cfg.tolerances.tol_gs)
 
 
 def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
     header = ("n", "p", "n_points", "box_radius", "outcome", "iterations",
               "residual", "h1_norm", "center_value")
     try:
-        gs = _limit_state(cfg, allow_supercritical=True)
+        gs = _limit_state(cfg)
     except SolverError as exc:
         outcome = "collapsed" if isinstance(exc, CollapseError) else "diverged"
         _write_csv(os.path.join(out, "ground_state.csv"), header,
@@ -293,9 +291,9 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
 
 def _cmd_solve(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
-    gs = _limit_state(cfg, allow_supercritical=False)
+    gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", rp.p, math.inf)
-    u_c, rep, act = _run_one(cfg, rp, gs, probe=False)
+    u_c, rep, act = _run_one(cfg, rp, gs)
     _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
     if u_c is None:
         return 2
@@ -309,11 +307,11 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, gs, probe: bool):
-    ladder = cfg.sweep.ladder()
-    jobs = [(cfg, c, gs, probe) for c in ladder]
+def _sweep_rows(cfg: RunConfig, gs):
+    jobs = [(cfg, c, gs) for c in cfg.sweep.ladder()]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # a forking pool starts all its workers at the first submit: one per rung at most
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_solve_rung, jobs))
     else:
         results = [_solve_rung(job) for job in jobs]
@@ -321,11 +319,11 @@ def _sweep_rows(cfg: RunConfig, gs, probe: bool):
 
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
-    gs = _limit_state(cfg, allow_supercritical=cfg.probe)
+    gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     if cfg.find_threshold:
         return _cmd_find_threshold(cfg, gs, out)
-    results = _sweep_rows(cfg, gs, cfg.probe)
+    results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
                [_solve_row(rep, act) for rep, act in results])
     return 0 if all(rep.converged for rep, _ in results) else 2
@@ -349,9 +347,9 @@ def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
 
 
 def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
-    gs = _limit_state(cfg, allow_supercritical=False)
+    gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
-    results = _sweep_rows(cfg, gs, probe=False)
+    results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
                [_solve_row(rep, act) for rep, act in results])
     points = [(rep.c, rep.w_norm) for rep, _ in results if rep.converged]
@@ -368,8 +366,8 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
 
 def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
-    gs = _limit_state(cfg, allow_supercritical=False)
-    u_c, rep, act = _run_one(cfg, rp, gs, probe=False)
+    gs = _limit_state(cfg)
+    u_c, rep, act = _run_one(cfg, rp, gs)
     _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
     if u_c is None:
         return 2
@@ -386,7 +384,7 @@ def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
 
 def _cmd_certify(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
-    gs = _limit_state(cfg, allow_supercritical=True)
+    gs = _limit_state(cfg)
     cert = nonexistence_certificate(gs.u_even, rp)
     _write_csv(os.path.join(out, "certificate.csv"),
                ("regime", "combined_lhs", "combined_rhs", "conclusion"),
@@ -399,7 +397,7 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
     for k in range(cfg.probes):
         rng = np.random.default_rng([cfg.seed, k])
         w0 = random_start(cfg.grid, rng, scale)
-        u_c, rep = solve(rp, cfg.grid, gs, w0=w0, probe=True, tol=cfg.tolerances,
+        u_c, rep = solve(rp, cfg.grid, gs, w0=w0, tol=cfg.tolerances,
                          construction=construction)
         mismatch = math.nan
         if u_c is not None:
@@ -467,10 +465,11 @@ _RUNNERS = {
 def _check_construction(cfg: RunConfig):
     """Raise ConfigError if cfg breaks its command's preconditions, before any output.
 
-    certify needs (n, p, c) inside a non-existence regime. A non-probe solve
-    must meet solve()'s preconditions: sweeps check their lowest rung, whose
-    ladder value is c_tilde itself; --find-threshold checks p only, because
-    its lower endpoint is meant to fail; sweep --probe lifts the preconditions.
+    The one gate on the paper's hypotheses: the solvers run any input. certify
+    needs (n, p, c) inside a non-existence regime. The other solves must meet
+    construction_precondition: sweeps check their lowest rung, whose ladder
+    value is c_tilde itself; --find-threshold checks p only, because its lower
+    endpoint is meant to fail; sweep --probe skips the check.
     """
     if cfg.command == "certify":
         rp = reduce_params(cfg.params)

@@ -12,8 +12,8 @@ is a contraction on a ball whose radius tracks ||R_c|| (order c^-2 for p > 2
 and at worst c^-1 for p <= 2), and plain Picard iteration from w = 0
 converges geometrically. Every run ends in one of four outcomes, converged,
 collapsed, diverged (including loss of invertibility) or stalled, which solve()
-returns as data in its report. Probe mode runs the same iteration for small c
-or supercritical p, where the construction preconditions do not hold.
+returns as data in its report, also for small c or supercritical p, outside the
+hypotheses that construction_precondition names and the CLI checks first.
 
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
@@ -44,6 +44,7 @@ from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
 _MAX_PICARD = 200
+_BISECTION_ROUNDS = 8
 _START_KMAX = 4.0
 
 OUTCOME_CONVERGED = "converged"
@@ -124,7 +125,7 @@ def _contraction_estimate(steps, floor: float) -> float:
 
 
 def construction_precondition(rp: ReducedParams) -> str:
-    """Why solve() without probe rejects rp; empty when it accepts it."""
+    """Which hypothesis of the construction (p H^1-subcritical, c >= _C_FLOOR) rp breaks, or ""."""
     if not rp.subcritical_for_construction:
         return f"p={rp.p} at n={rp.n} is not subcritical for construction"
     if rp.c_tilde < _C_FLOOR:
@@ -163,8 +164,7 @@ def prepare(rp: ReducedParams, gs: GroundState,
 
 
 def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
-          probe: bool = False, tol: ToleranceSet = ToleranceSet(),
-          construction: Construction = None):
+          tol: ToleranceSet = ToleranceSet(), construction: Construction = None):
     """Construct the solitary wave u_c = u_inf + w on grid.even; returns (u_c, SolveReport).
 
     gs is the limit ground state u_inf for rp.p on grid (checked); a start w0
@@ -172,16 +172,13 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     projected onto the radial subspace. construction, if given, is
     prepare(rp, gs, tol.tol_lin) (checked); otherwise solve() prepares it.
     Every run returns its report, whose outcome classifies it as converged /
-    collapsed / diverged / stalled; u_c is None unless it converged. Only malformed
-    input raises: ValueError for a mismatched grid, start, ground state or
-    construction, and, unless probe=True lifts them, for a rp that breaks the
-    construction preconditions (see construction_precondition).
+    collapsed / diverged / stalled; u_c is None unless it converged, also for
+    a rp that breaks the construction's hypotheses (construction_precondition).
+    Only malformed input raises: ValueError for a mismatched grid, start,
+    ground state or construction.
     """
     if grid.n != rp.n:
         raise ValueError(f"grid dimension {grid.n} does not match parameters (n={rp.n})")
-    reason = "" if probe else construction_precondition(rp)
-    if reason:
-        raise ValueError(f"{reason}; probe=True lifts this precondition")
     if gs.p != rp.p or gs.grid != grid:
         raise ValueError("supplied ground state does not match parameters/grid")
     if w0 is not None and w0.grid != grid.even:
@@ -250,19 +247,19 @@ class ThresholdReport:
     history: tuple
 
 
-def find_convergence_threshold(gs: GroundState, c_lo: float, c_hi: float, rounds: int = 8,
+def find_convergence_threshold(gs: GroundState, c_lo: float, c_hi: float,
                                tol: ToleranceSet = ToleranceSet()) -> ThresholdReport:
     """Bisect [c_lo, c_hi] for the empirical convergence threshold of solve().
 
     n, p and the grid are those of the ground state gs, which every probe run
-    reuses. c_lo must fail and c_hi must converge (checked). Returns the final
-    bracket and the probe history.
+    reuses. c_lo must fail and c_hi must converge (checked). Returns the
+    bracket after _BISECTION_ROUNDS halvings and the probe history.
     """
     history = []
 
     def outcome_at(c):
         rp = ReducedParams(gs.grid.n, gs.p, c)
-        _, rep = solve(rp, gs.grid, gs, probe=True, tol=tol)
+        _, rep = solve(rp, gs.grid, gs, tol=tol)
         history.append((c, rep.outcome))
         return rep.converged
 
@@ -271,7 +268,7 @@ def find_convergence_threshold(gs: GroundState, c_lo: float, c_hi: float, rounds
     if not outcome_at(c_hi):
         raise ValueError(f"bisection needs a converging upper endpoint; c={c_hi} did not")
     lo, hi = c_lo, c_hi
-    for _ in range(rounds):
+    for _ in range(_BISECTION_ROUNDS):
         mid = 0.5 * (lo + hi)
         if outcome_at(mid):
             hi = mid

@@ -76,8 +76,8 @@ def limit_residual(u: Field, p: float, c: float = np.inf) -> float:
     return norm_lq(Field(grid, pu - signed_power(u.values, p)), 2)
 
 
-def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSet.tol_gs,
-                         allow_supercritical: bool = False) -> GroundState:
+def solve_limit_equation(rp: ReducedParams, grid: Grid,
+                         tol: float = ToleranceSet.tol_gs) -> GroundState:
     """Run the Petviashvili iteration from initial_gaussian to the discrete ground state.
 
     Stops when the sup-norm step is below tol and the equation residual is
@@ -86,19 +86,17 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid, tol: float = ToleranceSe
     under-resolved grid the clamped map max(u, 0)^p has a fixed point that
     solves no equation, where the residual stalls, and ConvergenceError is
     raised there. Raises CollapseError if the iterate decays to numerical
-    zero, ConvergenceError on blow-up or after _MAX_PETVIASHVILI steps.
+    zero, ConvergenceError on blow-up or after _MAX_PETVIASHVILI steps. Any p
+    runs: an H^1-supercritical one, with no ground state on R^n, raises or
+    settles on a profile at the grid scale.
     """
     if grid.n != rp.n:
         raise ValueError(f"grid dimension {grid.n} does not match parameters (n={rp.n})")
-    if not (rp.subcritical_for_construction or allow_supercritical):
-        raise ValueError(
-            f"p={rp.p} is not subcritical for construction at n={rp.n}; "
-            "pass allow_supercritical=True to probe anyway")
 
     p = rp.p
     gamma = p / (p - 1.0)
     block = grid.even
-    pinf = block.xi_sq + 1.0
+    pinf = half_spectrum_multiplier(block, p_c(np.inf))
     vol = grid.cell_volume
 
     u = symmetrize_radial(initial_gaussian(grid, p)).values

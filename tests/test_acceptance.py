@@ -200,7 +200,7 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
         for k in range(50):
             rng = np.random.default_rng([0, k])
             w0 = random_start(grid2d_small, rng, scale)
-            u_c, rep = solve(rp, grid2d_small, gs=gs2d_small, w0=w0, probe=True)
+            u_c, rep = solve(rp, grid2d_small, gs=gs2d_small, w0=w0)
             outcomes.add(rep.outcome)
             assert u_c is None
             assert rep.outcome in ("collapsed", "diverged"), (c, k, rep.outcome)
@@ -209,14 +209,14 @@ def test_criterion_08_nonexistence_probes(gs2d_small, grid2d_small, grid3d):
         assert cert.combined_lhs > 0.0 >= cert.combined_rhs
 
     rp3 = ReducedParams(3, 5.0, 4.0)
-    gs3 = solve_limit_equation(rp3, grid3d, tol=1e-12, allow_supercritical=True)
+    gs3 = solve_limit_equation(rp3, grid3d, tol=1e-12)
     scale = 0.3 * intersection_norm(gs3.u_even)
     genuine = 0
     converged = 0
     for k in range(50):
         rng = np.random.default_rng([0, k])
         w0 = random_start(grid3d, rng, scale)
-        u_c, rep = solve(rp3, grid3d, gs=gs3, w0=w0, probe=True)
+        u_c, rep = solve(rp3, grid3d, gs=gs3, w0=w0)
         if u_c is not None:
             converged += 1
             if check_identities(u_c, rp3).max_mismatch < 1e-6:

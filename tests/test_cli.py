@@ -531,20 +531,20 @@ def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch
     limit_state, sweep_rows = cli._limit_state, cli._sweep_rows
 
     def job_size(cfg, gs):
-        job = pickle.dumps((cfg, cfg.sweep.c_min, gs, False))
-        _, _, copy, _ = pickle.loads(job)
+        job = pickle.dumps((cfg, cfg.sweep.c_min, gs))
+        _, _, copy = pickle.loads(job)
         assert copy.u_even.grid is copy.grid.even and copy.grid == gs.grid
         assert len(job) < gs.u_even.values.nbytes + 2048
         return len(job)
 
-    def recording_limit_state(cfg, allow_supercritical):
-        gs = limit_state(cfg, allow_supercritical)
+    def recording_limit_state(cfg):
+        gs = limit_state(cfg)
         sizes.append(job_size(cfg, gs))
         return gs
 
-    def recording_sweep_rows(cfg, gs, probe):
+    def recording_sweep_rows(cfg, gs):
         sizes.append(job_size(cfg, gs))
-        return sweep_rows(cfg, gs, probe)
+        return sweep_rows(cfg, gs)
 
     monkeypatch.setattr(cli, "_limit_state", recording_limit_state)
     monkeypatch.setattr(cli, "_sweep_rows", recording_sweep_rows)
@@ -552,6 +552,34 @@ def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch
     assert main(["sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
     assert (out / "u_inf.bin").exists()
     assert len(sizes) == 2 and sizes[0] == sizes[1]
+
+
+def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
+    # a forking pool starts all max_workers processes at its first submit, so
+    # --workers 500 on a 2-rung ladder must ask for 2; the stand-in pool
+    # records the request and maps in this process, starting none
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--workers", "500",
+                 "--output-dir", str(out)]) == 0
+    assert requested == [2]
+    assert len(_read_rows(out / "sweep.csv")) == 2
 
 
 def test_sweep_find_threshold(tmp_path):

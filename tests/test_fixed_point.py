@@ -221,10 +221,22 @@ def test_large_speed_limit_1d(gs1d):
 
 def test_probe_mode_below_existence_threshold(gs2d_small):
     rp = ReducedParams(2, 3.0, 1.0)
-    u_c, rep = fp.solve(rp, gs2d_small.grid, gs=gs2d_small, probe=True)
+    assert "floor" in fp.construction_precondition(rp)
+    u_c, rep = fp.solve(rp, gs2d_small.grid, gs=gs2d_small)
     assert rep.outcome in ("collapsed", "diverged")
     assert not rep.converged
     assert u_c is None
+
+
+def test_supercritical_exponent_runs_to_a_report():
+    # p = 5 is H^1-critical in 3-D: outside the construction's hypotheses,
+    # solve() reports an outcome like any other run instead of raising
+    rp = ReducedParams(3, 5.0, 8.0)
+    assert "subcritical" in fp.construction_precondition(rp)
+    gs = solve_limit_equation(rp, Grid(3, 16, 8.0))
+    u_c, rep = fp.solve(rp, gs.grid, gs)
+    assert rep.outcome in _OUTCOMES
+    assert (u_c is None) == (not rep.converged)
 
 
 def test_stalled_run_returns_its_report(gs2d_small):
@@ -247,12 +259,9 @@ _OUTCOMES = (fp.OUTCOME_CONVERGED, fp.OUTCOME_COLLAPSED, fp.OUTCOME_DIVERGED,
        L=st.floats(5.0, 25.0, exclude_min=True, exclude_max=True),
        p=st.floats(1.2, 6.0, exclude_min=True, exclude_max=True),
        log_c=st.floats(math.log(0.3), math.log(64.0), exclude_min=True, exclude_max=True),
-       scale_exp=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16), probe=st.booleans())
-def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, seed, probe):
-    # without probe, every draw that meets the construction preconditions must
-    # not raise either
+       scale_exp=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 16))
+def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, seed):
     rp = ReducedParams(n, p, math.exp(log_c))
-    assume(probe or not fp.construction_precondition(rp))
     grid = Grid(n, N, L)
     try:
         gs = solve_limit_equation(rp, grid)
@@ -260,7 +269,7 @@ def test_probe_mode_classifies_and_never_raises(n, N, L, p, log_c, scale_exp, se
         assume(False)
     w0 = fp.random_start(grid, np.random.default_rng(seed),
                          10.0 ** scale_exp * intersection_norm(gs.u_even))
-    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=probe)
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0)
     assert rep.outcome in _OUTCOMES
     assert (u_c is None) == (not rep.converged)
 
@@ -276,7 +285,7 @@ def test_probe_start_far_outside_the_ball_diverges(p, c, exponent):
     gs = solve_limit_equation(rp, grid)
     w0 = fp.random_start(grid, np.random.default_rng(0),
                          10.0 ** exponent * intersection_norm(gs.u_even))
-    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0)
     assert u_c is None
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
     assert "iteration 1" in rep.message
@@ -293,7 +302,7 @@ def test_start_near_the_float64_limit_reports_its_norm(exponent):
     gs = solve_limit_equation(rp, grid)
     scale = 10.0 ** exponent * intersection_norm(gs.u_even)
     w0 = fp.random_start(grid, np.random.default_rng(0), scale)
-    u_c, rep = fp.solve(rp, grid, gs, w0=w0, probe=True)
+    u_c, rep = fp.solve(rp, grid, gs, w0=w0)
     assert u_c is None
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations == 1
     assert rep.w_norm == pytest.approx(scale, rel=1e-12)
@@ -343,7 +352,7 @@ def test_prepared_construction_changes_nothing(gs2d_small, monkeypatch):
 
     w0 = fp.random_start(gs2d_small.grid, np.random.default_rng(7),
                          0.3 * intersection_norm(gs2d_small.u_even))
-    rep = _solve_both_ways(ReducedParams(2, 3.0, 1.0), gs2d_small, w0=w0, probe=True)
+    rep = _solve_both_ways(ReducedParams(2, 3.0, 1.0), gs2d_small, w0=w0)
     assert rep.outcome == fp.OUTCOME_DIVERGED and rep.iterations >= 1
 
     def failing(op, f, **kwargs):
@@ -367,11 +376,7 @@ def test_foreign_construction_rejected(gs2d_small):
             fp.solve(rp, grid, gs2d_small, tol=tol, construction=construction)
 
 
-def test_preconditions_without_probe(gs2d_small, gs3d):
-    with pytest.raises(ValueError, match="floor"):
-        fp.solve(ReducedParams(2, 3.0, 1.0), gs2d_small.grid, gs=gs2d_small)
-    with pytest.raises(ValueError, match="subcritical"):
-        fp.solve(ReducedParams(3, 5.0, 8.0), gs3d.grid, gs=gs3d)
+def test_mismatched_input_rejected(gs2d_small):
     with pytest.raises(ValueError, match="dimension"):
         fp.solve(ReducedParams(2, 3.0, 16.0), Grid(3, 16, 10.0), gs=gs2d_small)
     with pytest.raises(ValueError, match="does not match"):
@@ -385,13 +390,13 @@ def test_preconditions_without_probe(gs2d_small, gs3d):
 def test_convergence_threshold_bisection():
     grid = Grid(2, 64, 20.0)
     gs = solve_limit_equation(ReducedParams(2, 3.0, 8.0), grid, tol=1e-12)
-    th = fp.find_convergence_threshold(gs, 2.0, 8.0, rounds=4)
+    th = fp.find_convergence_threshold(gs, 2.0, 8.0)
     assert th.c_diverged < th.c_converged
-    assert th.c_converged - th.c_diverged == pytest.approx((8.0 - 2.0) / 2 ** 4)
-    assert len(th.history) == 6  # two endpoints plus four bisection probes
+    assert th.c_converged - th.c_diverged == pytest.approx((8.0 - 2.0) / 2 ** 8)
+    assert len(th.history) == 10  # two endpoints plus eight bisection probes
     assert all(outcome for _, outcome in th.history)
 
     with pytest.raises(ValueError, match="lower endpoint"):
-        fp.find_convergence_threshold(gs, 16.0, 32.0, rounds=2)
+        fp.find_convergence_threshold(gs, 16.0, 32.0)
     with pytest.raises(ValueError, match="upper endpoint"):
-        fp.find_convergence_threshold(gs, 2.0, 3.0, rounds=2)
+        fp.find_convergence_threshold(gs, 2.0, 3.0)

@@ -288,9 +288,11 @@ def test_settled_iterate_may_still_converge():
     assert gs.iterations == 72 and gs.residual < 1e-11
 
 
-def test_supercritical_exponent_rejected_by_default():
+def test_supercritical_exponent_fails_as_a_solver_error():
+    # p = 5 is H^1-critical in 3-D; the iteration runs, and on this coarse
+    # grid settles on a fixed point that solves nothing, which it raises
     grid = Grid(3, 16, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConvergenceError, match="no solution"):
         solve_limit_equation(ReducedParams(3, 5.0, 8.0), grid)
 
 

@@ -12,7 +12,9 @@ others import it, so a constant cannot drift between two copies. Only spectral
 lifts a block field to the full grid (EvenBlock.lift, which write_field takes
 for a dump), so no other module grows a full-grid path back, and only spectral
 names EvenBlock, so the choice between the full grid and the even block stays
-in that one module.
+in that one module. Only cli checks the construction's hypotheses
+(construction_precondition): the solvers run whatever they are given, so
+the hypotheses have one gate.
 """
 
 import ast
@@ -113,6 +115,10 @@ def test_only_spectral_lifts_to_the_full_grid():
 
 def test_only_spectral_names_the_even_block_type():
     assert [m for m in modules_referencing("EvenBlock") if m != "spectral"] == []
+
+
+def test_only_cli_gates_on_the_construction_hypotheses():
+    assert modules_referencing("construction_precondition") == ["cli"]
 
 
 def test_the_lift_check_flags_a_call_not_a_word(tmp_path):
