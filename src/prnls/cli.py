@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -310,6 +309,8 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
 def _sweep_rows(cfg: RunConfig, gs):
     jobs = [(cfg, c, gs) for c in cfg.sweep.ladder()]
     if cfg.workers > 1:
+        # imported here, so only a sweep that forks loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # a forking pool starts all its workers at the first submit: one per rung at most
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             results = list(pool.map(_solve_rung, jobs))

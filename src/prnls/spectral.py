@@ -17,9 +17,9 @@ Two substrates
   (1 on the x = 0 and x = L faces, 2 inside, multiplied over axes), so sums
   over the block reproduce full-grid sums. EvenBlock.restrict is the one
   projection from the full grid, the average over the sign flips
-  x_a -> -x_a, and EvenBlock.lift the one way back, which write_field takes
-  for a block field. EvenBlock.orbits describes the block's
-  axis-permutation orbits, whose representatives j_1 <= ... <= j_n
+  x_a -> -x_a, and write_field the one way back: it writes a block field
+  as its lift, streamed from the block values. EvenBlock.orbits describes
+  the block's axis-permutation orbits, whose representatives j_1 <= ... <= j_n
   (C(N/2+n, n) points) set a permutation-symmetric block field, so the
   Krylov solve runs on them alone. symmetrize_radial writes one mean to
   every point of an orbit, so its output equals its axis transposes bit for
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -352,13 +353,6 @@ class EvenBlock:
         for axis in range(self.n):  # full-grid index m + j is x = j h, m - j is x = -j h
             v = 0.5 * np.take(v, m + j, axis, mode="wrap") + 0.5 * np.take(v, m - j, axis)
         return Field(self, v)
-
-    def lift(self, f: "Field") -> "Field":
-        """The even full-grid field with block values f (index i reads |i - N/2|)."""
-        if f.grid != self:
-            raise ValueError("field does not live on this block")
-        idx = np.abs(np.arange(self.N) - self.N // 2)
-        return Field(self.grid, f.values[np.ix_(*(idx,) * self.n)])
 
     def lattice_sum(self, values: np.ndarray) -> float:
         """Sum over the full grid of the even field with block values `values`."""
@@ -647,18 +641,27 @@ def write_field(path, f: Field, label: str, p: float = float("nan"),
     """Write a field dump: one metadata line, then raw little-endian float64.
 
     Layout: b"n=<n> N=<N> L=<repr> p=<repr> c=<repr> label=<label>\\n" followed
-    by the full-grid values row-major; a block field is written as its lift.
+    by the full-grid values row-major; a block field is written as its lift,
+    the even full-grid field whose index i reads block index |i - N/2| on
+    every axis, one N^(n-1) slab at a time, so no full-grid array is built.
     A full-grid field round-trips bit-exactly.
     """
     if any(ch.isspace() for ch in label) or not label:
         raise ValueError(f"label must be non-empty and contain no whitespace: {label!r}")
-    if isinstance(f.grid, EvenBlock):
-        f = f.grid.lift(f)
-    head = (f"n={f.grid.n} N={f.grid.N} L={f.grid.L!r} p={float(p)!r} "
+    grid = f.grid.grid if isinstance(f.grid, EvenBlock) else f.grid
+    head = (f"n={grid.n} N={grid.N} L={grid.L!r} p={float(p)!r} "
             f"c={float(c)!r} label={label}\n")
+    v = np.asarray(f.values, dtype="<f8")
+    if grid is f.grid:
+        slabs = (v,)
+    else:
+        idx = np.abs(np.arange(grid.N) - grid.N // 2)
+        rest = np.ix_(*(idx,) * (grid.n - 1))
+        slabs = (v[idx],) if grid.n == 1 else (v[i][rest] for i in idx)
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        for slab in slabs:
+            fh.write(np.ascontiguousarray(slab))
 
 
 _DUMP_KEYS = {"n": int, "N": int, "L": float, "p": float, "c": float, "label": str}
@@ -671,20 +674,22 @@ def read_field(path):
     """
     with open(path, "rb") as fh:
         head = fh.readline().decode("ascii").strip()
-        raw = fh.read()
-    meta = {}
-    for tok in head.split():
-        key, _, val = tok.partition("=")
-        if key not in _DUMP_KEYS:
-            raise ValueError(f"unknown field-dump metadata key {key!r}")
-        meta[key] = _DUMP_KEYS[key](val)
-    missing = [key for key in _DUMP_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"field dump lacks metadata key(s) {', '.join(missing)}")
-    grid = Grid(meta["n"], meta["N"], meta["L"])
-    expected = 8 * grid.N ** grid.n
-    if len(raw) != expected:
-        raise ValueError(f"field dump payload is {len(raw)} bytes; a {grid.shape} grid "
+        meta = {}
+        for tok in head.split():
+            key, _, val = tok.partition("=")
+            if key not in _DUMP_KEYS:
+                raise ValueError(f"unknown field-dump metadata key {key!r}")
+            meta[key] = _DUMP_KEYS[key](val)
+        missing = [key for key in _DUMP_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"field dump lacks metadata key(s) {', '.join(missing)}")
+        grid = Grid(meta["n"], meta["N"], meta["L"])
+        expected = 8 * grid.N ** grid.n
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == expected:
+            values = np.empty(grid.shape, dtype="<f8")  # the payload is read once, into place
+            size = fh.readinto(memoryview(values).cast("B"))
+    if size != expected:
+        raise ValueError(f"field dump payload is {size} bytes; a {grid.shape} grid "
                          f"needs {expected}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).astype(np.float64)
     return Field(grid, values), meta

@@ -30,7 +30,8 @@ every step, the loop _gmres ran before it updated the residual by Givens
 rotations. norm_w1q and norm_w2q are the norm probe's W^{1,q} and W^{2,q}
 norms as two functions, before sobolev_norms returned both from one
 gradient: each builds the gradient, and norm_w2q transforms all n^2 second
-partials.
+partials. lift is EvenBlock.lift as it was before write_field streamed a
+block field's dump slab by slab: the whole even full-grid field at once.
 """
 
 import itertools
@@ -60,6 +61,14 @@ def _require_real(w: np.ndarray, what: str) -> np.ndarray:
             f"{what}: imaginary residue {residue:.3e} exceeds {_IMAG_RESIDUE_TOL:.0e} * scale"
         )
     return w.real.copy()
+
+
+def lift(block, f: Field) -> Field:
+    """The even full-grid field with block values f (index i reads |i - N/2|)."""
+    if f.grid != block:
+        raise ValueError("field does not live on this block")
+    idx = np.abs(np.arange(block.N) - block.N // 2)
+    return Field(block.grid, f.values[np.ix_(*(idx,) * block.n)])
 
 
 def xi_sq_full(grid) -> np.ndarray:
@@ -241,7 +250,7 @@ def full_grid_pc(op) -> np.ndarray:
 
 def full_grid_potential(op) -> Field:
     """op's potential p max(u_inf, 0)^{p-1} on the full grid, lifted from the block."""
-    return op.grid.even.lift(op.potential_even)
+    return lift(op.grid.even, op.potential_even)
 
 
 def full_grid_apply(op, w: Field) -> Field:

@@ -26,7 +26,7 @@ from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds)
 
 from conftest import C5_LADDER, axis_coords, sample_field
-from fft_reference import full_grid_apply, full_grid_symmetrize_radial
+from fft_reference import full_grid_apply, full_grid_symmetrize_radial, lift
 from strip_oracle import halfspace_fd_weights
 
 
@@ -76,7 +76,7 @@ def test_criterion_03_closed_form_ground_states():
     errors = {}
     for p, exact in cases.items():
         gs = solve_limit_equation(ReducedParams(1, p, 8.0), grid, tol=1e-12)
-        errors[p] = float(np.max(np.abs(grid.even.lift(gs.u_even).values - exact)))
+        errors[p] = float(np.max(np.abs(lift(grid.even, gs.u_even).values - exact)))
         assert errors[p] < 1e-6, (p, errors[p])
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -99,7 +99,7 @@ def test_criterion_04_linear_solver_roundtrip(gs2d_small, gs3d):
                 rng = np.random.default_rng([4, n, int(c), k])
                 f = full_grid_symmetrize_radial(random_band_limited(grid, rng, 4.0))
                 f = Field(grid, f.values / norm_lq(f, 2))
-                w = block.lift(invert(op, block.restrict(f), tol=1e-10))
+                w = lift(block, invert(op, block.restrict(f), tol=1e-10))
                 rel = norm_lq(full_grid_apply(op, w) - f, 2) / norm_lq(f, 2)
                 worst = max(worst, rel)
                 count += 1

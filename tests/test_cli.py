@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -573,7 +577,7 @@ def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
     out = tmp_path / "out"
     assert main(["sweep", _cfg(tmp_path, text), "--workers", "500",
@@ -581,6 +585,35 @@ def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
     assert requested == [2]
     assert len(_read_rows(out / "sweep.csv")) == 2
 
+
+
+def test_sweep_with_workers_runs_on_the_process_pool(tmp_path, monkeypatch):
+    # the real pool, subclassed only to record that _sweep_rows built it
+    requested = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--workers", "2",
+                 "--output-dir", str(out)]) == 0
+    assert requested == [2]
+    assert len(_read_rows(out / "sweep.csv")) == 2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep that forks pays for multiprocessing; a fresh interpreter
+    # shows what the import alone loads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, prnls.cli; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 def test_sweep_find_threshold(tmp_path):
     text = """

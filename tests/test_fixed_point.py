@@ -19,7 +19,7 @@ from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
                             signed_power, symmetrize_radial)
 from prnls.symbols import p_c
 
-from fft_reference import fft_multiplier, full_grid_symmetrize_radial
+from fft_reference import fft_multiplier, full_grid_symmetrize_radial, lift
 
 
 def test_remainder_vanishes_at_infinite_speed(gs2d_small):
@@ -136,7 +136,7 @@ def test_random_start_properties(grid2d_small):
     w = fp.random_start(grid2d_small, rng, 0.25)
     assert w.grid == grid2d_small.even
     assert intersection_norm(w) == pytest.approx(0.25, rel=1e-12)
-    full = grid2d_small.even.lift(w)
+    full = lift(grid2d_small.even, w)
     sym = full_grid_symmetrize_radial(full)
     assert np.max(np.abs(sym.values - full.values)) < 1e-12
 
@@ -182,7 +182,7 @@ def test_solve_report_steps_decrease(uc16_small):
 
 def test_independent_residual_recompute(uc16_small):
     u_c, rep = uc16_small
-    u_c = u_c.grid.lift(u_c)
+    u_c = lift(u_c.grid, u_c)
     pc_u = fft_multiplier(p_c(16.0), u_c)
     resid = norm_lq(Field(u_c.grid, pc_u.values - signed_power(u_c.values, 3.0)), 2)
     assert resid <= 1e-8

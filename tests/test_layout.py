@@ -9,10 +9,10 @@ exempt: Python or the base class calls them.
 numpy is the package's only dependency: no module there imports scipy, which
 only the tests use. A module-level name is assigned in one module only; the
 others import it, so a constant cannot drift between two copies. Only spectral
-lifts a block field to the full grid (EvenBlock.lift, which write_field takes
-for a dump), so no other module grows a full-grid path back, and only spectral
-names EvenBlock, so the choice between the full grid and the even block stays
-in that one module. Only cli checks the construction's hypotheses
+lifts a block field to the full grid (write_field, which streams a block
+field's dump as its lift), so no other module grows a full-grid path back,
+and only spectral names EvenBlock, so the choice between the full grid and
+the even block stays in that one module. Only cli checks the construction's hypotheses
 (construction_precondition): the solvers run whatever they are given, so
 the hypotheses have one gate.
 """

@@ -18,7 +18,7 @@ from prnls.symbols import inverse_difference
 
 from conftest import sample_field
 from fft_reference import (fft_plancherel_sum, full_grid_invert, full_grid_krylov_operator,
-                           full_grid_pc, full_grid_potential, gather, lstsq_gmres)
+                           full_grid_pc, full_grid_potential, gather, lift, lstsq_gmres)
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -61,7 +61,7 @@ def test_block_potential_is_the_full_grid_formula(name, request):
     # lifting it gives the full-grid formula bit for bit
     gs = request.getfixturevalue(name)
     op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
-    u = gs.grid.even.lift(gs.u_even)
+    u = lift(gs.grid.even, gs.u_even)
     ref = gs.p * np.maximum(u.values, 0.0) ** (gs.p - 1.0)
     assert np.array_equal(full_grid_potential(op).values, ref)
     assert np.array_equal(op.potential_even.values, gather(gs.grid.even, ref))
@@ -123,7 +123,7 @@ def test_kernel_direction_defeats_unprojected_inversion(gs2d_small):
     # radial projection the inversion must fail to meet tolerance (or blow up)
     op = linearized_operator(ReducedParams(2, 3.0, math.inf), gs2d_small)
     grid = op.grid
-    d1 = gradient(gs2d_small.grid.even.lift(gs2d_small.u_even))[0]
+    d1 = gradient(lift(gs2d_small.grid.even, gs2d_small.u_even))[0]
     apply_b = full_grid_krylov_operator(op, project=False)
 
     b = d1.values.ravel()
@@ -167,11 +167,11 @@ def test_invert_matches_full_grid_krylov_reference(dim, c, gs2d_small, gs3d_coar
     block = op.grid.even
     for seed in (0, 1):
         f = _random_radial(op.grid, seed)
-        ref, matvecs = full_grid_invert(op, block.lift(f), 1e-10)
+        ref, matvecs = full_grid_invert(op, lift(block, f), 1e-10)
         applied.clear()
         w = invert(op, f, tol=1e-10)
         assert len(applied) == matvecs
-        assert norm_lq(block.lift(w) - ref, 2) <= _FULL_GRID_ORACLE_FLOOR * norm_lq(ref, 2)
+        assert norm_lq(lift(block, w) - ref, 2) <= _FULL_GRID_ORACLE_FLOOR * norm_lq(ref, 2)
 
 
 def _counted(apply_b):

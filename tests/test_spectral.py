@@ -3,6 +3,7 @@ integrals, and the roundtrip/idempotence properties everything else leans on."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from conftest import axis_coords, coords, radius_sq, sample_field
 from fft_reference import (_require_real, block_partials, dct1_multiplier, dct1_plancherel_sum,
                            dst1_partials, fft_multiplier, fft_plancherel_sum, flip_average,
                            full_grid_resample, full_grid_symmetrize_radial, gather,
-                           general_norms, norm_w1q, norm_w2q)
+                           general_norms, lift, norm_w1q, norm_w2q)
 
 
 def _random_field(grid, seed):
@@ -159,7 +160,7 @@ def test_even_block_lift_restrict_roundtrip_is_exact(case):
     block = f.grid.even
     assert block.shape == (f.grid.N // 2 + 1,) * f.grid.n
     assert np.sum(block.weights) == f.grid.N ** f.grid.n
-    assert np.array_equal(block.lift(block.restrict(f)).values, f.values)
+    assert np.array_equal(lift(block, block.restrict(f)).values, f.values)
 
 
 @_HALF_VS_FULL
@@ -269,7 +270,7 @@ def test_even_block_rejects_foreign_fields():
     with pytest.raises(ValueError):
         Grid(2, 32, 6.0).even.restrict(f)
     with pytest.raises(ValueError):
-        grid.even.lift(f)
+        lift(grid.even, f)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -472,7 +473,7 @@ def test_grid_symmetrize_matches_the_full_grid_oracle(f):
     # restrict, the block's permutation average and lift do the full-grid
     # pass's arithmetic at the block's points, in the same order
     block = f.grid.even
-    got = block.lift(symmetrize_radial(block.restrict(f)))
+    got = lift(block, symmetrize_radial(block.restrict(f)))
     assert np.array_equal(got.values, full_grid_symmetrize_radial(f).values)
     with pytest.raises(ValueError, match="even-block"):
         symmetrize_radial(f)
@@ -507,7 +508,7 @@ def test_restrict_stays_finite_at_the_float64_limit(n, N):
     block = grid.even
     assert np.array_equal(block.restrict(f).values,
                           2.0 * gather(block, flip_average(0.5 * f.values)))
-    even = block.lift(block.restrict(f))  # an even field keeps its own block values
+    even = lift(block, block.restrict(f))  # an even field keeps its own block values
     assert np.array_equal(block.restrict(even).values, block.restrict(f).values)
     top = Field(grid, np.full(grid.shape, -1e308))
     assert np.array_equal(block.restrict(top).values, np.full(block.shape, -1e308))
@@ -546,7 +547,7 @@ def test_symmetrize_idempotent():
 
 
 def test_symmetrize_kills_ground_state_translation_mode(gs2d_small):
-    d1 = gradient(gs2d_small.grid.even.lift(gs2d_small.u_even))[0]
+    d1 = gradient(lift(gs2d_small.grid.even, gs2d_small.u_even))[0]
     assert np.max(np.abs(symmetrize_radial(gs2d_small.grid.even.restrict(d1)).values)) < 1e-12
 
 
@@ -612,11 +613,11 @@ def test_block_resample_matches_full_grid_resample(name, request):
                       (Grid(grid.n, grid.N * 3 // 2, grid.L / scale), scale)):
         block = resample(f, target, s)
         assert block.grid == target.even
-        oracle = full_grid_resample(grid.even.lift(f), target, s)
-        gap = np.max(np.abs(target.even.lift(block).values - oracle.values))
+        oracle = full_grid_resample(lift(grid.even, f), target, s)
+        gap = np.max(np.abs(lift(target.even, block).values - oracle.values))
         assert gap < _RESAMPLE_FLOOR * np.max(np.abs(f.values)), (target, s, gap)
     with pytest.raises(ValueError, match="restrict"):
-        resample(grid.even.lift(f), grid)
+        resample(lift(grid.even, f), grid)
 
 
 def test_random_band_limited_deterministic():
@@ -639,9 +640,38 @@ def test_field_dump_roundtrip(tmp_path):
     # a block field is written as its lift, byte for byte the full-grid dump
     block = grid.even.restrict(f)
     write_field(tmp_path / "block.bin", block, "unit", p=2.5, c=8.0)
-    write_field(path, grid.even.lift(block), "unit", p=2.5, c=8.0)
+    write_field(path, lift(grid.even, block), "unit", p=2.5, c=8.0)
     assert (tmp_path / "block.bin").read_bytes() == path.read_bytes()
 
+
+
+@pytest.mark.parametrize("n, N, on_block", [(1, 16, True), (2, 16, True), (3, 16, True),
+                                            (3, 16, False)])
+def test_write_field_gives_the_lift_then_tobytes_bytes(tmp_path, n, N, on_block):
+    grid = Grid(n, N, 5.0)
+    where = grid.even if on_block else grid
+    # a transposed full-grid field checks the row-major payload of a non-contiguous buffer
+    values = np.random.default_rng(n).standard_normal(where.shape)
+    f = Field(where, values if on_block else values.T)
+    full = lift(grid.even, f) if on_block else f
+    head = f"n={n} N={N} L={grid.L!r} p=2.5 c=8.0 label=u\n".encode("ascii")
+    path = tmp_path / "field.bin"
+    write_field(path, f, "u", p=2.5, c=8.0)
+    assert path.read_bytes() == head + np.ascontiguousarray(full.values, dtype="<f8").tobytes()
+    g, _ = read_field(path)
+    assert g.grid == grid and np.array_equal(g.values, full.values)
+
+
+def test_write_field_streams_a_block_field_without_a_full_grid_array(tmp_path):
+    grid = Grid(3, 64, 15.0)
+    f = Field(grid.even, np.random.default_rng(0).standard_normal(grid.even.shape))
+    tracemalloc.start()
+    try:
+        write_field(tmp_path / "field.bin", f, "u")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.N ** grid.n  # one full-grid float64 array is 2 MiB
 
 def _dump_bytes(tmp_path):
     path = tmp_path / "good.bin"
