@@ -258,8 +258,17 @@ def _run_one(cfg: RunConfig, rp: ReducedParams, gs):
     return u_c, rep, act
 
 
-def _solve_rung(args):
-    cfg, c, gs = args
+# a sweep worker's (cfg, gs), set once by the pool's initializer; the parent never sets it
+_worker_state = None
+
+
+def _start_worker(cfg: RunConfig, gs):
+    global _worker_state
+    _worker_state = (cfg, gs)
+
+
+def _solve_rung(c: float, cfg: RunConfig | None = None, gs=None):
+    cfg, gs = _worker_state if cfg is None else (cfg, gs)
     rp = ReducedParams(cfg.params.n, cfg.params.p, c)
     _, rep, act = _run_one(cfg, rp, gs)
     return rep, act
@@ -307,16 +316,16 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
 
 
 def _sweep_rows(cfg: RunConfig, gs):
-    jobs = [(cfg, c, gs) for c in cfg.sweep.ladder()]
-    if cfg.workers > 1:
-        # imported here, so only a sweep that forks loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # a forking pool starts all its workers at the first submit: one per rung at most
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            results = list(pool.map(_solve_rung, jobs))
-    else:
-        results = [_solve_rung(job) for job in jobs]
-    return results
+    ladder = cfg.sweep.ladder()
+    if cfg.workers <= 1:
+        return [_solve_rung(c, cfg, gs) for c in ladder]
+    # imported here, so only a sweep that forks loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # a forking pool starts all its workers at the first submit: one per rung at most.
+    # Each worker gets (cfg, gs) once (by fork, or pickled once under spawn); a job is its speed
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ladder)),
+                             initializer=_start_worker, initargs=(cfg, gs)) as pool:
+        return list(pool.map(_solve_rung, ladder))
 
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:

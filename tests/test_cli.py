@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+import gc
 import math
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -526,28 +528,29 @@ rungs = 3
     assert [r["outcome"] for r in rows] == ["diverged", "converged", "converged"]
 
 
-def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch):
+def test_sweep_initargs_pickle_to_the_same_size_after_the_dump(tmp_path, monkeypatch):
     # writing u_inf.bin must leave no full-grid copy on the ground state, which
-    # every job of a --workers sweep pickles, and the grid's cached matrices
-    # stay out of the pickle: a job is the ground state's values and little more
+    # a spawn or forkserver worker of a --workers sweep receives once as the
+    # pool's initargs (cfg, gs), and the grid's cached matrices stay out of the
+    # pickle: the initargs are the ground state's values and little more
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
     sizes = []
     limit_state, sweep_rows = cli._limit_state, cli._sweep_rows
 
-    def job_size(cfg, gs):
-        job = pickle.dumps((cfg, cfg.sweep.c_min, gs))
-        _, _, copy = pickle.loads(job)
+    def initargs_size(cfg, gs):
+        initargs = pickle.dumps((cfg, gs))
+        _, copy = pickle.loads(initargs)
         assert copy.u_even.grid is copy.grid.even and copy.grid == gs.grid
-        assert len(job) < gs.u_even.values.nbytes + 2048
-        return len(job)
+        assert len(initargs) < gs.u_even.values.nbytes + 2048
+        return len(initargs)
 
     def recording_limit_state(cfg):
         gs = limit_state(cfg)
-        sizes.append(job_size(cfg, gs))
+        sizes.append(initargs_size(cfg, gs))
         return gs
 
     def recording_sweep_rows(cfg, gs):
-        sizes.append(job_size(cfg, gs))
+        sizes.append(initargs_size(cfg, gs))
         return sweep_rows(cfg, gs)
 
     monkeypatch.setattr(cli, "_limit_state", recording_limit_state)
@@ -558,15 +561,17 @@ def test_sweep_job_pickles_to_the_same_size_after_the_dump(tmp_path, monkeypatch
     assert len(sizes) == 2 and sizes[0] == sizes[1]
 
 
-def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
-    # a forking pool starts all max_workers processes at its first submit, so
-    # --workers 500 on a 2-rung ladder must ask for 2; the stand-in pool
-    # records the request and maps in this process, starting none
-    requested = []
+def _serial_pool(monkeypatch):
+    """Stand in for the process pool: run the initializer once, as its one
+    worker would, and map in this process, starting none. Returns the record
+    of max_workers requested and jobs mapped."""
+    seen = {"requested": [], "jobs": []}
+    monkeypatch.setattr(cli, "_worker_state", None)
 
     class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+        def __init__(self, max_workers, initializer, initargs):
+            seen["requested"].append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -575,16 +580,75 @@ def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            jobs = list(jobs)
+            seen["jobs"].extend(jobs)
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
+def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
+    # a forking pool starts all max_workers processes at its first submit, so
+    # --workers 500 on a 2-rung ladder must ask for 2
+    seen = _serial_pool(monkeypatch)
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
     out = tmp_path / "out"
     assert main(["sweep", _cfg(tmp_path, text), "--workers", "500",
                  "--output-dir", str(out)]) == 0
-    assert requested == [2]
+    assert seen["requested"] == [2]
     assert len(_read_rows(out / "sweep.csv")) == 2
 
+
+def test_sweep_pool_gets_the_state_once_and_each_job_is_a_speed(tmp_path, monkeypatch):
+    # the pool's initializer hands a worker the sweep's very cfg and ground
+    # state, once; map then sends only the ladder's speeds, as plain floats
+    seen = _serial_pool(monkeypatch)
+    sweeps, inits = [], []
+    sweep_rows, start_worker = cli._sweep_rows, cli._start_worker
+
+    def recording_sweep_rows(cfg, gs):
+        sweeps.append((cfg, gs))
+        return sweep_rows(cfg, gs)
+
+    def recording_start_worker(cfg, gs):
+        inits.append((cfg, gs))
+        start_worker(cfg, gs)
+
+    monkeypatch.setattr(cli, "_sweep_rows", recording_sweep_rows)
+    monkeypatch.setattr(cli, "_start_worker", recording_start_worker)
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--workers", "2",
+                 "--output-dir", str(out)]) == 0
+    [(cfg, gs)] = sweeps
+    assert len(inits) == 1 and inits[0][0] is cfg and inits[0][1] is gs
+    assert seen["jobs"] == cfg.sweep.ladder()
+    assert all(type(c) is float and len(pickle.dumps(c)) < 64 for c in seen["jobs"])
+    assert len(_read_rows(out / "sweep.csv")) == 2
+
+
+def test_a_sweep_leaves_no_worker_state_in_the_parent(tmp_path, monkeypatch):
+    # a serial sweep passes (cfg, gs) to each rung, and a pooled one sets them
+    # only in its workers: after either, the parent's ground state is freed
+    refs = []
+    limit_state = cli._limit_state
+
+    def recording_limit_state(cfg):
+        gs = limit_state(cfg)
+        refs.append(weakref.ref(gs))
+        return gs
+
+    monkeypatch.setattr(cli, "_limit_state", recording_limit_state)
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
+    path = _cfg(tmp_path, text)
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert main(["sweep", path, "--workers", workers, "--output-dir", str(out)]) == 0
+        gc.collect()
+        assert cli._worker_state is None
+        assert refs[-1]() is None
+        assert len(_read_rows(out / "sweep.csv")) == 2
 
 
 def test_sweep_with_workers_runs_on_the_process_pool(tmp_path, monkeypatch):
@@ -592,9 +656,9 @@ def test_sweep_with_workers_runs_on_the_process_pool(tmp_path, monkeypatch):
     requested = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             requested.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
