@@ -13,8 +13,9 @@ Subcommands
 Config files are INI-style with sections [params], [grid], [tolerances],
 [sweep], [run]; unknown sections or keys are rejected. Every run writes
 manifest.txt (config echo, versions) before any numeric work and appends
-timings on completion. Numeric outputs are CSV with 17-significant-digit
-floats: fixed config, seed and thread count give byte-identical files.
+timings: the ground-state solve's when it ends, the total on completion.
+Numeric outputs are CSV with 17-significant-digit floats: fixed config,
+seed and thread count give byte-identical files.
 
 Exit codes: 0 success, 1 usage/config error, 2 mathematical failure
 (non-convergence; for certify, an unrefuted converged solution). Reports are
@@ -275,7 +276,13 @@ def _solve_rung(c: float, cfg: RunConfig | None = None, gs=None):
 
 
 def _limit_state(cfg: RunConfig):
-    return solve_limit_equation(reduce_params(cfg.params), cfg.grid, tol=cfg.tolerances.tol_gs)
+    start = time.perf_counter()
+    try:
+        return solve_limit_equation(reduce_params(cfg.params), cfg.grid,
+                                    tol=cfg.tolerances.tol_gs)
+    finally:
+        with open(os.path.join(cfg.output_dir, "manifest.txt"), "a") as fh:
+            fh.write(f"timings.ground_state_seconds = {time.perf_counter() - start:.3f}\n")
 
 
 def _cmd_ground_state(cfg: RunConfig, out: str) -> int:

@@ -17,7 +17,8 @@ hypotheses that construction_precondition names and the CLI checks first.
 
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
-there, and solve() returns u_c there too.
+there, and solve() returns u_c there too. The pointwise work, Q(w) and the
+collapse check, is done once per orbit, at the orbit representatives.
 
 What does not depend on the start w0 (the operator L, R_c and its norm, the
 contraction-ball ceiling) is a Construction, built by prepare(). solve()
@@ -87,19 +88,24 @@ def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) 
 def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
     """Superlinear remainder Q(w) of the nonlinearity around op's ground state, on the even block.
 
-    Its ground-state and linear terms are op's source and potential times w.
-    Raises OverflowError when Q(w) leaves float64.
+    w must equal its axis transposes bit for bit, as solve()'s iterates do;
+    Q(w) is then radial too, and is taken once per orbit. Its ground-state
+    and linear terms are op's source and potential times w. Raises
+    OverflowError when Q(w) leaves float64.
     """
-    q = (signed_power(op.gs.u_even.values + w.values, op.rp.p) - op.source_even.values
-         - op.potential_even.values * w.values)
+    block = w.grid
+    orbits = block.orbits
+    u, source, potential, wr = (f.values.ravel()[orbits.reps] for f in
+                                (op.gs.u_even, op.source_even, op.potential_even, w))
+    q = signed_power(u + wr, op.rp.p) - source - potential * wr
     if not np.all(np.isfinite(q)):
         raise OverflowError("Q(w) overflows float64")
-    return Field(w.grid, q)
+    return Field(block, q[orbits.expand].reshape(block.shape))
 
 
 def phi(op: LinearizedOperator, w: Field, rc: Field,
         tol_lin: float = ToleranceSet.tol_lin) -> Field:
-    """Phi_c(w) = R_c + L^{-1} Q(w) on the even block; both terms are radial, as invert returns."""
+    """Phi_c(w) = R_c + L^{-1} Q(w) on the even block, for a radial w; both terms are radial."""
     return rc + invert(op, nonlinear_q(op, w), tol=tol_lin)
 
 
@@ -198,6 +204,8 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
 
     block = grid.even
     u = gs.u_even
+    reps = block.orbits.reps
+    u_reps = u.values.ravel()[reps]
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
     # a start far outside the ball overflows float64 on its way to a diverged
     # outcome, which the report carries, so numpy's overflow warnings stay quiet
@@ -218,7 +226,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                              w_norms=report.w_norms + (wn,), w_norm=wn,
                              contraction_estimate=_contraction_estimate(steps, step_floor))
 
-            if float(np.max(np.abs(u.values + w.values))) < _COLLAPSE_FLOOR:
+            if float(np.max(np.abs(u_reps + w.values.ravel()[reps]))) < _COLLAPSE_FLOOR:
                 return None, replace(report, outcome=OUTCOME_COLLAPSED,
                                      message="iterate collapsed to zero")
             if not np.isfinite(wn) or wn > ceiling:

@@ -6,9 +6,12 @@ Solved by the Petviashvili spectral renormalization iteration
     M_k     = <P_inf(D) u_k, u_k> / <u_k^p, u_k>,
 
 with radial symmetrization after every step. The iterates are radial, so the
-seed is built, the iteration runs and its residual is checked on the grid's
-even block (see spectral), and the ground state is the block iterate, u_even;
-only a field dump lifts it to the full grid. M_k converges to 1
+iteration runs on the orbit vectors of the grid's even block (see spectral):
+u_k, u_k^p and P_inf(D) u_k at its orbit representatives, with M_k's sums
+and the clamp count taken once per orbit, and u_k^p expanded to the block
+for the transform pair, whose image orbit_mean symmetrizes. The ground state
+is the expanded iterate, u_even; only a field dump lifts it to the full
+grid. M_k converges to 1
 exactly when the iterates converge to a solution. Each step takes one
 transform pair, for P_inf(D)^{-1}: P_inf(D) u_{k+1} = M_k^gamma u_k^p is
 exact, since the radial projection commutes with P_inf(D) and leaves the
@@ -96,24 +99,29 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
     p = rp.p
     gamma = p / (p - 1.0)
     block = grid.even
+    orbits = block.orbits
     pinf = half_spectrum_multiplier(block, p_c(np.inf))
+    inv_pinf = 1.0 / pinf
     vol = grid.cell_volume
 
-    u = symmetrize_radial(initial_gaussian(grid, p)).values
-    pu = half_spectrum_apply(block, u, pinf)
+    def expand(x):
+        return x[orbits.expand].reshape(block.shape)
+
+    u = symmetrize_radial(initial_gaussian(grid, p)).values.ravel()[orbits.reps]
+    pu = block.orbit_mean(half_spectrum_apply(block, expand(u), pinf))
     clamps = 0
     factor = np.nan
     last_res = np.inf
     for k in range(1, _MAX_PETVIASHVILI + 1):
         up = np.maximum(u, 0.0) ** p
-        clamps += int(block.lattice_sum(u < 0.0))
-        num = vol * block.lattice_sum(pu * u)
-        den = vol * block.lattice_sum(up * u)
+        clamps += int(orbits.weights @ (u < 0.0))
+        num = vol * float(orbits.weights @ (pu * u))
+        den = vol * float(orbits.weights @ (up * u))
         if den <= 0.0:
             raise CollapseError(f"petviashvili source term vanished at iteration {k}")
         factor = num / den
-        unew = factor ** gamma * half_spectrum_apply(block, up, 1.0 / pinf)
-        unew = symmetrize_radial(Field(block, unew)).values
+        unew = factor ** gamma * block.orbit_mean(half_spectrum_apply(block, expand(up),
+                                                                      inv_pinf))
 
         amp = float(np.max(np.abs(unew)))
         if amp < _COLLAPSE_FLOOR:
@@ -125,7 +133,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
         u = unew
         pu = factor ** gamma * up  # P_inf(D) u_{k+1}, exact but for the transforms' rounding
         if step < tol:
-            u_even = Field(block, u)
+            u_even = Field(block, expand(u))
             res = limit_residual(u_even, p)
             if res < 10.0 * tol:
                 return GroundState(u_even, p, res, k, factor, clamps)

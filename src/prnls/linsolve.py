@@ -23,12 +23,12 @@ runs on the representatives of the axis-permutation orbits of the grid's even
 block (see spectral), in the variables y = sqrt(orbit weights) v: the
 Euclidean inner products of y are then the full-grid inner products of v,
 and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
-of N^n points. A matvec expands y to the block, applies the operator there
-and reads the result at the representatives, with no permutation average:
-the image of an exactly symmetric expansion is symmetric up to the
-transforms' rounding. invert's solution passes through symmetrize_radial
-once more, so it is radial bit for bit, and the Picard loop measures it
-from one partial (see spectral.intersection_norm).
+of N^n points. A matvec expands y to the block for the P_c(D)^{-1} pair,
+reads its image at the representatives with no permutation average (the
+image of an exactly symmetric expansion is symmetric up to the transforms'
+rounding) and subtracts the potential term there. invert's solution passes
+through symmetrize_radial once more, so it is radial bit for bit, and the
+Picard loop measures it from one partial (see spectral.intersection_norm).
 """
 
 from __future__ import annotations
@@ -192,23 +192,23 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
     if fnorm == 0.0:
         return Field.zeros(block)
 
-    pot = op.potential_even.values
     inv_pc = op.inv_pc_even
     orbits = block.orbits
+    pot = op.potential_even.values.ravel()[orbits.reps]
     scale = np.sqrt(orbits.weights)  # the Krylov variable is y = scale * v at the representatives
 
-    def expand(y):
-        return (y / scale)[orbits.expand].reshape(block.shape)
+    def expand(v):
+        return v[orbits.expand].reshape(block.shape)
 
     def apply_b(y):
-        v = expand(y)
-        bv = v - pot * half_spectrum_apply(block, v, inv_pc)
-        return bv.ravel()[orbits.reps] * scale
+        v = y / scale
+        image = half_spectrum_apply(block, expand(v), inv_pc).ravel()[orbits.reps]
+        return (v - pot * image) * scale
 
     b = f.values.ravel()[orbits.reps] * scale
     bnorm = float(np.linalg.norm(b))
     y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
-    w = symmetrize_radial(Field(block, half_spectrum_apply(block, expand(y), inv_pc)))
+    w = symmetrize_radial(Field(block, half_spectrum_apply(block, expand(y / scale), inv_pc)))
 
     residual = norm_lq(apply(op, w) - f, 2) / fnorm
     if not residual <= tol:  # nan when ||f|| overflows and GMRES stopped at w = 0

@@ -20,10 +20,12 @@ Two substrates
   x_a -> -x_a, and write_field the one way back: it writes a block field
   as its lift, streamed from the block values. EvenBlock.orbits describes
   the block's axis-permutation orbits, whose representatives j_1 <= ... <= j_n
-  (C(N/2+n, n) points) set a permutation-symmetric block field, so the
-  Krylov solve runs on them alone. symmetrize_radial writes one mean to
-  every point of an orbit, so its output equals its axis transposes bit for
-  bit, and intersection_norm measures such a field from one partial.
+  (C(N/2+n, n) points) set a permutation-symmetric block field. Its values
+  there, the orbit vector, are the hot loops' working form (full-grid sums
+  are orbits.weights @ x), expanded to the block only for a transform pair.
+  symmetrize_radial is the expansion of EvenBlock.orbit_mean, so its output
+  equals its axis transposes bit for bit, and intersection_norm measures
+  such a field from one partial.
 A Field lives on one of the two; the transforms and norm_lq take the path of
 its grid. Each radial quantity has one path, on the block: plancherel_sum
 (hence norm_h1 and the diagnostics), symmetrize_radial, intersection_norm
@@ -318,7 +320,9 @@ class EvenBlock:
     def orbits(self) -> "Orbits":
         """The block's axis-permutation orbits (see Orbits)."""
         shape = self.shape
-        # each point's sorted multi-index j_1 <= ... <= j_n names its orbit
+        # each point's sorted multi-index j_1 <= ... <= j_n names its orbit. Freeing the
+        # (n, (N/2+1)^n) int64 index transient also raises glibc's dynamic mmap and trim
+        # thresholds, so the loops' block temporaries are not trimmed and faulted in each step
         rep_of = np.ravel_multi_index(np.sort(np.indices(shape).reshape(self.n, -1), axis=0),
                                       shape)
         reps = np.flatnonzero(rep_of == np.arange(rep_of.size))
@@ -337,6 +341,23 @@ class EvenBlock:
         reps = np.unravel_index(self.orbits.reps, self.shape)
         return np.stack([np.ravel_multi_index(tuple(reps[a] for a in perm), self.shape)
                          for perm in itertools.permutations(range(self.n))])
+
+    def orbit_mean(self, values: np.ndarray) -> np.ndarray:
+        """Mean of a block field over each axis-permutation orbit, at orbits.reps in their order.
+
+        In 3-D it is taken from the values t_s = v(s(j)) over the permutations
+        s in a fixed order, as t_1 + ((t_2 - t_1) + ... + (t_6 - t_1)) / 6:
+        t_1 itself on an orbit of equal values. In 2-D it is (v + v^T) / 2 at
+        the representatives, in 1-D a copy of v.
+        """
+        terms = values.ravel()[self._orbit_images]
+        if self.n < 3:
+            return terms[0] if self.n == 1 else (terms[0] + terms[1]) / 2.0
+        first = terms[0]
+        spread = terms[1] - first
+        for t in terms[2:]:
+            spread += t - first
+        return first + spread / len(terms)
 
     def restrict(self, f: "Field") -> "Field":
         """The block values of f's average over the sign flips x_a -> -x_a.
@@ -437,7 +458,8 @@ def signed_power(values: np.ndarray, p: float) -> np.ndarray:
 # norms and inner products
 # ---------------------------------------------------------------------------
 
-def _lq(grid, values: np.ndarray, q: float) -> float:
+def _lq(grid, values: np.ndarray, q: float, weights=None) -> float:
+    """L^q norm of values on grid, or of values at the orbit representatives with their weights."""
     if q == math.inf:
         return float(np.max(np.abs(values)))
     if q < 1:
@@ -449,7 +471,8 @@ def _lq(grid, values: np.ndarray, q: float) -> float:
             power *= a
     else:
         power = a ** q
-    return float((grid.cell_volume * grid.lattice_sum(power)) ** (1.0 / q))
+    total = grid.lattice_sum(power) if weights is None else float(weights @ power)
+    return float((grid.cell_volume * total) ** (1.0 / q))
 
 
 def norm_lq(f: Field, q: float) -> float:
@@ -517,14 +540,16 @@ def _symmetric_block_norms(f: Field) -> tuple:
     """
     g = f.grid
     n, v = g.n, f.values
+    orbits = g.orbits
+    vr = v.ravel()[orbits.reps]  # v's own terms are taken once per orbit
     d = _along_axis(v, g.diff_matrix, 0)
     nyquist = np.tensordot(g.dct_matrix[-1], v, axes=1)
     plane = g.cell_volume / g.N * float(np.sum(g.weights[0] * nyquist * nyquist))
     xi_m = g.grid.freqs_half[-1]
-    h1_sq = g.cell_volume * (g.lattice_sum(v * v) + n * g.lattice_sum(d * d)) \
+    h1_sq = g.cell_volume * (float(orbits.weights @ (vr * vr)) + n * g.lattice_sum(d * d)) \
         + n * xi_m * xi_m * plane
     q = 2.0 * n
-    return math.sqrt(h1_sq), _lq(g, v, q) + n * _lq(g, d, q)
+    return math.sqrt(h1_sq), _lq(g, vr, q, orbits.weights) + n * _lq(g, d, q)
 
 
 def intersection_norm(f: Field) -> float:
@@ -558,33 +583,19 @@ def symmetrize_radial(f: Field) -> Field:
     """Average of an EvenBlock field over the grid symmetry group.
 
     A block field is already even, so the average is the one over the axis
-    permutations. A full-grid field raises ValueError: EvenBlock.restrict
-    takes its sign-flip average onto the block.
+    permutations: EvenBlock.orbit_mean, written to every point of each orbit.
+    A full-grid field raises ValueError: EvenBlock.restrict takes its
+    sign-flip average onto the block.
 
     The output equals each of its axis transposes bit for bit, and a second
-    call returns it unchanged. In 2-D (v + v^T) / 2 is exactly symmetric,
-    and 1.6 times faster on 129^2 than the orbit path, which would also
-    build 0.4 MB of orbit tables there. In 3-D each orbit's mean is taken
-    once, at its representative j, from the values t_s = v(s(j)) over the
-    permutations s in a fixed order, as
-    t_1 + ((t_2 - t_1) + ... + (t_6 - t_1)) / 6, and written to every point
-    of the orbit; on an orbit of equal values that is t_1 itself. On 33^3 it
-    takes 0.13 ms against 0.32 ms for the sum of the six transposes, which
-    is symmetric only to rounding (one BLAS thread, Intel Xeon).
+    call returns it unchanged. On 33^3 the 3-D orbit mean takes 0.13 ms
+    against 0.32 ms for the sum of the six transposes, which is symmetric
+    only to rounding (one BLAS thread, Intel Xeon).
     """
     block = f.grid
     if not isinstance(block, EvenBlock):
         raise ValueError("symmetrize_radial takes an even-block field; restrict it first")
-    v = f.values
-    if block.n < 3:
-        return Field(block, (v + v.T) / 2.0 if block.n == 2 else v.copy())
-    terms = v.ravel()[block._orbit_images]
-    first = terms[0]
-    spread = terms[1] - first
-    for t in terms[2:]:
-        spread += t - first
-    mean = first + spread / len(terms)
-    return Field(block, mean[block.orbits.expand].reshape(block.shape))
+    return Field(block, block.orbit_mean(f.values)[block.orbits.expand].reshape(block.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,27 @@ box_radius = 20.0
     manifest = (out / "manifest.txt").read_text()
     assert "versions.numpy" in manifest and "command = ground-state" in manifest
     assert "timings.total_seconds" in manifest
+    assert "timings.ground_state_seconds" in manifest
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_ground_state_solve_writes_its_time_to_the_manifest(command, tmp_path,
+                                                                  monkeypatch):
+    # the ground-state phase's wall time goes to manifest.txt, the one output
+    # that is not byte-stable, also when the solve raises; here it always
+    # raises, so a command that solves stops right after it
+    def failing(*args, **kwargs):
+        raise ConvergenceError("stub")
+
+    monkeypatch.setattr(cli, "solve_limit_equation", failing)
+    text = SOLVE_2D.replace("c = 16.0", "c = 1.0" if command == "certify" else "c = 16.0")
+    text += "\n[sweep]\nc_min = 4.0\nc_max = 16.0\nrungs = 4\n\n[run]\nsamples = 100\n"
+    out = tmp_path / "out"
+    code = main([command, _cfg(tmp_path, text), "--output-dir", str(out)])
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    times = [line for line in manifest if line.startswith("timings.ground_state_seconds = ")]
+    solves = command not in ("symbol-check", "norm-probe")
+    assert len(times) == solves and code == (2 if solves else 0)
 
 
 def test_solve_command(tmp_path):
