@@ -18,7 +18,7 @@ hypotheses that construction_precondition names and the CLI checks first.
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
 there, and solve() returns u_c there too. The pointwise work, Q(w) and the
-collapse check, is done once per orbit, at the orbit representatives.
+collapse check, is done once per orbit, on the operator's orbit vectors.
 
 What does not depend on the start w0 (the operator L, R_c and its norm, the
 contraction-ball ceiling) is a Construction, built by prepare(). solve()
@@ -95,9 +95,8 @@ def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
     """
     block = w.grid
     orbits = block.orbits
-    u, source, potential, wr = (f.values.ravel()[orbits.reps] for f in
-                                (op.gs.u_even, op.source_even, op.potential_even, w))
-    q = signed_power(u + wr, op.rp.p) - source - potential * wr
+    wr = w.values.ravel()[orbits.reps]
+    q = signed_power(op.u + wr, op.rp.p) - op.source - op.potential * wr
     if not np.all(np.isfinite(q)):
         raise OverflowError("Q(w) overflows float64")
     return Field(block, q[orbits.expand].reshape(block.shape))
@@ -203,9 +202,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     report = replace(report, rc_norm=construction.rc_norm)
 
     block = grid.even
-    u = gs.u_even
     reps = block.orbits.reps
-    u_reps = u.values.ravel()[reps]
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
     # a start far outside the ball overflows float64 on its way to a diverged
     # outcome, which the report carries, so numpy's overflow warnings stay quiet
@@ -226,7 +223,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                              w_norms=report.w_norms + (wn,), w_norm=wn,
                              contraction_estimate=_contraction_estimate(steps, step_floor))
 
-            if float(np.max(np.abs(u_reps + w.values.ravel()[reps]))) < _COLLAPSE_FLOOR:
+            if float(np.max(np.abs(op.u + w.values.ravel()[reps]))) < _COLLAPSE_FLOOR:
                 return None, replace(report, outcome=OUTCOME_COLLAPSED,
                                      message="iterate collapsed to zero")
             if not np.isfinite(wn) or wn > ceiling:
@@ -234,7 +231,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                                      message=f"||w||={wn:.3e} left the contraction ball "
                                              f"(ceiling {ceiling:.3e})")
             if steps[-1] < tol.tol_step:
-                u_c = u + w
+                u_c = gs.u_even + w
                 residual = limit_residual(u_c, rp.p, rp.c_tilde)
                 report = replace(report, final_residual=residual)
                 if residual <= tol.tol_residual:

@@ -23,12 +23,16 @@ runs on the representatives of the axis-permutation orbits of the grid's even
 block (see spectral), in the variables y = sqrt(orbit weights) v: the
 Euclidean inner products of y are then the full-grid inner products of v,
 and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
-of N^n points. A matvec expands y to the block for the P_c(D)^{-1} pair,
-reads its image at the representatives with no permutation average (the
-image of an exactly symmetric expansion is symmetric up to the transforms'
-rounding) and subtracts the potential term there. invert's solution passes
-through symmetrize_radial once more, so it is radial bit for bit, and the
-Picard loop measures it from one partial (see spectral.intersection_norm).
+of N^n points. LinearizedOperator holds its pointwise terms there, and
+invert takes f there by one orbit mean, its radial projection. A matvec
+expands y to the block for the P_c(D)^{-1} pair, reads its image at the
+representatives with no permutation average (the image of an exactly
+symmetric expansion is symmetric up to the transforms' rounding) and
+subtracts the potential term there. The residual check reads L w there
+too, in the same metric, where it is the full-grid relative L^2 residual.
+Only the solution passes through symmetrize_radial, so it is radial bit for
+bit, and the Picard loop measures it from one partial (see
+spectral.intersection_norm).
 """
 
 from __future__ import annotations
@@ -54,12 +58,13 @@ _STALL_FACTOR = 0.999  # an iteration "improves" if it beats the best residual b
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """L = P_c(D) - p u_inf^{p-1} around a ground state, at reduced speed c."""
+    """L = P_c(D) - p u_inf^{p-1} around a ground state at reduced speed c, by orbit vectors."""
 
     rp: ReducedParams
     gs: GroundState
-    potential_even: Field  # p max(u_inf, 0)^{p-1} on the even block
-    source_even: Field     # max(u_inf, 0)^p on the even block, Q(w)'s ground-state term
+    u: np.ndarray          # u_inf at the even block's orbits.reps, as the next two
+    potential: np.ndarray  # p max(u_inf, 0)^{p-1}
+    source: np.ndarray     # max(u_inf, 0)^p, Q(w)'s ground-state term
 
     @property
     def grid(self) -> Grid:
@@ -83,19 +88,9 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
         raise ValueError(f"parameter exponent p={rp.p} does not match ground state p={gs.p}")
     if rp.n != gs.grid.n:
         raise ValueError("parameter dimension does not match ground-state grid")
-    block = gs.grid.even
-    positive = np.maximum(gs.u_even.values, 0.0)
-    return LinearizedOperator(rp, gs, Field(block, rp.p * positive ** (rp.p - 1.0)),
-                              Field(block, positive ** rp.p))
-
-
-def apply(op: LinearizedOperator, w: Field) -> Field:
-    """L w = P_c(D) w - p u_inf^{p-1} w, for w on the even block of op's grid."""
-    block = op.grid.even
-    if w.grid != block:
-        raise ValueError("field does not live on the even block of the operator's grid")
-    pw = half_spectrum_apply(block, w.values, op.pc_even)
-    return Field(block, pw - op.potential_even.values * w.values)
+    u = gs.u_even.values.ravel()[gs.grid.even.orbits.reps]
+    positive = np.maximum(u, 0.0)
+    return LinearizedOperator(rp, gs, u, rp.p * positive ** (rp.p - 1.0), positive ** rp.p)
 
 
 def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
@@ -180,22 +175,20 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
 
     f and w live on the even block of op's grid (a full-grid f raises
     ValueError; EvenBlock.restrict takes its sign-flip average). f is
-    projected onto the radial subspace first (symmetrize_radial), and every
-    Krylov iterate is radial, as it lives on the orbit representatives; a
-    non-radial f is solved for its projection.
+    projected onto the radial subspace first, as its orbit mean at the
+    representatives, and every Krylov iterate is radial, as it lives there;
+    a non-radial f is solved for its projection.
     """
     block = op.grid.even
     if f.grid != block:
         raise ValueError("field does not live on the even block of the operator's grid")
-    f = symmetrize_radial(f)
-    fnorm = norm_lq(f, 2)
-    if fnorm == 0.0:
-        return Field.zeros(block)
-
     inv_pc = op.inv_pc_even
     orbits = block.orbits
-    pot = op.potential_even.values.ravel()[orbits.reps]
     scale = np.sqrt(orbits.weights)  # the Krylov variable is y = scale * v at the representatives
+    b = block.orbit_mean(f.values) * scale
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return Field.zeros(block)
 
     def expand(v):
         return v[orbits.expand].reshape(block.shape)
@@ -203,15 +196,15 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
     def apply_b(y):
         v = y / scale
         image = half_spectrum_apply(block, expand(v), inv_pc).ravel()[orbits.reps]
-        return (v - pot * image) * scale
+        return (v - op.potential * image) * scale
 
-    b = f.values.ravel()[orbits.reps] * scale
-    bnorm = float(np.linalg.norm(b))
     y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
     w = symmetrize_radial(Field(block, half_spectrum_apply(block, expand(y / scale), inv_pc)))
 
-    residual = norm_lq(apply(op, w) - f, 2) / fnorm
-    if not residual <= tol:  # nan when ||f|| overflows and GMRES stopped at w = 0
+    wr = w.values.ravel()[orbits.reps]
+    lw = half_spectrum_apply(block, w.values, op.pc_even).ravel()[orbits.reps] - op.potential * wr
+    residual = float(np.linalg.norm(lw * scale - b)) / bnorm
+    if not residual <= tol:  # nan when ||b|| overflows and GMRES stopped at w = 0
         raise ConvergenceError(
             f"inversion residual {residual:.3e} exceeds tol {tol:g} after krylov convergence")
     return w

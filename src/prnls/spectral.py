@@ -681,7 +681,8 @@ _DUMP_KEYS = {"n": int, "N": int, "L": float, "p": float, "c": float, "label": s
 def read_field(path):
     """Read a field dump written by write_field; returns (Field, metadata dict).
 
-    A malformed header or a payload that is not 8 N^n bytes raises ValueError.
+    A malformed header (an unknown, repeated, empty or missing key) or a
+    payload that is not 8 N^n bytes raises ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.readline().decode("ascii").strip()
@@ -690,6 +691,8 @@ def read_field(path):
             key, _, val = tok.partition("=")
             if key not in _DUMP_KEYS:
                 raise ValueError(f"unknown field-dump metadata key {key!r}")
+            if key in meta or not val:
+                raise ValueError(f"field-dump metadata key {key!r} is repeated or empty")
             meta[key] = _DUMP_KEYS[key](val)
         missing = [key for key in _DUMP_KEYS if key not in meta]
         if missing:

@@ -19,12 +19,15 @@ full_grid_symmetrize_radial and full_grid_gaussian are the radial
 projection and the Petviashvili seed as they were built on the full grid,
 before the even block became the only place that builds or projects a
 radial field; gather is EvenBlock.restrict as it was then.
-full_grid_pc, full_grid_potential and full_grid_apply are the linearized
-operator on the full periodic grid, as LinearizedOperator and apply() once
-held it, and full_grid_invert is the linearized inversion there, the path
-invert() took before it moved to the even block. two_pair_petviashvili is
-solve_limit_equation's loop as it was when each step took P_inf(D) u_k by a
-transform pair of its own. lstsq_gmres is the
+block_potential and block_apply are the linearized operator on the even
+block, as LinearizedOperator and linsolve.apply held it before the operator
+kept its pointwise terms at the orbit representatives and invert checked its
+residual there. full_grid_pc, full_grid_potential and full_grid_apply are the
+linearized operator on the full periodic grid, as LinearizedOperator and
+apply() held it before that, and full_grid_invert is the linearized
+inversion there, the path invert() took before it moved to the even block.
+two_pair_petviashvili is solve_limit_equation's loop as it was when each
+step took P_inf(D) u_k by a transform pair of its own. lstsq_gmres is the
 restarted GMRES that solves the full Hessenberg least-squares problem at
 every step, the loop _gmres ran before it updated the residual by Givens
 rotations. norm_w1q and norm_w2q are the norm probe's W^{1,q} and W^{2,q}
@@ -243,6 +246,21 @@ def full_grid_gaussian(grid, p: float, width: float = 1.0) -> Field:
     return float((quad / source) ** (1.0 / (p - 1.0))) * shape
 
 
+def block_potential(op) -> Field:
+    """op's potential p max(u_inf, 0)^{p-1} on the even block, expanded from its orbit vector."""
+    block = op.grid.even
+    return Field(block, op.potential[block.orbits.expand].reshape(block.shape))
+
+
+def block_apply(op, w: Field) -> Field:
+    """L w = P_c(D) w - p u_inf^{p-1} w, for w on the even block of op's grid."""
+    block = op.grid.even
+    if w.grid != block:
+        raise ValueError("field does not live on the even block of the operator's grid")
+    pw = half_spectrum_apply(block, w.values, op.pc_even)
+    return Field(block, pw - block_potential(op).values * w.values)
+
+
 def full_grid_pc(op) -> np.ndarray:
     """P_c(D) of op on the rfftn half lattice of its grid."""
     return half_spectrum_multiplier(op.grid, p_c(op.c))
@@ -250,7 +268,7 @@ def full_grid_pc(op) -> np.ndarray:
 
 def full_grid_potential(op) -> Field:
     """op's potential p max(u_inf, 0)^{p-1} on the full grid, lifted from the block."""
-    return lift(op.grid.even, op.potential_even)
+    return lift(op.grid.even, block_potential(op))
 
 
 def full_grid_apply(op, w: Field) -> Field:

@@ -95,9 +95,9 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
 
 @pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
 def test_nonlinear_q_linear_term_is_the_operator_potential(name, request):
-    # Q(w)'s ground-state and linear terms are op.source_even and
-    # op.potential_even times w, which compute max(u, 0)^p and
-    # p max(u, 0)^{p-1} in the same operations, so Q is the formula bit for bit
+    # Q(w)'s ground-state and linear terms are op.source and op.potential
+    # times w, which compute max(u, 0)^p and p max(u, 0)^{p-1} in the same
+    # operations at the orbit representatives, so Q is the formula bit for bit
     gs = request.getfixturevalue(name)
     op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
     block = gs.grid.even

@@ -8,8 +8,7 @@ from prnls import linsolve, spectral
 from prnls.diagnostics import action, check_identities
 from prnls.errors import ConvergenceError
 from prnls.ground_state import solve_limit_equation
-from prnls.linsolve import (_gmres, apply, invert, linearized_operator,
-                            operator_norm_probe)
+from prnls.linsolve import _gmres, invert, linearized_operator, operator_norm_probe
 from prnls.params import PhysicalParams, ReducedParams
 from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
@@ -17,8 +16,9 @@ from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
 from prnls.symbols import inverse_difference
 
 from conftest import sample_field
-from fft_reference import (fft_plancherel_sum, full_grid_invert, full_grid_krylov_operator,
-                           full_grid_pc, full_grid_potential, gather, lift, lstsq_gmres)
+from fft_reference import (block_apply, block_potential, fft_plancherel_sum, full_grid_invert,
+                           full_grid_krylov_operator, full_grid_pc, full_grid_potential, gather,
+                           lift, lstsq_gmres)
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -29,8 +29,9 @@ def _random_radial(grid, seed, kmax=4.0):
 
 
 def test_invert_raises_when_the_norm_of_f_overflows():
-    # ||f||_2 is inf, so GMRES stops at w = 0 and the relative residual is nan;
-    # the overflows in _lq's power and in GMRES's norm warn on the way
+    # invert's right-hand side b is finite but ||b|| overflows to inf, so GMRES
+    # stops at w = 0 and the relative residual is inf / inf = nan; the dot
+    # product of each norm warns of its overflow
     rp = ReducedParams(2, 3.0, 16.0)
     gs = solve_limit_equation(rp, Grid(2, 32, 10.0))
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ConvergenceError):
@@ -39,7 +40,7 @@ def test_invert_raises_when_the_norm_of_f_overflows():
 
 def test_apply_zero_is_zero(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    out = apply(op, Field.zeros(gs2d_small.grid.even))
+    out = block_apply(op, Field.zeros(gs2d_small.grid.even))
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -47,7 +48,7 @@ def test_potential_invariants(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     # nonnegative everywhere (the far field of the wave carries exact zeros),
     # strictly positive on the bulk, and radially symmetric
-    pot = op.potential_even
+    pot = block_potential(op)
     assert np.all(pot.values >= 0.0)
     bulk = gs2d_small.grid.even.radius_sq <= (gs2d_small.grid.L / 3.0) ** 2
     assert np.all(pot.values[bulk] > 0.0)
@@ -57,21 +58,29 @@ def test_potential_invariants(gs2d_small):
 
 @pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
 def test_block_potential_is_the_full_grid_formula(name, request):
-    # p max(u, 0)^{p-1} works point by point, so building it on the block and
-    # lifting it gives the full-grid formula bit for bit
+    # u, p max(u, 0)^{p-1} and max(u, 0)^p work point by point, so building
+    # them at the orbit representatives gives the block formulas read there,
+    # and expanding and lifting the potential gives the full-grid formula, bit
+    # for bit
     gs = request.getfixturevalue(name)
     op = linearized_operator(ReducedParams(gs.grid.n, gs.p, 16.0), gs)
-    u = lift(gs.grid.even, gs.u_even)
+    block = gs.grid.even
+    u = lift(block, gs.u_even)
     ref = gs.p * np.maximum(u.values, 0.0) ** (gs.p - 1.0)
     assert np.array_equal(full_grid_potential(op).values, ref)
-    assert np.array_equal(op.potential_even.values, gather(gs.grid.even, ref))
+    assert np.array_equal(block_potential(op).values, gather(block, ref))
+    reps = block.orbits.reps
+    positive = np.maximum(gs.u_even.values, 0.0)
+    for got, formula in ((op.u, gs.u_even.values), (op.potential, gs.p * positive ** (gs.p - 1.0)),
+                         (op.source, positive ** gs.p)):
+        assert np.array_equal(got, formula.ravel()[reps])
 
 
 def test_limit_operator_on_ground_state(gs2d_small):
     # with the nonrelativistic symbol the operator sends u_inf to (1-p) u_inf^p
     op = linearized_operator(ReducedParams(2, 3.0, math.inf), gs2d_small)
     u = gs2d_small.u_even
-    got = apply(op, u)
+    got = block_apply(op, u)
     expected = (1.0 - 3.0) * np.maximum(u.values, 0.0) ** 3
     diff = norm_lq(Field(u.grid, got.values - expected), 2)
     assert diff < 1e-8
@@ -80,7 +89,7 @@ def test_limit_operator_on_ground_state(gs2d_small):
 def test_apply_preserves_symmetry(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
     w = _random_radial(gs2d_small.grid, 21)
-    out = apply(op, w)
+    out = block_apply(op, w)
     sym = symmetrize_radial(out)
     assert np.max(np.abs(out.values - sym.values)) < 1e-12 * max(
         norm_lq(out, math.inf), 1.0)
@@ -91,7 +100,7 @@ def test_roundtrip_recovers_input(gs2d_small, c):
     op = linearized_operator(ReducedParams(2, 3.0, c), gs2d_small)
     for seed in range(5):
         g = _random_radial(gs2d_small.grid, 100 + seed)
-        f = apply(op, g)
+        f = block_apply(op, g)
         w = invert(op, f, tol=1e-10)
         assert norm_lq(w - g, 2) <= 1e-9
 
@@ -100,7 +109,7 @@ def test_invert_ground_state_at_large_speed(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 1e8), gs2d_small)
     u = gs2d_small.u_even
     w = invert(op, u, tol=1e-10)
-    err = norm_lq(apply(op, w) - u, 2)
+    err = norm_lq(block_apply(op, w) - u, 2)
     assert err <= 1e-9 * norm_lq(u, 2)
 
 
@@ -113,7 +122,7 @@ def test_invert_solves_for_the_radial_projection(gs2d_small):
     sym_f = symmetrize_radial(f)
     assert np.max(np.abs(sym_f.values - f.values)) > 1e-2 * norm_lq(f, math.inf)
     w = invert(op, f, tol=1e-10)
-    assert norm_lq(apply(op, w) - sym_f, 2) <= 1e-9 * norm_lq(sym_f, 2)
+    assert norm_lq(block_apply(op, w) - sym_f, 2) <= 1e-9 * norm_lq(sym_f, 2)
     asym = np.max(np.abs(symmetrize_radial(w).values - w.values))
     assert asym <= 1e-12 * norm_lq(w, math.inf)
 
@@ -267,11 +276,41 @@ def test_matvec_output_is_permutation_symmetric(name, request, monkeypatch):
     for seed in range(3):
         y = np.random.default_rng(seed).standard_normal(orbits.reps.size)
         v = (y / scale)[orbits.expand].reshape(block.shape)
-        out = v - op.potential_even.values * half_spectrum_apply(block, v, op.inv_pc_even)
+        out = v - block_potential(op).values * half_spectrum_apply(block, v, op.inv_pc_even)
         assert np.array_equal(captured[0](y), out.ravel()[orbits.reps] * scale)
         for perm in itertools.permutations(range(block.n)):
             gap = np.max(np.abs(np.transpose(out, perm) - out))
             assert gap <= _MATVEC_SYMMETRY_FLOOR * np.max(np.abs(out))
+
+
+def test_invert_raises_when_its_residual_check_fails(gs2d_small, monkeypatch):
+    # a Krylov solution off by 1e-3 of its size passes GMRES's own test but
+    # not invert's residual check on the original system
+    gmres = linsolve._gmres
+
+    def perturbed_gmres(*args):
+        y, iterations = gmres(*args)
+        return y * (1.0 + 1e-3), iterations
+
+    monkeypatch.setattr(linsolve, "_gmres", perturbed_gmres)
+    op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
+    with pytest.raises(ConvergenceError, match="after krylov convergence"):
+        invert(op, _random_radial(gs2d_small.grid, 0), tol=1e-10)
+
+
+def test_invert_symmetrizes_once(gs2d_small, monkeypatch):
+    # the right-hand side is projected by an orbit mean at the representatives;
+    # only the solution passes through symmetrize_radial
+    calls = []
+
+    def counted(f):
+        calls.append(1)
+        return symmetrize_radial(f)
+
+    monkeypatch.setattr(linsolve, "symmetrize_radial", counted)
+    op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
+    invert(op, _random_radial(gs2d_small.grid, 0), tol=1e-10)
+    assert len(calls) == 1
 
 
 def test_invert_zero_rhs(gs2d_small):
@@ -339,7 +378,8 @@ def test_probe_deterministic(grid2d_small):
 
 def test_operator_grid_mismatch(gs2d_small):
     # fields of another grid, of its block, and of the operator's own full
-    # grid: invert and apply take only the operator's even block
+    # grid: invert and the block reference operator take only the operator's
+    # even block
     rp = ReducedParams(2, 3.0, 16.0)
     op = linearized_operator(rp, gs2d_small)
     other = Grid(2, 64, 20.0)
@@ -347,7 +387,7 @@ def test_operator_grid_mismatch(gs2d_small):
         with pytest.raises(ValueError):
             invert(op, f)
         with pytest.raises(ValueError):
-            apply(op, f)
+            block_apply(op, f)
     # the radial quantities take only block fields, and intersection_norm
     # only permutation-symmetric ones
     full = Field.zeros(gs2d_small.grid)

@@ -724,7 +724,10 @@ def _dump_bytes(tmp_path):
     (lambda b: b.replace(b" N=16", b"", 1), r"lacks metadata key\(s\) N$"),
     (lambda b: b"", "lacks metadata key"),
     (lambda b: b.replace(b"label=u", b"label=\xfc", 1), "ascii"),
-], ids=["truncated", "odd-byte-count", "missing-N", "empty-file", "non-ascii-header"])
+    (lambda b: b.replace(b" L=", b" L=1.0 L=", 1), "'L' is repeated or empty"),
+    (lambda b: b.replace(b"label=u", b"label=", 1), "'label' is repeated or empty"),
+], ids=["truncated", "odd-byte-count", "missing-N", "empty-file", "non-ascii-header",
+        "repeated-key", "empty-label"])
 def test_read_field_rejects_malformed_dump(tmp_path, mangle, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(mangle(_dump_bytes(tmp_path)))
