@@ -96,6 +96,7 @@ _SCHEMA = {
 _RUN_FLOORS = {"seed": 0, "probes": 1, "trials": 1, "samples": 100, "workers": 1}
 _NEEDS_FINITE_C = {"solve", "identity-check", "certify"}
 _NEEDS_SWEEP = {"sweep", "rate-sweep", "norm-probe"}
+_TAKES_C4 = {"identity-check", "certify"}
 
 
 def _get(cp, section: str, key: str, cast, default):
@@ -192,6 +193,21 @@ def parse_config(text: str, command: str = None) -> RunConfig:
                     run_int("samples", 100000), run_int("workers", 1))
     if cfg.command in _NEEDS_FINITE_C and math.isinf(params.c):
         raise ConfigError(f"{cfg.command} requires a finite c in [params]")
+    if cfg.command in _NEEDS_FINITE_C | _NEEDS_SWEEP:  # check the run's lowest speed
+        low = sweep.c_min if cfg.command in _NEEDS_SWEEP else reduce_params(params).c_tilde
+        try:  # the symbols divide by c^2; identity-check's and certify's identities take c^4
+            fits = low * low > 0.0 and (cfg.command not in _TAKES_C4 or low ** 4 < math.inf)
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes a power of c "
+                              "outside float64")
+    if cfg.command == "solve":  # the grid solve lifts u_c to, at physical (m, mu)
+        scale = math.sqrt(2.0 * m * mu)
+        try:
+            Grid(n, grid.N, grid.L / scale if scale > 0.0 else math.inf)
+        except ValueError as exc:
+            raise ConfigError(f"physical lift grid: {exc}") from exc
     return cfg
 
 
@@ -286,20 +302,19 @@ def _limit_state(cfg: RunConfig):
 
 
 def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
+    path = os.path.join(out, "ground_state.csv")
     header = ("n", "p", "n_points", "box_radius", "outcome", "iterations",
               "residual", "h1_norm", "center_value")
+    run = (cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L)
     try:
         gs = _limit_state(cfg)
     except SolverError as exc:
         outcome = "collapsed" if isinstance(exc, CollapseError) else "diverged"
-        _write_csv(os.path.join(out, "ground_state.csv"), header,
-                   [(cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L, outcome,
-                     0, math.nan, math.nan, math.nan)])
+        _write_csv(path, header, [run + (outcome, 0, math.nan, math.nan, math.nan)])
         return 2
     center = float(gs.u_even.values[(0,) * cfg.params.n])
-    _write_csv(os.path.join(out, "ground_state.csv"), header,
-               [(cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L, "converged",
-                 gs.iterations, gs.residual, norm_h1(gs.u_even), center)])
+    _write_csv(path, header, [run + ("converged", gs.iterations, gs.residual,
+                                     norm_h1(gs.u_even), center)])
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     return 0
 
@@ -347,17 +362,15 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
+    path = os.path.join(out, "threshold.csv")
+    header = ("c_diverged", "c_converged", "probes", "error")
     try:
         th = find_convergence_threshold(gs, cfg.sweep.c_min, cfg.sweep.c_max,
                                         tol=cfg.tolerances)
     except ValueError as exc:
-        _write_csv(os.path.join(out, "threshold.csv"),
-                   ("c_diverged", "c_converged", "probes", "error"),
-                   [(math.nan, math.nan, 0, str(exc))])
+        _write_csv(path, header, [(math.nan, math.nan, 0, str(exc))])
         return 2
-    _write_csv(os.path.join(out, "threshold.csv"),
-               ("c_diverged", "c_converged", "probes", "error"),
-               [(th.c_diverged, th.c_converged, len(th.history), "")])
+    _write_csv(path, header, [(th.c_diverged, th.c_converged, len(th.history), "")])
     _write_csv(os.path.join(out, "threshold_history.csv"), ("c", "outcome"),
                list(th.history))
     return 0
@@ -554,13 +567,10 @@ def main(argv=None) -> int:
             updates["output_dir"] = args.output_dir
         if getattr(args, "workers", None) is not None:
             updates["workers"] = _run_floor("workers", args.workers)
-        if getattr(args, "probe", False):
-            updates["probe"] = True
-        if getattr(args, "find_threshold", False):
-            updates["find_threshold"] = True
-        if updates:
-            cfg = replace(cfg, **updates)
-        return run(cfg)
+        for flag in ("probe", "find_threshold"):
+            if getattr(args, flag, False):
+                updates[flag] = True
+        return run(replace(cfg, **updates))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

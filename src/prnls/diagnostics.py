@@ -224,34 +224,26 @@ def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
             "need c^2/2 <= 1 with p >= (n+1)/(n-1), or c^2/2 > 1 with p >= (n+2)/(n-2)")
 
     w = extension_weights(u, c, p)
-    vacuous = not np.any(u.values)
-
     if regime == "A":
         a_grad = 0.5 * (n - 1) - share
         a_mass = 0.5 * (n + 1) - share
         lhs = a_grad * w.grad_bulk + a_mass * w.mass_bulk
         rhs = mu_coeff * (0.5 * n - share) * w.boundary_l2
-        if vacuous:
-            text = "vacuously consistent: all terms vanish for u = 0"
-        else:
-            text = (f"regime A signs fired (gradient coefficient {a_grad:.6g} >= 0, "
-                    f"mass coefficient {a_mass:.6g} > 0, boundary side {rhs:.6g} <= 0): "
-                    f"a solution needs zero bulk mass, but the candidate leaves "
-                    f"gap {lhs - rhs:.6g} > 0")
-        return Certificate("A", lhs, rhs, text)
-
-    b_grad_x = 0.5 * (n - 2) - share
-    b_rest = 0.5 * n - share
-    lhs = b_grad_x * w.grad_x_bulk + b_rest * (w.grad_t_bulk + w.mass_bulk)
-    rhs = mu_coeff * b_rest * w.boundary_l2
-    mass_raw = 4.0 * w.mass_bulk / c ** 4
-    slack = (c * c - 1.0) * mass_raw
-    if vacuous:
-        text = "vacuously consistent: all terms vanish for u = 0"
+        text = (f"regime A signs fired (gradient coefficient {a_grad:.6g} >= 0, "
+                f"mass coefficient {a_mass:.6g} > 0, boundary side {rhs:.6g} <= 0): "
+                f"a solution needs zero bulk mass, but the candidate leaves "
+                f"gap {lhs - rhs:.6g} > 0")
     else:
+        b_grad_x = 0.5 * (n - 2) - share
+        b_rest = 0.5 * n - share
+        lhs = b_grad_x * w.grad_x_bulk + b_rest * (w.grad_t_bulk + w.mass_bulk)
+        rhs = mu_coeff * b_rest * w.boundary_l2
+        slack = (c * c - 1.0) * (4.0 * w.mass_bulk / c ** 4)
         text = (f"regime B signs fired (x-gradient coefficient {b_grad_x:.6g} >= 0, "
                 f"remaining coefficient {b_rest:.6g} > 0): after absorbing the "
                 f"boundary term through the trace inequality and Young, the slack "
                 f"(c^2-1) * int |U|^2 = {slack:.6g} must vanish, but the candidate "
                 f"keeps it positive")
-    return Certificate("B", lhs, rhs, text)
+    if not np.any(u.values):
+        text = "vacuously consistent: all terms vanish for u = 0"
+    return Certificate(regime, lhs, rhs, text)

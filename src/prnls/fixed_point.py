@@ -18,7 +18,8 @@ hypotheses that construction_precondition names and the CLI checks first.
 The iterates are radial, so the loop runs on the grid's even block (see
 spectral): R_c, Q(w), Phi_c(w), their norms and u_c's residual are taken
 there, and solve() returns u_c there too. The pointwise work, Q(w) and the
-collapse check, is done once per orbit, on the operator's orbit vectors.
+collapse check, is done once per orbit, on the operator's orbit vectors
+and on w read by EvenBlock.at_reps; Q(w) returns to the block by from_reps.
 
 What does not depend on the start w0 (the operator L, R_c and its norm, the
 contraction-ball ceiling) is a Construction, built by prepare(). solve()
@@ -94,12 +95,11 @@ def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
     OverflowError when Q(w) leaves float64.
     """
     block = w.grid
-    orbits = block.orbits
-    wr = w.values.ravel()[orbits.reps]
+    wr = block.at_reps(w.values)
     q = signed_power(op.u + wr, op.rp.p) - op.source - op.potential * wr
     if not np.all(np.isfinite(q)):
         raise OverflowError("Q(w) overflows float64")
-    return Field(block, q[orbits.expand].reshape(block.shape))
+    return Field(block, block.from_reps(q))
 
 
 def phi(op: LinearizedOperator, w: Field, rc: Field,
@@ -202,7 +202,6 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     report = replace(report, rc_norm=construction.rc_norm)
 
     block = grid.even
-    reps = block.orbits.reps
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
     # a start far outside the ball overflows float64 on its way to a diverged
     # outcome, which the report carries, so numpy's overflow warnings stay quiet
@@ -223,7 +222,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                              w_norms=report.w_norms + (wn,), w_norm=wn,
                              contraction_estimate=_contraction_estimate(steps, step_floor))
 
-            if float(np.max(np.abs(op.u + w.values.ravel()[reps]))) < _COLLAPSE_FLOOR:
+            if float(np.max(np.abs(op.u + block.at_reps(w.values)))) < _COLLAPSE_FLOOR:
                 return None, replace(report, outcome=OUTCOME_COLLAPSED,
                                      message="iterate collapsed to zero")
             if not np.isfinite(wn) or wn > ceiling:

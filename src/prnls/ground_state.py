@@ -8,11 +8,11 @@ Solved by the Petviashvili spectral renormalization iteration
 with radial symmetrization after every step. The iterates are radial, so the
 iteration runs on the orbit vectors of the grid's even block (see spectral):
 u_k, u_k^p and P_inf(D) u_k at its orbit representatives, with M_k's sums
-and the clamp count taken once per orbit, and u_k^p expanded to the block
-for the transform pair, whose image orbit_mean symmetrizes. The ground state
-is the expanded iterate, u_even; only a field dump lifts it to the full
-grid. M_k converges to 1
-exactly when the iterates converge to a solution. Each step takes one
+and the clamp count taken once per orbit, and u_k^p expanded to the block by
+EvenBlock.from_reps for the transform pair, whose image orbit_mean
+symmetrizes. The seed is read there by at_reps, and the ground state u_even
+is the iterate's from_reps; only a field dump lifts it to the full grid.
+M_k converges to 1 exactly when the iterates converge to a solution. Each step takes one
 transform pair, for P_inf(D)^{-1}: P_inf(D) u_{k+1} = M_k^gamma u_k^p is
 exact, since the radial projection commutes with P_inf(D) and leaves the
 radial u_k^p unchanged, so M_{k+1}'s numerator needs no transform of its
@@ -104,11 +104,8 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
     inv_pinf = 1.0 / pinf
     vol = grid.cell_volume
 
-    def expand(x):
-        return x[orbits.expand].reshape(block.shape)
-
-    u = symmetrize_radial(initial_gaussian(grid, p)).values.ravel()[orbits.reps]
-    pu = block.orbit_mean(half_spectrum_apply(block, expand(u), pinf))
+    u = block.at_reps(symmetrize_radial(initial_gaussian(grid, p)).values)
+    pu = block.orbit_mean(half_spectrum_apply(block, block.from_reps(u), pinf))
     clamps = 0
     factor = np.nan
     last_res = np.inf
@@ -120,8 +117,8 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
         if den <= 0.0:
             raise CollapseError(f"petviashvili source term vanished at iteration {k}")
         factor = num / den
-        unew = factor ** gamma * block.orbit_mean(half_spectrum_apply(block, expand(up),
-                                                                      inv_pinf))
+        unew = factor ** gamma * block.orbit_mean(
+            half_spectrum_apply(block, block.from_reps(up), inv_pinf))
 
         amp = float(np.max(np.abs(unew)))
         if amp < _COLLAPSE_FLOOR:
@@ -133,7 +130,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
         u = unew
         pu = factor ** gamma * up  # P_inf(D) u_{k+1}, exact but for the transforms' rounding
         if step < tol:
-            u_even = Field(block, expand(u))
+            u_even = Field(block, block.from_reps(u))
             res = limit_residual(u_even, p)
             if res < 10.0 * tol:
                 return GroundState(u_even, p, res, k, factor, clamps)

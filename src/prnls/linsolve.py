@@ -25,11 +25,12 @@ Euclidean inner products of y are then the full-grid inner products of v,
 and the iteration is the full-grid one up to roundoff on C(N/2+n, n) instead
 of N^n points. LinearizedOperator holds its pointwise terms there, and
 invert takes f there by one orbit mean, its radial projection. A matvec
-expands y to the block for the P_c(D)^{-1} pair, reads its image at the
-representatives with no permutation average (the image of an exactly
-symmetric expansion is symmetric up to the transforms' rounding) and
-subtracts the potential term there. The residual check reads L w there
-too, in the same metric, where it is the full-grid relative L^2 residual.
+expands y to the block by EvenBlock.from_reps for the P_c(D)^{-1} pair,
+reads its image at the representatives by EvenBlock.at_reps, with no
+permutation average (the image of an exactly symmetric expansion is
+symmetric up to the transforms' rounding), and subtracts the potential term
+there. The residual check reads L w by at_reps too, in the same metric,
+where it is the full-grid relative L^2 residual.
 Only the solution passes through symmetrize_radial, so it is radial bit for
 bit, and the Picard loop measures it from one partial (see
 spectral.intersection_norm).
@@ -62,7 +63,7 @@ class LinearizedOperator:
 
     rp: ReducedParams
     gs: GroundState
-    u: np.ndarray          # u_inf at the even block's orbits.reps, as the next two
+    u: np.ndarray          # u_inf read by EvenBlock.at_reps, as the next two
     potential: np.ndarray  # p max(u_inf, 0)^{p-1}
     source: np.ndarray     # max(u_inf, 0)^p, Q(w)'s ground-state term
 
@@ -88,7 +89,7 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
         raise ValueError(f"parameter exponent p={rp.p} does not match ground state p={gs.p}")
     if rp.n != gs.grid.n:
         raise ValueError("parameter dimension does not match ground-state grid")
-    u = gs.u_even.values.ravel()[gs.grid.even.orbits.reps]
+    u = gs.grid.even.at_reps(gs.u_even.values)
     positive = np.maximum(u, 0.0)
     return LinearizedOperator(rp, gs, u, rp.p * positive ** (rp.p - 1.0), positive ** rp.p)
 
@@ -183,28 +184,28 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
     if f.grid != block:
         raise ValueError("field does not live on the even block of the operator's grid")
     inv_pc = op.inv_pc_even
-    orbits = block.orbits
-    scale = np.sqrt(orbits.weights)  # the Krylov variable is y = scale * v at the representatives
+    scale = np.sqrt(block.orbits.weights)  # the Krylov variable is y = scale * v, an orbit vector
     b = block.orbit_mean(f.values) * scale
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return Field.zeros(block)
-
-    def expand(v):
-        return v[orbits.expand].reshape(block.shape)
+    if not math.isfinite(bnorm):
+        raise ConvergenceError("right-hand side norm overflows float64; krylov inversion "
+                               "not attempted")
 
     def apply_b(y):
         v = y / scale
-        image = half_spectrum_apply(block, expand(v), inv_pc).ravel()[orbits.reps]
+        image = block.at_reps(half_spectrum_apply(block, block.from_reps(v), inv_pc))
         return (v - op.potential * image) * scale
 
     y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
-    w = symmetrize_radial(Field(block, half_spectrum_apply(block, expand(y / scale), inv_pc)))
+    w = symmetrize_radial(Field(block, half_spectrum_apply(block, block.from_reps(y / scale),
+                                                           inv_pc)))
 
-    wr = w.values.ravel()[orbits.reps]
-    lw = half_spectrum_apply(block, w.values, op.pc_even).ravel()[orbits.reps] - op.potential * wr
+    lw = block.at_reps(half_spectrum_apply(block, w.values, op.pc_even)) \
+        - op.potential * block.at_reps(w.values)
     residual = float(np.linalg.norm(lw * scale - b)) / bnorm
-    if not residual <= tol:  # nan when ||b|| overflows and GMRES stopped at w = 0
+    if not residual <= tol:
         raise ConvergenceError(
             f"inversion residual {residual:.3e} exceeds tol {tol:g} after krylov convergence")
     return w

@@ -22,10 +22,11 @@ Two substrates
   the block's axis-permutation orbits, whose representatives j_1 <= ... <= j_n
   (C(N/2+n, n) points) set a permutation-symmetric block field. Its values
   there, the orbit vector, are the hot loops' working form (full-grid sums
-  are orbits.weights @ x), expanded to the block only for a transform pair.
-  symmetrize_radial is the expansion of EvenBlock.orbit_mean, so its output
-  equals its axis transposes bit for bit, and intersection_norm measures
-  such a field from one partial.
+  are orbits.weights @ x). EvenBlock.at_reps reads a block array there and
+  EvenBlock.from_reps expands an orbit vector to the block, for a transform
+  pair; no other module indexes the orbit tables. symmetrize_radial is
+  from_reps of EvenBlock.orbit_mean, so its output equals its axis transposes
+  bit for bit, and intersection_norm measures such a field from one partial.
 A Field lives on one of the two; the transforms and norm_lq take the path of
 its grid. Each radial quantity has one path, on the block: plancherel_sum
 (hence norm_h1 and the diagnostics), symmetrize_radial, intersection_norm
@@ -102,8 +103,14 @@ class Grid:
             raise ValueError(f"dimension n must be 1, 2 or 3, got {self.n}")
         if self.N < 16 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 16, got {self.N}")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError(f"box half-width L must be positive and finite, got {self.L}")
+        try:  # L, h^n, the largest |x|^2 and the largest |xi|^2 must be positive floats
+            xi_max = math.pi * self.N / (2.0 * self.L)
+            scales = (self.L, self.cell_volume, self.n * self.L * self.L, self.n * xi_max ** 2)
+        except (OverflowError, ZeroDivisionError):
+            scales = (0.0,)
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ValueError(f"box half-width L = {self.L!r} must be positive, with h^n, n L^2 "
+                             f"and n (pi N / 2L)^2 positive floats (n = {self.n}, N = {self.N})")
 
     def __reduce__(self):
         # pickle as (n, N, L): the cached spectra and the even block are rebuilt on demand
@@ -217,11 +224,11 @@ class Orbits:
 
     A permutation-symmetric block field is set by its values at the orbit
     representatives, the points j_1 <= ... <= j_n: 2,145 of 4,225 on 65^2,
-    6,545 of 35,937 on 33^3. Indices are into the row-major flattened block.
-    symmetrize_radial's output is symmetric bit for bit, so reading it at
-    reps and expanding gives it back; reading a field that is symmetric only
-    to rounding, such as a multiplier's image of one, keeps its
-    representatives' rounding.
+    6,545 of 35,937 on 33^3. Indices are into the row-major flattened block,
+    read only by EvenBlock.at_reps and from_reps. symmetrize_radial's output
+    is symmetric bit for bit, so from_reps of its at_reps gives it back;
+    at_reps of a field symmetric only to rounding, such as a multiplier's
+    image of one, keeps its representatives' rounding.
     """
 
     reps: np.ndarray     # the representatives, in row-major order
@@ -341,6 +348,14 @@ class EvenBlock:
         reps = np.unravel_index(self.orbits.reps, self.shape)
         return np.stack([np.ravel_multi_index(tuple(reps[a] for a in perm), self.shape)
                          for perm in itertools.permutations(range(self.n))])
+
+    def at_reps(self, values: np.ndarray) -> np.ndarray:
+        """The block array values read at orbits.reps, in their order: no average is taken."""
+        return values.ravel()[self.orbits.reps]
+
+    def from_reps(self, x: np.ndarray) -> np.ndarray:
+        """The block array holding the orbit vector x at every point of each orbit."""
+        return x[self.orbits.expand].reshape(self.shape)
 
     def orbit_mean(self, values: np.ndarray) -> np.ndarray:
         """Mean of a block field over each axis-permutation orbit, at orbits.reps in their order.
@@ -541,7 +556,7 @@ def _symmetric_block_norms(f: Field) -> tuple:
     g = f.grid
     n, v = g.n, f.values
     orbits = g.orbits
-    vr = v.ravel()[orbits.reps]  # v's own terms are taken once per orbit
+    vr = g.at_reps(v)  # v's own terms are taken once per orbit
     d = _along_axis(v, g.diff_matrix, 0)
     nyquist = np.tensordot(g.dct_matrix[-1], v, axes=1)
     plane = g.cell_volume / g.N * float(np.sum(g.weights[0] * nyquist * nyquist))
@@ -595,7 +610,7 @@ def symmetrize_radial(f: Field) -> Field:
     block = f.grid
     if not isinstance(block, EvenBlock):
         raise ValueError("symmetrize_radial takes an even-block field; restrict it first")
-    return Field(block, block.orbit_mean(f.values)[block.orbits.expand].reshape(block.shape))
+    return Field(block, block.from_reps(block.orbit_mean(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +639,7 @@ def resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if scale * target.L > src.L * (1.0 + 1e-9):
         raise DomainOverflowError(
-            f"rescaled half-width {scale * target.L:.6g} exceeds source half-width {src.L:.6g}"
-        )
+            f"rescaled half-width {scale * target.L:.6g} exceeds source half-width {src.L:.6g}")
     weights = np.r_[1.0, np.full(src.N // 2 - 1, 2.0), 0.0] / src.N
     y = scale * target.h * np.arange(target.N // 2 + 1)
     interp = (weights * np.cos(np.outer(y, src.freqs_half))) @ block.dct_matrix
@@ -638,9 +652,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float) -> Fi
     mask = (grid.xi_sq_half <= kmax * kmax).astype(np.float64)
     f = Field(grid, half_spectrum_apply(grid, noise, mask))
     scale = float(np.max(np.abs(f.values)))
-    if scale > 0:
-        f = f * (1.0 / scale)
-    return f
+    return f * (1.0 / scale) if scale > 0 else f
 
 
 # ---------------------------------------------------------------------------

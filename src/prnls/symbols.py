@@ -46,8 +46,7 @@ def p_infty_minus_p_c(c: float):
     _check_c(c)
 
     def fn(r2):
-        s = np.sqrt(1.0 + 4.0 * r2 / (c * c))
-        t = 1.0 + s
+        t = 1.0 + np.sqrt(1.0 + 4.0 * r2 / (c * c))
         return 4.0 * r2 * r2 / (c * c * t * t)
 
     return fn
@@ -58,11 +57,7 @@ def inverse_difference(c: float):
     _check_c(c)
     diff = p_infty_minus_p_c(c)
     pc = p_c(c)
-
-    def fn(r2):
-        return -diff(r2) / (pc(r2) * (r2 + 1.0))
-
-    return fn
+    return lambda r2: -diff(r2) / (pc(r2) * (r2 + 1.0))
 
 
 def symbol_ratio(c: float):
@@ -140,23 +135,18 @@ def check_pointwise_bounds(c: float, samples: int = 20000, seed: int = 0):
     pinf = r2 + 1.0
 
     reports = []
-    low = r <= crossover
-    high = r >= crossover
     for label, mask, lower, upper in (
-        ("low-regime", low, 0.5 * pinf, pinf),
-        ("high-regime", high, 0.5 * (c * r + 1.0), c * r + 1.0),
+        ("low-regime", r <= crossover, 0.5 * pinf, pinf),
+        ("high-regime", r >= crossover, 0.5 * (c * r + 1.0), c * r + 1.0),
     ):
         slack = np.minimum(val - lower, upper - val)[mask] / upper[mask]
-        rm = r[mask]
         worst = int(np.argmin(slack))
-        reports.append(BoundReport(label, c, int(mask.sum()),
-                                   int(np.sum(slack < 0)),
-                                   float(slack[worst]), float(rm[worst])))
+        reports.append(BoundReport(label, c, int(mask.sum()), int(np.sum(slack < 0)),
+                                   float(slack[worst]), float(r[mask][worst])))
 
     slack = (pinf - val) / pinf
     worst = int(np.argmin(slack))
-    reports.append(BoundReport("domination", c, len(r),
-                               int(np.sum(slack < 0)),
+    reports.append(BoundReport("domination", c, len(r), int(np.sum(slack < 0)),
                                float(slack[worst]), float(r[worst])))
     return tuple(reports)
 
@@ -217,8 +207,6 @@ def check_derivative_bounds(c: float, samples: int = 2000, seed: int = 0) -> Der
     xi = r[:, None] * direction.astype(np.longdouble)
     step = np.longdouble(1e-4) * np.maximum(r, np.longdouble(1.0))
 
-    a_fn = inverse_difference(c)
-    ratio_fn = symbol_ratio(c)
     r64 = r.astype(np.float64)
     weight_a = np.maximum(c * c, c * np.sqrt(r64 * r64 + 1.0))
 
@@ -241,8 +229,8 @@ def check_derivative_bounds(c: float, samples: int = 2000, seed: int = 0) -> Der
                 - at(((i, -1), (j, 1))) + at(((i, -1), (j, -1)))) / (4.0 * step * step)
 
     rows = []
-    for family, fn, weight in (("inverse-difference", a_fn, weight_a),
-                               ("symbol-ratio", ratio_fn, 1.0)):
+    for family, fn, weight in (("inverse-difference", inverse_difference(c), weight_a),
+                               ("symbol-ratio", symbol_ratio(c), 1.0)):
         for order in range(3):
             scaled = np.zeros(samples)
             for alpha in _multi_indices(order):

@@ -286,19 +286,48 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("solve", _TINY_2D.format("m = 1e300\nc = 1e-300"), [], "c_tilde"),
     ("solve", _TINY_2D.format("mu = inf\nc = 16"), [], "finite"),
     ("identity-check", _TINY_2D.format("mu = 1e300\nm = 1e-300\nc = 16"), [], "c_tilde"),
+    ("identity-check", _TINY_2D.format("c = 1e100"), [], "power of c"),
+    ("certify", _TINY_2D.format("c = 1e-170"), [], "power of c"),
+    ("sweep", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n",
+     ["--probe"], "power of c"),
+    ("norm-probe", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1.0\nrungs = 2\n",
+     [], "power of c"),
+    ("ground-state", _TINY_2D.format("").replace("box_radius = 10.0", "box_radius = 1e160"),
+     [], "box half-width"),
+    ("solve", _TINY_2D.format("m = 1e-300\nmu = 1e-20\nc = 4"), [], "physical lift grid"),
+    ("solve", _TINY_2D.format("m = 1e-300\nmu = 1e-30\nc = 4"), [], "physical lift grid"),
 ], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
         "rate-sweep-floor", "find-threshold-supercritical", "solve-infinite-m",
-        "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde"])
+        "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde",
+        "identity-check-overflowing-c-fourth-power", "certify-underflowing-c-square",
+        "sweep-probe-underflowing-c-square", "norm-probe-underflowing-c-square",
+        "ground-state-overflowing-box", "solve-overflowing-lift-grid",
+        "solve-underflowing-lift-scale"])
 def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, text,
                                                      flags, reason):
     # a run whose solves would break solve()'s preconditions, or whose mass,
-    # frequency or reduced speed leaves the float range, exits 1 before it
-    # writes anything, instead of raising out of main() or running on inf
+    # frequency, reduced speed, box or lift grid leaves the float range, exits
+    # 1 before it writes anything, instead of raising out of main() or running
+    # on inf: after output, identity-check at c = 1e100 would raise at c^4,
+    # certify at c = 1e-170 on the 0/0 of c^2 = 0, and the box and lift-grid
+    # cases in Grid
     out = tmp_path / "out"
     assert main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and reason in err
     assert not out.exists()
+
+
+def test_speed_checks_keep_the_runs_that_complete():
+    # only a c^2 that underflows to 0, or for identity-check and certify a c^4
+    # that overflows, is refused: certify completes at c = 1e-100, where c^4
+    # underflows, identity-check at c = 1e77, and symbol-check at any c_min
+    sweep = "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n"
+    for command, text in (("certify", _TINY_2D.format("c = 1e-100")),
+                          ("certify", _TINY_2D.format("c = 2.3e-162")),
+                          ("identity-check", _TINY_2D.format("c = 1e77")),
+                          ("symbol-check", _TINY_2D.format("") + sweep)):
+        assert parse_config(text, command).command == command
 
 
 # ----------------------------------------------------------- subcommand runs

@@ -12,9 +12,11 @@ others import it, so a constant cannot drift between two copies. Only spectral
 lifts a block field to the full grid (write_field, which streams a block
 field's dump as its lift), so no other module grows a full-grid path back,
 and only spectral names EvenBlock, so the choice between the full grid and
-the even block stays in that one module. Only cli checks the construction's hypotheses
-(construction_precondition): the solvers run whatever they are given, so
-the hypotheses have one gate.
+the even block stays in that one module. Only spectral indexes the orbit
+tables (Orbits.reps and Orbits.expand, through EvenBlock.at_reps and
+from_reps), so the orbit-vector layout has one home. Only cli checks the
+construction's hypotheses (construction_precondition): the solvers run
+whatever they are given, so the hypotheses have one gate.
 """
 
 import ast
@@ -115,6 +117,13 @@ def test_only_spectral_lifts_to_the_full_grid():
 
 def test_only_spectral_names_the_even_block_type():
     assert [m for m in modules_referencing("EvenBlock") if m != "spectral"] == []
+
+
+def test_only_spectral_indexes_the_orbit_tables():
+    # the other modules read and expand orbit vectors by EvenBlock.at_reps and
+    # from_reps, and may read orbits.weights, the orbit quadrature
+    for table in ("reps", "expand"):
+        assert [m for m in modules_referencing(table) if m != "spectral"] == [], table
 
 
 def test_only_cli_gates_on_the_construction_hypotheses():

@@ -29,12 +29,13 @@ def _random_radial(grid, seed, kmax=4.0):
 
 
 def test_invert_raises_when_the_norm_of_f_overflows():
-    # invert's right-hand side b is finite but ||b|| overflows to inf, so GMRES
-    # stops at w = 0 and the relative residual is inf / inf = nan; the dot
-    # product of each norm warns of its overflow
+    # invert's right-hand side b is finite but ||b|| overflows to inf (its dot
+    # product warns of the overflow); invert must name the overflow before
+    # GMRES runs, not report the nan residual of a Krylov solve that never ran
     rp = ReducedParams(2, 3.0, 16.0)
     gs = solve_limit_equation(rp, Grid(2, 32, 10.0))
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ConvergenceError):
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(ConvergenceError, match="right-hand side norm overflows"):
         invert(linearized_operator(rp, gs), 1e160 * gs.u_even)
 
 

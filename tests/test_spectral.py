@@ -556,6 +556,11 @@ def test_orbit_mean_is_the_radial_projection_at_the_representatives(n, N):
         sym = symmetrize_radial(Field(block, v)).values
         assert mean.tobytes() == sym.ravel()[orbits.reps].tobytes()
         assert np.array_equal(mean[orbits.expand].reshape(block.shape), sym)
+        # at_reps is the plain read at the representatives and from_reps the
+        # expansion: a symmetrize_radial output comes back bit for bit
+        assert block.at_reps(v).tobytes() == v.ravel()[orbits.reps].tobytes()
+        assert block.at_reps(sym).tobytes() == mean.tobytes()
+        assert block.from_reps(block.at_reps(sym)).tobytes() == sym.tobytes()
         if n < 3:
             plain = (v + v.T) / 2.0 if n == 2 else v
             assert mean.tobytes() == plain.ravel()[orbits.reps].tobytes()
@@ -573,6 +578,8 @@ def test_orbit_weighted_sums_are_the_block_lattice_sums(n, N):
     for _ in range(200):
         x = rng.standard_normal(orbits.reps.size) * math.exp(rng.uniform(-20.0, 20.0))
         expanded = x[orbits.expand].reshape(block.shape)
+        assert block.from_reps(x).tobytes() == expanded.tobytes()
+        assert block.at_reps(block.from_reps(x)).tobytes() == x.tobytes()
         gap = abs(float(orbits.weights @ x) - block.lattice_sum(expanded))
         assert gap <= 1e-16 * block.lattice_sum(np.abs(expanded))
         assert orbits.weights @ (x < 0.0) == block.lattice_sum(expanded < 0.0)
@@ -612,6 +619,15 @@ def test_grid_validation():
         Grid(2, 8, 5.0)
     with pytest.raises(ValueError):
         Grid(2, 32, -1.0)
+    # L for which h^n, n L^2 or n (pi N / 2L)^2 leaves the positive floats, each
+    # of which would otherwise fail only after a command's output: the first
+    # three overflow h^n, the fourth underflows it, the next two overflow the
+    # largest |xi|^2 and the seventh n L^2; then L = 0, inf and nan
+    for n, L in ((2, 1e160), (2, 1e300), (3, 1e110), (2, 1e-300), (1, 1e-160), (2, 1e-155),
+                 (1, 1e160), (2, 0.0), (2, math.inf), (2, math.nan)):
+        with pytest.raises(ValueError, match="box half-width"):
+            Grid(n, 16, L)
+    assert Grid(2, 16, 1e150).cell_volume < math.inf and Grid(1, 16, 1e-150).h > 0.0
 
 
 def test_grid_duality():
@@ -726,8 +742,9 @@ def _dump_bytes(tmp_path):
     (lambda b: b.replace(b"label=u", b"label=\xfc", 1), "ascii"),
     (lambda b: b.replace(b" L=", b" L=1.0 L=", 1), "'L' is repeated or empty"),
     (lambda b: b.replace(b"label=u", b"label=", 1), "'label' is repeated or empty"),
+    (lambda b: b.replace(b" L=5.0", b" L=1e+160", 1), "box half-width"),
 ], ids=["truncated", "odd-byte-count", "missing-N", "empty-file", "non-ascii-header",
-        "repeated-key", "empty-label"])
+        "repeated-key", "empty-label", "overflowing-box"])
 def test_read_field_rejects_malformed_dump(tmp_path, mangle, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(mangle(_dump_bytes(tmp_path)))
