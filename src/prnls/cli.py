@@ -202,12 +202,23 @@ def parse_config(text: str, command: str = None) -> RunConfig:
         if not fits:
             raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes a power of c "
                               "outside float64")
+        if not 4.0 * grid.xi_sq_max / (low * low) < math.inf:  # P_c's and P_inf - P_c's
+            raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes 4 |xi|^2 / c_tilde^2 "
+                              f"outside float64 at the grid's largest |xi|^2, "
+                              f"{grid.xi_sq_max!r}")
     if cfg.command == "solve":  # the grid solve lifts u_c to, at physical (m, mu)
         scale = math.sqrt(2.0 * m * mu)
         try:
             Grid(n, grid.N, grid.L / scale if scale > 0.0 else math.inf)
         except ValueError as exc:
             raise ConfigError(f"physical lift grid: {exc}") from exc
+        try:  # and scales it by mu^(1/(p-1))
+            amplitude = mu ** (1.0 / (p - 1.0))
+        except OverflowError:
+            amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            raise ConfigError(f"physical lift amplitude mu^(1/(p-1)) = {amplitude!r} at "
+                              f"mu = {mu!r}, p = {p!r} must be a positive finite float")
     return cfg
 
 
@@ -456,8 +467,7 @@ def _cmd_symbol_check(cfg: RunConfig, out: str) -> int:
 
     deriv_rows = []
     for c in _DERIVATIVE_C_LADDER:
-        report = check_derivative_bounds(c, samples=min(cfg.samples, 2000), seed=cfg.seed)
-        for row in report.rows:
+        for row in check_derivative_bounds(c, samples=min(cfg.samples, 2000), seed=cfg.seed):
             deriv_rows.append((c, row.family, row.order, row.sup_scaled, row.argmax_xi))
     _write_csv(os.path.join(out, "derivatives.csv"),
                ("c", "family", "order", "sup_scaled", "argmax_xi"), deriv_rows)

@@ -42,8 +42,6 @@ class ExtensionWeights:
     boundary_l2 = c int |u|^2, boundary_lp1 = c int |u|^{p+1} (over the trace).
     """
 
-    c: float
-    p: float
     grad_x_bulk: float
     grad_t_bulk: float
     mass_bulk: float
@@ -68,8 +66,7 @@ def extension_weights(u: Field, c: float, p: float) -> ExtensionWeights:
     grad_x = c * c * plancherel_sum(u, lambda r2: r2 / (2.0 * sigma(r2)))
     grad_t = c * c * plancherel_sum(u, lambda r2: 0.5 * sigma(r2))
     mass = 0.25 * c ** 4 * plancherel_sum(u, lambda r2: 0.5 / sigma(r2))
-    return ExtensionWeights(c, p, grad_x, grad_t, mass,
-                            c * norm_lq(u, 2) ** 2,
+    return ExtensionWeights(grad_x, grad_t, mass, c * norm_lq(u, 2) ** 2,
                             c * norm_lq(u, p + 1.0) ** (p + 1.0))
 
 

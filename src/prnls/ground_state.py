@@ -56,14 +56,14 @@ class GroundState:
         return self.u_even.grid.grid
 
 
-def initial_gaussian(grid: Grid, p: float, width: float = 1.0) -> Field:
-    """Gaussian seed A exp(-|x|^2 / (2 width^2)) with unit Nehari quotient, on grid's even block.
+def initial_gaussian(grid: Grid, p: float) -> Field:
+    """Gaussian seed A exp(-|x|^2 / 2) with unit Nehari quotient, on grid's even block.
 
     A solves ||g||_{H^1}^2 / ||g||_{p+1}^{p+1} = 1 for g = A * shape, which
     puts the seed on the correct amplitude scale for any (n, p).
     """
     block = grid.even
-    shape = Field(block, np.exp(-block.radius_sq / (2.0 * width * width)))
+    shape = Field(block, np.exp(-block.radius_sq / 2.0))
     quad = norm_h1(shape) ** 2
     source = norm_lq(shape, p + 1.0) ** (p + 1.0)
     return float((quad / source) ** (1.0 / (p - 1.0))) * shape

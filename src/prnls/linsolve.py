@@ -94,8 +94,8 @@ def linearized_operator(rp: ReducedParams, gs: GroundState) -> LinearizedOperato
     return LinearizedOperator(rp, gs, u, rp.p * positive ** (rp.p - 1.0), positive ** rp.p)
 
 
-def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
-    """Restarted GMRES on flattened real arrays; returns (x, iterations).
+def _gmres(apply_b, b: np.ndarray, tol_abs: float):
+    """Restarted GMRES(_RESTART) on flattened real arrays; returns (x, iterations).
 
     Starts from x = 0, where apply_b is zero for a linear operator, so the
     first cycle's residual is b with no operator application. Each new
@@ -107,8 +107,8 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
     |g_{j+1}| at every step, and the triangular system is solved once per
     cycle (Saad & Schultz, SIAM J. Sci. Stat. Comput. 1986). Raises
     ConvergenceError when no iteration in a window of _STALL_WINDOW improves
-    the best residual by at least 0.1% (a near-singular operator), or when
-    max_iter is exhausted.
+    the best residual by at least 0.1% (a near-singular operator), or after
+    _MAX_KRYLOV iterations.
     """
     size = b.size
     x = np.zeros(size)
@@ -120,10 +120,10 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float, restart: int, max_iter: int):
         beta = float(np.linalg.norm(r))
         if beta <= tol_abs:
             return x, total
-        m = min(restart, max_iter - total)
+        m = min(_RESTART, _MAX_KRYLOV - total)
         if m <= 0:
             raise ConvergenceError(
-                f"krylov inversion did not reach tolerance within {max_iter} iterations")
+                f"krylov inversion did not reach tolerance within {_MAX_KRYLOV} iterations")
         basis = np.empty((m + 1, size))
         basis[0] = r / beta
         tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
@@ -198,7 +198,7 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
         image = block.at_reps(half_spectrum_apply(block, block.from_reps(v), inv_pc))
         return (v - op.potential * image) * scale
 
-    y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm, _RESTART, _MAX_KRYLOV)
+    y, _ = _gmres(apply_b, b, 0.8 * tol * bnorm)
     w = symmetrize_radial(Field(block, half_spectrum_apply(block, block.from_reps(y / scale),
                                                            inv_pc)))
 
@@ -215,7 +215,6 @@ def invert(op: LinearizedOperator, f: Field, tol: float = ToleranceSet.tol_lin) 
 class ProbeReport:
     """Empirical operator-norm ratios over random band-limited test fields."""
 
-    c: float
     trials: int
     lower_ratio: float      # sup ||f||_{W^{1,q}} / ||P_c f||_q
     upper_ratio: float      # sup ||P_c f||_q / ||f||_{W^{2,q}}
@@ -267,4 +266,4 @@ def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
         upper = max(upper, pq / w2)
         inv_ratio = max(inv_ratio, c * c * norm_lq(af, q) / fq)
     lattice_sup = float(c * c * np.max(np.abs(a_half)))
-    return ProbeReport(c, len(fields), lower, upper, inv_ratio, lattice_sup)
+    return ProbeReport(len(fields), lower, upper, inv_ratio, lattice_sup)

@@ -104,8 +104,7 @@ class Grid:
         if self.N < 16 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 16, got {self.N}")
         try:  # L, h^n, the largest |x|^2 and the largest |xi|^2 must be positive floats
-            xi_max = math.pi * self.N / (2.0 * self.L)
-            scales = (self.L, self.cell_volume, self.n * self.L * self.L, self.n * xi_max ** 2)
+            scales = (self.L, self.cell_volume, self.n * self.L * self.L, self.xi_sq_max)
         except (OverflowError, ZeroDivisionError):
             scales = (0.0,)
         if not all(0.0 < s < math.inf for s in scales):
@@ -124,6 +123,11 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.N,) * self.n
+
+    @property
+    def xi_sq_max(self) -> float:
+        """The largest |xi|^2 of the lattice, n (pi N / 2L)^2, at its Nyquist corner."""
+        return self.n * (math.pi * self.N / (2.0 * self.L)) ** 2
 
     @property
     def cell_volume(self) -> float:

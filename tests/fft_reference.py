@@ -45,7 +45,7 @@ import scipy.fft
 from prnls.errors import ConvergenceError
 from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
                                 limit_residual)
-from prnls.linsolve import _MAX_KRYLOV, _RESTART, _STALL_FACTOR, _STALL_WINDOW, _gmres
+from prnls.linsolve import _STALL_FACTOR, _STALL_WINDOW, _gmres
 from prnls.spectral import (Field, Grid, _along_axis, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, norm_h1, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
@@ -312,7 +312,7 @@ def full_grid_invert(op, f: Field, tol: float):
         return apply_b(v)
 
     b = f.values.ravel()
-    v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)), _RESTART, _MAX_KRYLOV)
+    v, _ = _gmres(counted, b, 0.8 * tol * float(np.linalg.norm(b)))
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
     return full_grid_symmetrize_radial(w), len(calls)
 

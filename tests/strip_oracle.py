@@ -89,7 +89,7 @@ def halfspace_fd_weights(u: Field, c: float, p: float, n_t: int = 256,
     dt = np.diff(strip, axis=1) / h_t
     grad_t_raw = h_x * h_t * float(np.sum(dt ** 2))
 
-    return ExtensionWeights(c, p, c * c * grad_x_raw, c * c * grad_t_raw,
+    return ExtensionWeights(c * c * grad_x_raw, c * c * grad_t_raw,
                             0.25 * c ** 4 * mass_raw,
                             c * h_x * float(np.sum(vals ** 2)),
                             c * h_x * float(np.sum(np.abs(vals) ** (p + 1.0))))

@@ -288,6 +288,9 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("identity-check", _TINY_2D.format("mu = 1e300\nm = 1e-300\nc = 16"), [], "c_tilde"),
     ("identity-check", _TINY_2D.format("c = 1e100"), [], "power of c"),
     ("certify", _TINY_2D.format("c = 1e-170"), [], "power of c"),
+    ("certify", _TINY_2D.format("c = 2.3e-162"), [], "4 |xi|^2 / c_tilde^2"),
+    ("sweep", _TINY_2D.format("") + "\n[sweep]\nc_min = 2.3e-162\nc_max = 1.0\nrungs = 2\n",
+     ["--probe"], "4 |xi|^2 / c_tilde^2"),
     ("sweep", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n",
      ["--probe"], "power of c"),
     ("norm-probe", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1.0\nrungs = 2\n",
@@ -296,21 +299,30 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
      [], "box half-width"),
     ("solve", _TINY_2D.format("m = 1e-300\nmu = 1e-20\nc = 4"), [], "physical lift grid"),
     ("solve", _TINY_2D.format("m = 1e-300\nmu = 1e-30\nc = 4"), [], "physical lift grid"),
+    ("solve", _TINY_2D.replace("p = 3.0", "p = 1.5").format("m = 1e-50\nmu = 1e200\nc = 4"),
+     [], "lift amplitude"),
+    ("solve", _TINY_2D.replace("p = 3.0", "p = 1.5").format("m = 0.5\nmu = 1e-300\nc = 4e150"),
+     [], "lift amplitude"),
 ], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
         "rate-sweep-floor", "find-threshold-supercritical", "solve-infinite-m",
         "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde",
         "identity-check-overflowing-c-fourth-power", "certify-underflowing-c-square",
+        "certify-overflowing-symbol-quotient", "sweep-probe-overflowing-symbol-quotient",
         "sweep-probe-underflowing-c-square", "norm-probe-underflowing-c-square",
         "ground-state-overflowing-box", "solve-overflowing-lift-grid",
-        "solve-underflowing-lift-scale"])
+        "solve-underflowing-lift-scale", "solve-overflowing-lift-amplitude",
+        "solve-underflowing-lift-amplitude"])
 def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, text,
                                                      flags, reason):
     # a run whose solves would break solve()'s preconditions, or whose mass,
-    # frequency, reduced speed, box or lift grid leaves the float range, exits
-    # 1 before it writes anything, instead of raising out of main() or running
-    # on inf: after output, identity-check at c = 1e100 would raise at c^4,
-    # certify at c = 1e-170 on the 0/0 of c^2 = 0, and the box and lift-grid
-    # cases in Grid
+    # frequency, reduced speed, box, lift grid or lift amplitude leaves the
+    # float range, exits 1 before it writes anything, instead of raising out
+    # of main() or running on inf: after output, identity-check at c = 1e100
+    # would raise at c^4, certify at c = 1e-170 on the 0/0 of c^2 = 0, the box
+    # and lift-grid cases in Grid, and solve at mu = 1e200, p = 1.5 at
+    # mu^(1/(p-1)); certify at c = 2.3e-162, where c^2 is subnormal and
+    # 4 |xi|^2 / c^2 overflows on 32^2, would solve its probes around R_c = 0,
+    # and solve at mu = 1e-300, p = 1.5 would write an all-zero lift
     out = tmp_path / "out"
     assert main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
@@ -319,15 +331,30 @@ def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, 
 
 
 def test_speed_checks_keep_the_runs_that_complete():
-    # only a c^2 that underflows to 0, or for identity-check and certify a c^4
-    # that overflows, is refused: certify completes at c = 1e-100, where c^4
-    # underflows, identity-check at c = 1e77, and symbol-check at any c_min
+    # only a c^2 that underflows to 0, a 4 |xi|^2 / c^2 that overflows, or for
+    # identity-check and certify a c^4 that overflows, is refused: certify
+    # completes at c = 1e-100, where c^4 underflows, identity-check at c = 1e77,
+    # and symbol-check at any c_min
     sweep = "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n"
     for command, text in (("certify", _TINY_2D.format("c = 1e-100")),
-                          ("certify", _TINY_2D.format("c = 2.3e-162")),
                           ("identity-check", _TINY_2D.format("c = 1e77")),
                           ("symbol-check", _TINY_2D.format("") + sweep)):
         assert parse_config(text, command).command == command
+
+
+def test_symbol_check_fails_on_a_nan_bound(tmp_path):
+    # at c_min = 1e-170 the square c^2 underflows to 0, so P_c is nan at the
+    # crossover radius and the difference bound is nan everywhere: the run
+    # completes, with every row's nan counted as a violation, and exits 2
+    text = _TINY_2D.format("") + ("\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n"
+                                  "\n[run]\nsamples = 1000\n")
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["symbol-check", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
+    rows = _read_rows(out / "symbols.csv")
+    assert len(rows) == 8
+    for row in rows:
+        assert row["worst_ratio"] == "nan" and int(row["violations"]) >= 1, row
 
 
 # ----------------------------------------------------------- subcommand runs

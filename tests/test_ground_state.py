@@ -173,8 +173,8 @@ def test_uniqueness_across_seed_widths(monkeypatch):
     rp = ReducedParams(1, 3.0, 8.0)
     solutions = []
     for w in (0.5, 1.0, 2.0):
-        monkeypatch.setattr(ground_state, "initial_gaussian",
-                            lambda g, p, w=w: initial_gaussian(g, p, width=w))
+        seed = grid.even.restrict(full_grid_gaussian(grid, rp.p, width=w))
+        monkeypatch.setattr(ground_state, "initial_gaussian", lambda g, p, seed=seed: seed)
         solutions.append(solve_limit_equation(rp, grid, tol=1e-12).u_even.values)
     for other in solutions[1:]:
         assert np.max(np.abs(other - solutions[0])) < 1e-8
@@ -182,7 +182,7 @@ def test_uniqueness_across_seed_widths(monkeypatch):
 
 def test_initial_gaussian_has_unit_nehari_quotient():
     grid = Grid(2, 64, 20.0)
-    g = initial_gaussian(grid, 3.0, width=1.0)
+    g = initial_gaussian(grid, 3.0)
     assert g.grid == grid.even
     assert norm_h1(g) ** 2 == pytest.approx(norm_lq(g, 4.0) ** 4, rel=1e-12)
 

@@ -16,7 +16,10 @@ the even block stays in that one module. Only spectral indexes the orbit
 tables (Orbits.reps and Orbits.expand, through EvenBlock.at_reps and
 from_reps), so the orbit-vector layout has one home. Only cli checks the
 construction's hypotheses (construction_precondition): the solvers run
-whatever they are given, so the hypotheses have one gate.
+whatever they are given, so the hypotheses have one gate. A function that
+prnls.__all__ does not export has no parameter that every call in src sets
+to one value, the default or one module constant: that value is a constant
+of the function (cli.main, the console entry point, is exempt).
 """
 
 import ast
@@ -159,3 +162,139 @@ def test_the_check_flags_an_unreferenced_method(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path))
     found = unreferenced(tmp_path / "layoutpkg", "layoutpkg", frozenset())
     assert found == ["mod.A.unused", "mod.orphan"]
+
+
+def _bound_names(node) -> set:
+    """Names that node binds, as arguments or stores, in its own scope and the scopes in it."""
+    return {sub.arg if isinstance(sub, ast.arg) else sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.arg)
+            or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
+
+
+def _module_names(tree) -> set:
+    """Names a module binds at its top level: assignments, imports, functions and classes."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        else:
+            out |= _bound_names(node)
+    return out
+
+
+def _fixed_value(expr, module_names, local):
+    """ast.dump of expr if it is a literal or a module-level name or attribute, else None."""
+    node = expr.operand if isinstance(expr, ast.UnaryOp) else expr
+    if isinstance(node, ast.Constant):
+        return ast.dump(expr)
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in module_names and node.id not in local:
+        return ast.dump(expr)
+    return None
+
+
+def _called_name(node):
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def constant_parameters(src=SRC, exported=frozenset(prnls.__all__),
+                        exempt=frozenset({"cli.main"})):
+    """"module.function(parameter)" for each parameter that every call in src sets to one value.
+
+    Covers the functions and methods of src that exported does not name and
+    whose name is defined once there. A call site is a call by the bare name
+    or the attribute name; a parameter it leaves out takes its default. A
+    value is fixed when it is a literal or a module-level name (or an
+    attribute of one) that the calling scope does not rebind. A function
+    whose name is also used other than as a call (passed to a pool, say) has
+    call sites src cannot see, and is skipped.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    found = {}
+    for module, tree in trees.items():
+        for qualname, node, cls in _definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append((module, qualname, node, cls))
+    functions = {}
+    for name, defs in found.items():
+        module, qualname, node, cls = defs[0]
+        if len(defs) > 1 or name in exported or f"{module}.{qualname}" in exempt \
+                or name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args.posonlyargs + node.args.args
+        defaults = {a.arg: d for a, d in zip(args[::-1], node.args.defaults[::-1])}
+        defaults.update({a.arg: d for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                         if d is not None})
+        static = any(_called_name(d) == "staticmethod" for d in node.decorator_list)
+        positional = [a.arg for a in args[1 if cls and not static else 0:]]
+        functions[name] = (f"{module}.{qualname}", positional,
+                           positional + [a.arg for a in node.args.kwonlyargs],
+                           {k: _fixed_value(v, _module_names(trees[module]), set())
+                            for k, v in defaults.items()})
+
+    values = {name: {param: set() for param in spec[2]} for name, spec in functions.items()}
+    escaped = set()
+    for tree in trees.values():
+        names = _module_names(tree)
+        for top in tree.body:
+            local = _bound_names(top) if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                          ast.ClassDef)) else set()
+            calls = [sub for sub in ast.walk(top) if isinstance(sub, ast.Call)]
+            callees = {id(call.func) for call in calls}
+            escaped |= {_called_name(sub) for sub in ast.walk(top) if id(sub) not in callees}
+            for call in calls:
+                name = _called_name(call.func)
+                if name not in functions:
+                    continue
+                _, positional, params, defaults = functions[name]
+                given = dict(zip(positional, call.args))
+                given.update({k.arg: k.value for k in call.keywords})
+                unpacked = any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords)
+                for param in params:
+                    values[name][param].add(
+                        None if unpacked else _fixed_value(given[param], names, local)
+                        if param in given else defaults.get(param))
+    return [f"{functions[name][0]}({param})" for name in functions if name not in escaped
+            for param, seen in values[name].items() if len(seen) == 1 and None not in seen]
+
+
+def test_no_parameter_takes_one_value_at_every_call_in_src():
+    assert constant_parameters() == []
+
+
+def test_the_constant_parameter_check_flags_a_default_or_constant_every_call_takes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import math\n"
+        "_LIMIT = 5\n"
+        "def solve(x, limit, tol=1e-8, width=1.0):\n"
+        "    return x\n"
+        "def shadowed(x, n):\n"
+        "    return x\n"
+        "class A:\n"
+        "    def step(self, k=2):\n"
+        "        return k\n"
+        "    def scale(self, by):\n"
+        "        return by\n"
+        "def passed(x, y=1):\n"
+        "    return x\n"
+        "def exported(x, y=1):\n"
+        "    return x\n"
+        "def main(argv=None):\n"
+        "    return argv\n"
+        "def run(x, eps):\n"
+        "    a = A()\n"
+        "    return (solve(x, _LIMIT), solve(x, _LIMIT, tol=eps), a.step(), a.step(3),\n"
+        "            a.scale(by=-math.pi), list(map(passed, [x])), passed(x), exported(x))\n"
+        "def again(x):\n"
+        "    _LIMIT = x\n"
+        "    return shadowed(x, _LIMIT), shadowed(x, _LIMIT), main()\n")
+    flagged = ["mod.solve(limit)", "mod.solve(width)", "mod.A.scale(by)"]
+    assert constant_parameters(tmp_path, frozenset({"exported"}), frozenset({"mod.main"})) \
+        == flagged
+    assert constant_parameters(tmp_path, frozenset({"exported"}), frozenset()) \
+        == flagged + ["mod.main(argv)"]

@@ -138,7 +138,7 @@ def test_kernel_direction_defeats_unprojected_inversion(gs2d_small):
 
     b = d1.values.ravel()
     try:
-        v, _ = _gmres(apply_b, b, 0.8e-10 * np.linalg.norm(b), 50, 500)
+        v, _ = _gmres(apply_b, b, 0.8e-10 * np.linalg.norm(b))
     except ConvergenceError:
         return
     w = Field(grid, half_spectrum_apply(grid, v.reshape(grid.shape), 1.0 / full_grid_pc(op)))
@@ -204,9 +204,9 @@ _LSTSQ_ORACLE_FLOOR = 2e-14
 def test_gmres_matches_lstsq_reference(dim, c, gs2d_small, gs3d_coarse, monkeypatch):
     # the Givens residual is the least-squares residual: the same iterations,
     # and the same solution to roundoff, both at invert()'s restart length and
-    # at one short enough to restart; _gmres makes one operator application
-    # fewer, since it starts from r = b where the oracle applies the operator
-    # to x = 0
+    # at one short enough to restart (set by linsolve._RESTART, which _gmres
+    # reads); _gmres makes one operator application fewer, since it starts
+    # from r = b where the oracle applies the operator to x = 0
     gs = gs2d_small if dim == 2 else gs3d_coarse
     op = linearized_operator(ReducedParams(dim, gs.p, c), gs)
     gmres = linsolve._gmres
@@ -217,15 +217,18 @@ def test_gmres_matches_lstsq_reference(dim, c, gs2d_small, gs3d_coarse, monkeypa
         return gmres(*args)
 
     monkeypatch.setattr(linsolve, "_gmres", capturing_gmres)
+    restart = linsolve._RESTART
     for seed in (0, 1):
+        monkeypatch.setattr(linsolve, "_RESTART", restart)
         calls.clear()
         invert(op, _random_radial(op.grid, seed), tol=1e-10)
-        apply_b, b, tol_abs, restart, max_iter = calls[0]
+        apply_b, b, tol_abs = calls[0]
         for length in (restart, 5):
+            monkeypatch.setattr(linsolve, "_RESTART", length)
             new_b, new_calls = _counted(apply_b)
             ref_b, ref_calls = _counted(apply_b)
-            x, iterations = gmres(new_b, b, tol_abs, length, max_iter)
-            ref, ref_iterations = lstsq_gmres(ref_b, b, tol_abs, length, max_iter)
+            x, iterations = gmres(new_b, b, tol_abs)
+            ref, ref_iterations = lstsq_gmres(ref_b, b, tol_abs, length, linsolve._MAX_KRYLOV)
             assert iterations == ref_iterations
             assert len(new_calls) == len(ref_calls) - 1
             if length == 5:

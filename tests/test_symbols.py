@@ -147,6 +147,17 @@ def test_difference_bound_sampled(c):
     assert report.violations == 0
 
 
+def test_a_nan_bound_counts_as_a_violation():
+    # at c = 1e-170, c^2 = 0: P_c is 0/0 at the crossover radius (0 too) and
+    # the difference ratio is nan at every radius
+    with pytest.warns(RuntimeWarning):
+        reports = (*check_pointwise_bounds(1e-170, samples=100),
+                   check_difference_bound(1e-170, samples=100))
+    for rep in reports:
+        assert math.isnan(rep.worst_ratio) and rep.violations >= 1, rep
+    assert reports[-1].violations == reports[-1].samples
+
+
 def test_difference_symbol_is_nonnegative_and_cancellation_free():
     for c in (2.0, 128.0):
         vals = p_infty_minus_p_c(c)(_SAMPLE_R2)
@@ -185,12 +196,11 @@ def test_ratio_bounded_by_one():
 
 
 def test_derivative_bounds_report_shape_and_finiteness():
-    rep = check_derivative_bounds(4.0, samples=500, seed=0)
-    assert rep.c == 4.0
-    assert {(row.family, row.order) for row in rep.rows} == {
+    rows = check_derivative_bounds(4.0, samples=500, seed=0)
+    assert {(row.family, row.order) for row in rows} == {
         ("inverse-difference", 0), ("inverse-difference", 1), ("inverse-difference", 2),
         ("symbol-ratio", 0), ("symbol-ratio", 1), ("symbol-ratio", 2)}
-    for row in rep.rows:
+    for row in rows:
         assert math.isfinite(row.sup_scaled)
         assert row.sup_scaled >= 0.0
 
@@ -200,8 +210,8 @@ def test_derivative_bounds_c_stability_smoke():
     reps = {c: check_derivative_bounds(c, samples=500, seed=0)
             for c in (2.0, 32.0)}
     by_key = {}
-    for c, rep in reps.items():
-        for row in rep.rows:
+    for rows in reps.values():
+        for row in rows:
             by_key.setdefault((row.family, row.order), []).append(row.sup_scaled)
     for key, sups in by_key.items():
         assert max(sups) < 2.0 * min(sups), f"{key}: {sups}"
