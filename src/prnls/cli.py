@@ -13,13 +13,24 @@ Subcommands
 Config files are INI-style with sections [params], [grid], [tolerances],
 [sweep], [run]; unknown sections or keys are rejected. Every run writes
 manifest.txt (config echo, versions) before any numeric work and appends
-timings: the ground-state solve's when it ends, the total on completion.
+timings, each as a line "timings.<phase>_seconds = ...":
+    ground_state   the ground-state solve, when it ends (also if it fails)
+    rc             solve, identity-check, certify: operator, R_c and ceiling
+    picard         solve, identity-check: the Picard loop; certify: summed
+                   over its probes
+    identities     identity-check: the identities and the trace ratio
+    total          the whole command, on completion
+Sweep rungs can run in worker processes and write no phase times.
 Numeric outputs are CSV with 17-significant-digit floats: fixed config,
 seed and thread count give byte-identical files.
 
 Exit codes: 0 success, 1 usage/config error, 2 mathematical failure
-(non-convergence; for certify, an unrefuted converged solution). Reports are
-still written on exit 2 so sweep scripts can treat collapse as data.
+(non-convergence; for certify, an unrefuted converged solution). A solve
+that does not converge still writes its reports on exit 2, so sweep scripts
+can treat collapse as data. A ground state that fails (a Petviashvili stall,
+collapse or blow-up) ends every command but ground-state with exit 2 and
+only manifest.txt, whose "result = solver failure: ..." line says why;
+ground-state also writes its ground_state.csv row.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -261,29 +273,20 @@ def _write_manifest(cfg: RunConfig, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def _append_timing(path: str, seconds: float, note: str = ""):
-    with open(path, "a") as fh:
-        fh.write(f"timings.total_seconds = {seconds:.3f}\n")
-        if note:
-            fh.write(f"result = {note}\n")
-
-
 _SOLVE_HEADER = ("n", "p", "c", "outcome", "iterations", "contraction_estimate",
                  "final_residual", "rc_norm", "w_norm", "gs_residual", "action")
 
 
-def _solve_row(rep: SolveReport, act: float):
-    return (rep.n, rep.p, rep.c, rep.outcome, rep.iterations, rep.contraction_estimate,
-            rep.final_residual, rep.rc_norm, rep.w_norm, rep.gs_residual, act)
+def _solve_row(rp: ReducedParams, gs, rep: SolveReport, act: float):
+    return (rp.n, rp.p, rp.c_tilde, rep.outcome, rep.iterations, rep.contraction_estimate,
+            rep.final_residual, rep.rc_norm, rep.w_norm, gs.residual, act)
 
 
-def _run_one(cfg: RunConfig, rp: ReducedParams, gs):
-    """Solve at one speed; returns (u_c, report, action)."""
-    u_c, rep = solve(rp, cfg.grid, gs, tol=cfg.tolerances)
-    act = math.nan
-    if u_c is not None:
-        act = action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
-    return u_c, rep, act
+def _action(rp: ReducedParams, u_c) -> float:
+    """u_c's action at rp, nan when the solve did not converge."""
+    if u_c is None:
+        return math.nan
+    return action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
 
 
 # a sweep worker's (cfg, gs), set once by the pool's initializer; the parent never sets it
@@ -298,18 +301,37 @@ def _start_worker(cfg: RunConfig, gs):
 def _solve_rung(c: float, cfg: RunConfig | None = None, gs=None):
     cfg, gs = _worker_state if cfg is None else (cfg, gs)
     rp = ReducedParams(cfg.params.n, cfg.params.p, c)
-    _, rep, act = _run_one(cfg, rp, gs)
-    return rep, act
+    u_c, rep = solve(rp, cfg.grid, gs, tol=cfg.tolerances)
+    return rp, rep, _action(rp, u_c)
+
+
+def _append_time(out: str, phase: str, seconds: float):
+    with open(os.path.join(out, "manifest.txt"), "a") as fh:
+        fh.write(f"timings.{phase}_seconds = {seconds:.3f}\n")
+
+
+@contextmanager
+def _timed(out: str, phase: str):
+    """Append the block's wall time to the manifest as timings.<phase>_seconds, even on a raise."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        _append_time(out, phase, time.perf_counter() - start)
 
 
 def _limit_state(cfg: RunConfig):
-    start = time.perf_counter()
-    try:
+    with _timed(cfg.output_dir, "ground_state"):
         return solve_limit_equation(reduce_params(cfg.params), cfg.grid,
                                     tol=cfg.tolerances.tol_gs)
-    finally:
-        with open(os.path.join(cfg.output_dir, "manifest.txt"), "a") as fh:
-            fh.write(f"timings.ground_state_seconds = {time.perf_counter() - start:.3f}\n")
+
+
+def _solve_timed(cfg: RunConfig, rp: ReducedParams, gs):
+    """solve() at one speed, timing R_c's phase (operator, R_c, ceiling) and the Picard loop."""
+    with _timed(cfg.output_dir, "rc"):
+        construction = prepare(rp, gs, cfg.tolerances.tol_lin)
+    with _timed(cfg.output_dir, "picard"):
+        return solve(rp, cfg.grid, gs, tol=cfg.tolerances, construction=construction)
 
 
 def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
@@ -334,8 +356,9 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", rp.p, math.inf)
-    u_c, rep, act = _run_one(cfg, rp, gs)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
+    u_c, rep = _solve_timed(cfg, rp, gs)
+    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER,
+               [_solve_row(rp, gs, rep, _action(rp, u_c))])
     if u_c is None:
         return 2
     write_field(os.path.join(out, "u_c.bin"), u_c, "u_c", rp.p, rp.c_tilde)
@@ -349,6 +372,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
 
 
 def _sweep_rows(cfg: RunConfig, gs):
+    """Solve every rung of the ladder; returns its (params, report, action) triples."""
     ladder = cfg.sweep.ladder()
     if cfg.workers <= 1:
         return [_solve_rung(c, cfg, gs) for c in ladder]
@@ -368,8 +392,8 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
         return _cmd_find_threshold(cfg, gs, out)
     results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
-               [_solve_row(rep, act) for rep, act in results])
-    return 0 if all(rep.converged for rep, _ in results) else 2
+               [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
+    return 0 if all(rep.converged for _, rep, _ in results) else 2
 
 
 def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
@@ -392,14 +416,14 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
-               [_solve_row(rep, act) for rep, act in results])
-    points = [(rep.c, rep.w_norm) for rep, _ in results if rep.converged]
+               [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
+    points = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results if rep.converged]
     code = 0 if len(points) == len(results) else 2
     if len(points) >= 4:
         fit = fit_rate(points)
         _write_csv(os.path.join(out, "rate_fit.csv"),
                    ("slope", "intercept", "r_squared", "points"),
-                   [(fit.slope, fit.intercept, fit.r_squared, len(fit.points))])
+                   [(fit.slope, fit.intercept, fit.r_squared, len(points))])
     else:
         code = 2
     return code
@@ -408,17 +432,19 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
 def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg)
-    u_c, rep, act = _run_one(cfg, rp, gs)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER, [_solve_row(rep, act)])
+    u_c, rep = _solve_timed(cfg, rp, gs)
+    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER,
+               [_solve_row(rp, gs, rep, _action(rp, u_c))])
     if u_c is None:
         return 2
-    report = check_identities(u_c, rp)
+    with _timed(out, "identities"):
+        report = check_identities(u_c, rp)
+        ratio = trace_inequality_check(u_c, rp.c_tilde)
     _write_csv(os.path.join(out, "identities.csv"),
                ("c", "identity", "lhs", "rhs", "rel_mismatch"),
                [(rp.c_tilde, row.label, row.lhs, row.rhs, row.rel_mismatch)
                 for row in report.rows()])
-    _write_csv(os.path.join(out, "trace_ratio.csv"), ("c", "ratio"),
-               [(rp.c_tilde, trace_inequality_check(u_c, rp.c_tilde))])
+    _write_csv(os.path.join(out, "trace_ratio.csv"), ("c", "ratio"), [(rp.c_tilde, ratio)])
     write_field(os.path.join(out, "u_c.bin"), u_c, "u_c", rp.p, rp.c_tilde)
     return 0
 
@@ -432,20 +458,25 @@ def _cmd_certify(cfg: RunConfig, out: str) -> int:
                [(cert.regime, cert.combined_lhs, cert.combined_rhs, cert.conclusion)])
 
     scale = _PROBE_START_SCALE * intersection_norm(gs.u_even)
-    construction = prepare(rp, gs, cfg.tolerances.tol_lin)  # one R_c for every probe
+    with _timed(out, "rc"):
+        construction = prepare(rp, gs, cfg.tolerances.tol_lin)  # one R_c for every probe
     rows = []
     genuine = 0
+    picard = 0.0
     for k in range(cfg.probes):
         rng = np.random.default_rng([cfg.seed, k])
         w0 = random_start(cfg.grid, rng, scale)
+        start = time.perf_counter()
         u_c, rep = solve(rp, cfg.grid, gs, w0=w0, tol=cfg.tolerances,
                          construction=construction)
+        picard += time.perf_counter() - start
         mismatch = math.nan
         if u_c is not None:
             mismatch = check_identities(u_c, rp).max_mismatch
             if mismatch < _GENUINE_MISMATCH:
                 genuine += 1
         rows.append((k, rep.outcome, rep.iterations, rep.w_norm, mismatch))
+    _append_time(out, "picard", picard)
     _write_csv(os.path.join(out, "probes.csv"),
                ("seed", "outcome", "iterations", "w_norm", "identity_max_mismatch"),
                rows)
@@ -460,7 +491,7 @@ def _cmd_symbol_check(cfg: RunConfig, out: str) -> int:
         reports.append(check_difference_bound(c, cfg.samples, cfg.seed))
         for rep in reports:
             violations += rep.violations
-            rows.append((rep.c, rep.label, rep.samples, rep.violations,
+            rows.append((c, rep.label, rep.samples, rep.violations,
                          rep.worst_ratio, rep.argmax_xi))
     _write_csv(os.path.join(out, "symbols.csv"),
                ("c", "check", "samples", "violations", "worst_ratio", "argmax_xi"), rows)
@@ -535,14 +566,14 @@ def run(cfg: RunConfig) -> int:
     os.makedirs(out, exist_ok=True)
     manifest = os.path.join(out, "manifest.txt")
     _write_manifest(cfg, manifest)
-    start = time.perf_counter()
     try:
-        code = _RUNNERS[cfg.command](cfg, out)
+        with _timed(out, "total"):
+            code = _RUNNERS[cfg.command](cfg, out)
+        note = "ok" if code == 0 else f"exit {code}"
     except SolverError as exc:
-        _append_timing(manifest, time.perf_counter() - start, f"solver failure: {exc}")
-        return 2
-    _append_timing(manifest, time.perf_counter() - start,
-                   "ok" if code == 0 else f"exit {code}")
+        code, note = 2, f"solver failure: {exc}"
+    with open(manifest, "a") as fh:
+        fh.write(f"result = {note}\n")
     return code
 
 

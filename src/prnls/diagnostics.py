@@ -140,7 +140,6 @@ def trace_inequality_check(u: Field, c: float) -> float:
 class RateFit:
     """Least-squares power-law fit distance ~ C * c^slope."""
 
-    points: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -165,7 +164,7 @@ def fit_rate(points) -> RateFit:
     residuals = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residuals ** 2)) / ss_tot
-    return RateFit(pts, float(slope), float(intercept), r_squared)
+    return RateFit(float(slope), float(intercept), r_squared)
 
 
 def action(u: Field, params: PhysicalParams) -> float:

@@ -59,16 +59,12 @@ OUTCOME_STALLED = "stalled"
 class SolveReport:
     """Per-run record of the contraction iteration."""
 
-    n: int
-    p: float
-    c: float
     outcome: str
     iterations: int
     contraction_estimate: float
     final_residual: float
     rc_norm: float
     w_norm: float
-    gs_residual: float
     w_norms: tuple = ()
     steps: tuple = ()
     message: str = ""
@@ -195,8 +191,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
         raise ValueError("supplied construction was prepared for other parameters, "
                          "ground state or tol_lin")
     # one running report; its "stalled" outcome stands unless an earlier exit decides
-    report = SolveReport(rp.n, rp.p, rp.c_tilde, OUTCOME_STALLED, 0, 0.0, np.nan,
-                         np.nan, np.nan, gs.residual)
+    report = SolveReport(OUTCOME_STALLED, 0, 0.0, np.nan, np.nan, np.nan)
     if construction.failure:
         return None, replace(report, outcome=OUTCOME_DIVERGED, message=construction.failure)
     report = replace(report, rc_norm=construction.rc_norm)

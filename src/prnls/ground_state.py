@@ -48,7 +48,6 @@ class GroundState:
     p: float
     residual: float
     iterations: int
-    final_factor: float
     negative_clamps: int
 
     @property
@@ -107,7 +106,6 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
     u = block.at_reps(symmetrize_radial(initial_gaussian(grid, p)).values)
     pu = block.orbit_mean(half_spectrum_apply(block, block.from_reps(u), pinf))
     clamps = 0
-    factor = np.nan
     last_res = np.inf
     for k in range(1, _MAX_PETVIASHVILI + 1):
         up = np.maximum(u, 0.0) ** p
@@ -133,7 +131,7 @@ def solve_limit_equation(rp: ReducedParams, grid: Grid,
             u_even = Field(block, block.from_reps(u))
             res = limit_residual(u_even, p)
             if res < 10.0 * tol:
-                return GroundState(u_even, p, res, k, factor, clamps)
+                return GroundState(u_even, p, res, k, clamps)
             if res > _RESIDUAL_STALL * last_res:
                 raise ConvergenceError(
                     f"petviashvili iteration settled at iteration {k} on a fixed point that "

@@ -103,7 +103,6 @@ class BoundReport:
     """
 
     label: str
-    c: float
     samples: int
     violations: int
     worst_ratio: float
@@ -141,12 +140,12 @@ def check_pointwise_bounds(c: float, samples: int = 20000, seed: int = 0):
     ):
         slack = np.minimum(val - lower, upper - val)[mask] / upper[mask]
         worst = int(np.argmin(slack))
-        reports.append(BoundReport(label, c, int(mask.sum()), int(np.sum(~(slack >= 0))),
+        reports.append(BoundReport(label, int(mask.sum()), int(np.sum(~(slack >= 0))),
                                    float(slack[worst]), float(r[mask][worst])))
 
     slack = (pinf - val) / pinf
     worst = int(np.argmin(slack))
-    reports.append(BoundReport("domination", c, len(r), int(np.sum(~(slack >= 0))),
+    reports.append(BoundReport("domination", len(r), int(np.sum(~(slack >= 0))),
                                float(slack[worst]), float(r[worst])))
     return tuple(reports)
 
@@ -158,7 +157,7 @@ def check_difference_bound(c: float, samples: int = 20000, seed: int = 0) -> Bou
     r2 = r * r
     ratio = p_infty_minus_p_c(c)(r2) / (r2 * r2 / (c * c))
     worst = int(np.argmax(ratio))
-    return BoundReport("difference", c, len(r), int(np.sum(~(ratio <= 1.0))),
+    return BoundReport("difference", len(r), int(np.sum(~(ratio <= 1.0))),
                        float(ratio[worst]), float(r[worst]))
 
 

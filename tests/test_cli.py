@@ -401,6 +401,34 @@ def test_every_ground_state_solve_writes_its_time_to_the_manifest(command, tmp_p
     times = [line for line in manifest if line.startswith("timings.ground_state_seconds = ")]
     solves = command not in ("symbol-check", "norm-probe")
     assert len(times) == solves and code == (2 if solves else 0)
+    # a failed ground state writes no report but ground-state's own row; the
+    # manifest says why
+    if command == "ground-state":
+        assert sorted(os.listdir(out)) == ["ground_state.csv", "manifest.txt"]
+        assert _read_rows(out / "ground_state.csv")[0]["outcome"] == "diverged"
+    elif solves:
+        assert os.listdir(out) == ["manifest.txt"]
+        assert any(line.startswith("result = solver failure: stub") for line in manifest)
+
+
+_PHASES = {"solve": ("ground_state", "rc", "picard", "total"),
+           "identity-check": ("ground_state", "rc", "picard", "identities", "total"),
+           "certify": ("ground_state", "rc", "picard", "total")}
+
+
+@pytest.mark.parametrize("command", sorted(_PHASES))
+def test_each_phase_time_goes_to_the_manifest_once(command, tmp_path):
+    # certify's Picard time is summed over its probes
+    text = SOLVE_2D
+    if command == "certify":
+        text = text.replace("c = 16.0", "c = 1.0") + "\n[run]\nprobes = 2\n"
+    out = tmp_path / "out"
+    assert main([command, _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+    timings = [line.split(" = ") for line in (out / "manifest.txt").read_text().splitlines()
+               if line.startswith("timings.")]
+    assert sorted(key for key, _ in timings) == sorted(f"timings.{phase}_seconds"
+                                                       for phase in _PHASES[command])
+    assert all(float(seconds) >= 0.0 for _, seconds in timings)
 
 
 def test_solve_command(tmp_path):

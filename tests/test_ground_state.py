@@ -67,7 +67,11 @@ def test_u_even_is_the_restricted_ground_state(name, request):
 
 
 def test_petviashvili_factor_converges_to_one(gs1d):
-    assert abs(gs1d.final_factor - 1.0) < 1e-11
+    # the Petviashvili factor M = <P_inf(D) u, u> / <u^p, u> at the ground
+    # state, for p = 3
+    u = gs1d.u_even
+    factor = plancherel_sum(u, lambda r2: 1.0 + r2) / norm_lq(u, 4.0) ** 4
+    assert abs(factor - 1.0) < 1e-11
 
 
 def test_residual_definition_consistent(gs1d):
