@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .diagnostics import (Certificate, ExtensionWeights, IdentityReport, RateFit,
                           action, check_identities, extension_weights, fit_rate,
                           nonexistence_certificate, trace_inequality_check)
-from .errors import (CollapseError, ConfigError, ConvergenceError, DomainOverflowError,
-                     SolverError)
+from .errors import CollapseError, ConfigError, ConvergenceError, SolverError
 from .fixed_point import SolveReport, find_convergence_threshold, solve
 from .ground_state import GroundState, limit_residual, solve_limit_equation
 from .linsolve import LinearizedOperator, invert, linearized_operator, operator_norm_probe
@@ -24,8 +23,7 @@ __all__ = [
     "Certificate", "ExtensionWeights", "IdentityReport", "RateFit",
     "action", "check_identities", "extension_weights", "fit_rate",
     "nonexistence_certificate", "trace_inequality_check",
-    "CollapseError", "ConfigError", "ConvergenceError", "DomainOverflowError",
-    "SolverError",
+    "CollapseError", "ConfigError", "ConvergenceError", "SolverError",
     "SolveReport", "find_convergence_threshold", "solve",
     "GroundState", "limit_residual", "solve_limit_equation",
     "LinearizedOperator", "invert", "linearized_operator", "operator_norm_probe",

@@ -28,9 +28,9 @@ Exit codes: 0 success, 1 usage/config error, 2 mathematical failure
 (non-convergence; for certify, an unrefuted converged solution). A solve
 that does not converge still writes its reports on exit 2, so sweep scripts
 can treat collapse as data. A ground state that fails (a Petviashvili stall,
-collapse or blow-up) ends every command but ground-state with exit 2 and
-only manifest.txt, whose "result = solver failure: ..." line says why;
-ground-state also writes its ground_state.csv row.
+collapse or blow-up) ends every command with exit 2 and a manifest.txt
+whose "result = solver failure: ..." line says why; ground-state also writes
+its ground_state.csv row, the other commands nothing more.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,11 +52,12 @@ from . import __version__
 from .diagnostics import action, check_identities, fit_rate, nonexistence_certificate, \
     nonexistence_regime, trace_inequality_check
 from .errors import CollapseError, ConfigError, SolverError
-from .fixed_point import SolveReport, construction_precondition, \
+from .fixed_point import ROUNDING_FLOOR, SolveReport, construction_precondition, \
     find_convergence_threshold, prepare, random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
-from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, reduce_params
+from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, \
+    physical_frame, reduce_params
 from .spectral import Grid, intersection_norm, norm_h1, write_field
 from .symbols import check_derivative_bounds, check_difference_bound, \
     check_pointwise_bounds
@@ -167,6 +169,8 @@ def parse_config(text: str, command: str = None) -> RunConfig:
         default_grid = Grid.default(n)
         grid = Grid(n, _get(cp, "grid", "n_points", int, default_grid.N),
                     _get(cp, "grid", "box_radius", float, default_grid.L))
+        if resolved_command == "solve":  # solve lifts u_c to the physical frame
+            physical_frame(grid, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -218,19 +222,6 @@ def parse_config(text: str, command: str = None) -> RunConfig:
             raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes 4 |xi|^2 / c_tilde^2 "
                               f"outside float64 at the grid's largest |xi|^2, "
                               f"{grid.xi_sq_max!r}")
-    if cfg.command == "solve":  # the grid solve lifts u_c to, at physical (m, mu)
-        scale = math.sqrt(2.0 * m * mu)
-        try:
-            Grid(n, grid.N, grid.L / scale if scale > 0.0 else math.inf)
-        except ValueError as exc:
-            raise ConfigError(f"physical lift grid: {exc}") from exc
-        try:  # and scales it by mu^(1/(p-1))
-            amplitude = mu ** (1.0 / (p - 1.0))
-        except OverflowError:
-            amplitude = math.inf
-        if not 0.0 < amplitude < math.inf:
-            raise ConfigError(f"physical lift amplitude mu^(1/(p-1)) = {amplitude!r} at "
-                              f"mu = {mu!r}, p = {p!r} must be a positive finite float")
     return cfg
 
 
@@ -251,21 +242,14 @@ def _write_csv(path: str, header, rows):
 
 
 def _write_manifest(cfg: RunConfig, path: str):
+    sections = {"params": cfg.params, "grid": SimpleNamespace(n_points=cfg.grid.N,
+                                                              box_radius=cfg.grid.L),
+                "tolerances": cfg.tolerances, "sweep": cfg.sweep, "run": cfg}
     lines = [f"command = {cfg.command}"]
-    pr = cfg.params
-    lines += [f"params.{k} = {_fmt(v)}" for k, v in
-              (("n", pr.n), ("p", pr.p), ("c", pr.c), ("m", pr.m), ("mu", pr.mu))]
-    lines += [f"grid.n_points = {cfg.grid.N}", f"grid.box_radius = {_fmt(cfg.grid.L)}"]
-    tl = cfg.tolerances
-    lines += [f"tolerances.{f.name} = {_fmt(getattr(tl, f.name))}"
-              for f in fields(ToleranceSet)]
-    if cfg.sweep is not None:
-        lines += [f"sweep.c_min = {_fmt(cfg.sweep.c_min)}",
-                  f"sweep.c_max = {_fmt(cfg.sweep.c_max)}",
-                  f"sweep.rungs = {cfg.sweep.rungs}"]
-    lines += [f"run.{k} = {_fmt(getattr(cfg, k))}"
-              for k in ("output_dir", "seed", "probes", "trials", "samples",
-                        "workers", "probe", "find_threshold")]
+    lines += [f"{section}.{key} = {_fmt(getattr(sections[section], key))}"
+              for section, keys in _SCHEMA.items() if sections[section] is not None
+              for key in keys if key != "command"]
+    lines += [f"run.{k} = {_fmt(getattr(cfg, k))}" for k in ("probe", "find_threshold")]
     lines += [f"versions.python = {sys.version.split()[0]}",
               f"versions.numpy = {np.__version__}",
               f"versions.package = {__version__}"]
@@ -341,10 +325,10 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
     run = (cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L)
     try:
         gs = _limit_state(cfg)
-    except SolverError as exc:
+    except SolverError as exc:  # run() writes the reason to the manifest
         outcome = "collapsed" if isinstance(exc, CollapseError) else "diverged"
         _write_csv(path, header, [run + (outcome, 0, math.nan, math.nan, math.nan)])
-        return 2
+        raise
     center = float(gs.u_even.values[(0,) * cfg.params.n])
     _write_csv(path, header, [run + ("converged", gs.iterations, gs.residual,
                                      norm_h1(gs.u_even), center)])
@@ -362,11 +346,8 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     if u_c is None:
         return 2
     write_field(os.path.join(out, "u_c.bin"), u_c, "u_c", rp.p, rp.c_tilde)
-    scale = math.sqrt(2.0 * cfg.params.m * cfg.params.mu)
-    if abs(scale - 1.0) > 1e-15 or abs(cfg.params.mu - 1.0) > 1e-15:
-        target = Grid(cfg.grid.n, cfg.grid.N, cfg.grid.L / scale)
-        physical = lift_solution(u_c, cfg.params, target)
-        write_field(os.path.join(out, "u_c_physical.bin"), physical,
+    if (cfg.params.m, cfg.params.mu) != (0.5, 1.0):  # else u_c is in the physical frame
+        write_field(os.path.join(out, "u_c_physical.bin"), lift_solution(u_c, cfg.params),
                     "u_c_physical", cfg.params.p, cfg.params.c)
     return 0
 
@@ -417,8 +398,10 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
     results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
                [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
-    points = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results if rep.converged]
-    code = 0 if len(points) == len(results) else 2
+    converged = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results if rep.converged]
+    code = 0 if len(converged) == len(results) else 2
+    floor = ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0)  # solve()'s own rounding floor
+    points = [(c, w) for c, w in converged if w > floor]
     if len(points) >= 4:
         fit = fit_rate(points)
         _write_csv(os.path.join(out, "rate_fit.csv"),

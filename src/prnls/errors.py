@@ -13,9 +13,5 @@ class CollapseError(SolverError):
     """An iterate decayed to (numerical) zero; the trivial solution was reached."""
 
 
-class DomainOverflowError(ValueError):
-    """Requested resampling needs points outside the source periodic cell."""
-
-
 class ConfigError(ValueError):
     """A run configuration file is malformed or contains unknown keys."""

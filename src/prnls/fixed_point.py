@@ -48,6 +48,9 @@ _C_FLOOR = 2.0
 _MAX_PICARD = 200
 _BISECTION_ROUNDS = 8
 _START_KMAX = 4.0
+# relative rounding floor of a norm: solve() steps, and rate-sweep fits, no distance below
+# ROUNDING_FLOOR * max(||u_inf||_{H^1}, 1)
+ROUNDING_FLOOR = 1e-14
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_COLLAPSED = "collapsed"
@@ -202,7 +205,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
     # outcome, which the report carries, so numpy's overflow warnings stay quiet
     with np.errstate(over="ignore"):
         w = symmetrize_radial(w0) if w0 is not None else Field.zeros(block)
-        step_floor = max(10.0 * tol.tol_step, 1e-14 * max(ceiling, 1.0))
+        step_floor = max(10.0 * tol.tol_step, ROUNDING_FLOOR * max(ceiling, 1.0))
         for k in range(1, _MAX_PICARD + 1):
             try:
                 w_new = phi(op, w, rc, tol.tol_lin)

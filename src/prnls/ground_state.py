@@ -24,6 +24,7 @@ transients and rounding-level negatives in the decayed tail alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,22 @@ def initial_gaussian(grid: Grid, p: float) -> Field:
     """Gaussian seed A exp(-|x|^2 / 2) with unit Nehari quotient, on grid's even block.
 
     A solves ||g||_{H^1}^2 / ||g||_{p+1}^{p+1} = 1 for g = A * shape, which
-    puts the seed on the correct amplitude scale for any (n, p).
+    puts the seed on the correct amplitude scale for any (n, p). It is the
+    iteration's first iterate, so it takes the loop's blow-up test: an A above
+    _BLOWUP_CEILING or outside float64 (p near 1) raises ConvergenceError.
     """
     block = grid.even
     shape = Field(block, np.exp(-block.radius_sq / 2.0))
     quad = norm_h1(shape) ** 2
     source = norm_lq(shape, p + 1.0) ** (p + 1.0)
-    return float((quad / source) ** (1.0 / (p - 1.0))) * shape
+    try:
+        amplitude = float((quad / source) ** (1.0 / (p - 1.0)))
+    except OverflowError:
+        amplitude = math.inf
+    if not amplitude <= _BLOWUP_CEILING:
+        raise ConvergenceError(f"petviashvili seed amplitude {amplitude:.3e} is above the "
+                               f"blow-up ceiling {_BLOWUP_CEILING:g}")
+    return amplitude * shape
 
 
 def limit_residual(u: Field, p: float, c: float = np.inf) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectral import Field, Grid, resample
+from .spectral import Field, Grid
 
 
 def _validate_common(n: int, p: float):
@@ -84,28 +84,53 @@ class ReducedParams:
 
 
 def reduce_params(params: PhysicalParams) -> ReducedParams:
-    """Map (m, mu, c) to the equivalent reduced speed c_tilde = c sqrt(mu / (2 m)).
+    """Map (m, mu, c) to the equivalent reduced speed c_tilde = c sqrt(2 m / mu).
 
-    A finite c whose c_tilde underflows to 0 or overflows raises ValueError.
+    Dividing the physical equation by mu matches P_c's quartic-to-quadratic
+    ratio when 1/c_tilde^2 = mu / (2 m c^2). A finite c whose c_tilde
+    underflows to 0 or overflows raises ValueError.
     """
-    c_tilde = params.c * math.sqrt(params.mu / (2.0 * params.m))
+    c_tilde = params.c * math.sqrt(2.0 * params.m / params.mu)
     if math.isfinite(params.c) and not (0 < c_tilde < math.inf):
         raise ValueError(f"c = {params.c!r}, m = {params.m!r}, mu = {params.mu!r} give "
                          f"c_tilde = {c_tilde!r}; it must be positive and finite")
     return ReducedParams(params.n, params.p, c_tilde)
 
 
-def lift_solution(v: Field, params: PhysicalParams, target: Grid) -> Field:
-    """Undo the reduction: u(x) = mu^{1/(p-1)} v(sqrt(2 m mu) x) on the target grid.
+def physical_frame(grid: Grid, params: PhysicalParams) -> tuple[Grid, float]:
+    """The grid and amplitude of the physical frame of a reduced field on grid.
+
+    u(x) = mu^{1/(p-1)} v(sqrt(2 m mu) x) sends point j of
+    Grid(n, N, L / sqrt(2 m mu)) to point j of grid, so the lift is a
+    relabeling of the lattice times the amplitude mu^{1/(p-1)}. A grid or an
+    amplitude outside float64 raises ValueError.
+    """
+    scale = math.sqrt(2.0 * params.m * params.mu)
+    try:
+        target = Grid(grid.n, grid.N, grid.L / scale if scale > 0.0 else math.inf)
+    except ValueError as exc:
+        raise ValueError(f"physical lift grid: {exc}") from exc
+    try:
+        amplitude = params.mu ** (1.0 / (params.p - 1.0))
+    except OverflowError:
+        amplitude = math.inf
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"physical lift amplitude mu^(1/(p-1)) = {amplitude!r} at "
+                         f"mu = {params.mu!r}, p = {params.p!r} must be a positive finite float")
+    return target, amplitude
+
+
+def lift_solution(v: Field, params: PhysicalParams) -> Field:
+    """Undo the reduction: u(x) = mu^{1/(p-1)} v(sqrt(2 m mu) x), on physical_frame's grid.
 
     v is the reduced solution on its even block, as solve returns it, and so
-    is the result, on target.even (write_field writes its lift). v is
-    evaluated by trigonometric interpolation at the rescaled coordinates
-    (resample); a DomainOverflowError is raised if the rescaled target box
-    does not fit inside v's periodic cell, and a ValueError for a full-grid v.
+    is the result (write_field writes its lift): v's block values times the
+    amplitude, with no interpolation. A full-grid v raises ValueError.
     """
-    if target.n != v.grid.n or target.n != params.n:
-        raise ValueError("dimension mismatch between solution, parameters and target grid")
-    amplitude = params.mu ** (1.0 / (params.p - 1.0))
-    scale = math.sqrt(2.0 * params.m * params.mu)
-    return amplitude * resample(v, target, scale=scale)
+    if isinstance(v.grid, Grid):
+        raise ValueError("lift_solution takes an even-block field; "
+                         "EvenBlock.restrict takes a full-grid field there")
+    if v.grid.n != params.n:
+        raise ValueError("dimension mismatch between solution and parameters")
+    target, amplitude = physical_frame(v.grid.grid, params)
+    return Field(target.even, amplitude * v.values)

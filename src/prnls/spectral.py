@@ -8,7 +8,7 @@ Two substrates
 --------------
 * The full periodic grid (Grid): N^n points, any real field. Field dumps
   and the norm probe live here. No radial field is built, projected,
-  solved for, resampled or measured here.
+  solved for or measured here.
 * The even block (Grid.even, an EvenBlock): the non-negative orthant
   x = j h, j = 0..N/2 per axis. A field even in every coordinate is fully set
   by these (N/2+1)^n values, and every field the solver and the diagnostics
@@ -29,9 +29,8 @@ Two substrates
   bit for bit, and intersection_norm measures such a field from one partial.
 A Field lives on one of the two; the transforms and norm_lq take the path of
 its grid. Each radial quantity has one path, on the block: plancherel_sum
-(hence norm_h1 and the diagnostics), symmetrize_radial, intersection_norm
-and resample (hence lift_solution) raise ValueError for a full-grid field,
-which EvenBlock.restrict takes there.
+(hence norm_h1 and the diagnostics), symmetrize_radial and intersection_norm
+raise ValueError for a full-grid field, which EvenBlock.restrict takes there.
 
 Conventions
 -----------
@@ -52,9 +51,7 @@ Conventions
   scipy's DCT-I 2.0 ms on 33^3, 0.09 against 0.21 ms on 65^2 and 0.52
   against 0.66 ms on 129^2, but 0.22 against 0.05 ms at 1-D N = 1024 and
   3.6 against 3.5 ms at 2-D N = 512. Each matrix angle pi j k / M is reduced
-  exactly (j k mod 2M) before its cosine or sine is taken. resample, which
-  evaluates off the lattice, takes one rectangular matrix along each axis
-  the same way.
+  exactly (j k mod 2M) before its cosine or sine is taken.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
   which is exactly consistent with the physical-space quadrature h^n * sum().
 * First-derivative multipliers zero the Nyquist mode (k = -N/2), the standard
@@ -74,8 +71,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .errors import DomainOverflowError
 
 _MAX_MULTIPLIED_POWER = 6  # 2n, the W^{1,2n} exponent of intersection_norm, for n <= 3
 
@@ -615,39 +610,6 @@ def symmetrize_radial(f: Field) -> Field:
     if not isinstance(block, EvenBlock):
         raise ValueError("symmetrize_radial takes an even-block field; restrict it first")
     return Field(block, block.from_reps(block.orbit_mean(f.values)))
-
-
-# ---------------------------------------------------------------------------
-# resampling (trigonometric interpolation)
-# ---------------------------------------------------------------------------
-
-def resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
-    """The trigonometric interpolant of even-block f at scale * x, x the points of target.even.
-
-    The interpolant is even, so target.even holds it. Along each axis it is
-    one real matrix, E dct_matrix with E[j, k] = w_k cos(xi_k scale j h_t) / N,
-    where w_k = 1, 2, 0 for k = 0, inside and N/2 (the Nyquist plane is
-    dropped). Exact (to roundoff) for band-limited fields when the evaluation
-    points lie on the source lattice. Raises DomainOverflowError if the
-    rescaled points leave the source box, and ValueError for a full-grid
-    field, which EvenBlock.restrict takes to the block.
-    """
-    block = f.grid
-    if not isinstance(block, EvenBlock):
-        raise ValueError("resample takes an even-block field; "
-                         "EvenBlock.restrict takes a full-grid field there")
-    src = block.grid
-    if target.n != src.n:
-        raise ValueError("resample requires matching dimensions")
-    if scale <= 0 or not math.isfinite(scale):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if scale * target.L > src.L * (1.0 + 1e-9):
-        raise DomainOverflowError(
-            f"rescaled half-width {scale * target.L:.6g} exceeds source half-width {src.L:.6g}")
-    weights = np.r_[1.0, np.full(src.N // 2 - 1, 2.0), 0.0] / src.N
-    y = scale * target.h * np.arange(target.N // 2 + 1)
-    interp = (weights * np.cos(np.outer(y, src.freqs_half))) @ block.dct_matrix
-    return Field(target.even, _transform(f.values, interp))
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float) -> Field:

@@ -7,10 +7,10 @@ complex fftn lattice, and serve the tests as an independent oracle.
 dct1_multiplier, dct1_plancherel_sum and dst1_partials are the even-block
 transforms as scipy.fft computes them (DCT-I, and DST-I for the partials),
 the path the block took before it became cached per-axis matrix products.
-full_grid_resample is resample as it was on the full grid, before it took
-even-block fields only: the complex fftn coefficients, phase-shifted to the
-box origin, evaluated by a complex exponential per axis, with the realness
-check (_require_real) that fft_multiplier also applies.
+full_grid_resample is the trigonometric interpolant on the full grid, which
+strip_oracle uses to refine its fields: the complex fftn coefficients,
+phase-shifted to the box origin, evaluated by a complex exponential per axis,
+with the realness check (_require_real) that fft_multiplier also applies.
 block_partials and general_norms are intersection_norm's general path, the
 way it measured a block field before it took only permutation-symmetric
 ones: all n partials (diff_matrix along each axis), norm_h1 and the

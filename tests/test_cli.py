@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 import weakref
 
 import pytest
@@ -283,7 +284,7 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("sweep", _SUPERCRITICAL_3D + "\n[sweep]\nc_min = 2.0\nc_max = 8.0\nrungs = 2\n",
      ["--find-threshold"], "subcritical"),
     ("solve", _TINY_2D.format("m = inf\nc = 16"), [], "finite"),
-    ("solve", _TINY_2D.format("m = 1e300\nc = 1e-300"), [], "c_tilde"),
+    ("solve", _TINY_2D.format("m = 1e-300\nc = 1e-300"), [], "c_tilde"),
     ("solve", _TINY_2D.format("mu = inf\nc = 16"), [], "finite"),
     ("identity-check", _TINY_2D.format("mu = 1e300\nm = 1e-300\nc = 16"), [], "c_tilde"),
     ("identity-check", _TINY_2D.format("c = 1e100"), [], "power of c"),
@@ -408,7 +409,44 @@ def test_every_ground_state_solve_writes_its_time_to_the_manifest(command, tmp_p
         assert _read_rows(out / "ground_state.csv")[0]["outcome"] == "diverged"
     elif solves:
         assert os.listdir(out) == ["manifest.txt"]
+    if solves:
         assert any(line.startswith("result = solver failure: stub") for line in manifest)
+
+
+@pytest.mark.parametrize("p", ["1.0001", "1.001"])
+def test_ground_state_seed_above_the_blowup_ceiling_is_a_solver_failure(tmp_path, p):
+    # near p = 1 the unit-width seed's amplitude (quad / source)^(1/(p-1))
+    # overflows float64 (p = 1.0001) or is about 1e178 (p = 1.001); the seed
+    # takes the loop's blow-up test, so the run ends with exit 2 and the
+    # reason, not with a traceback or numpy's overflow warnings
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ground-state", _cfg(tmp_path, f"[params]\nn = 1\np = {p}\n"),
+                     "--output-dir", str(out)])
+    assert code == 2
+    assert _read_rows(out / "ground_state.csv")[0]["outcome"] == "diverged"
+    manifest = (out / "manifest.txt").read_text()
+    assert "result = solver failure: petviashvili seed amplitude" in manifest
+
+
+_RATE_1D = "[params]\nn = 1\np = {}\n\n[grid]\nn_points = {}\nbox_radius = {}\n\n" \
+    "[sweep]\nc_min = {}\nc_max = {}\nrungs = {}\n"
+
+
+@pytest.mark.parametrize("text", [_RATE_1D.format(25.09, 24, 1.0, 1e82, 2e82, 4),
+                                  _RATE_1D.format(3.0, 64, 20.0, 1e8, 1e12, 5)],
+                         ids=["w-exactly-zero", "w-at-rounding"])
+def test_rate_sweep_fits_no_rung_at_the_rounding_floor(tmp_path, text):
+    # every rung converges to a w at or below solve()'s rounding floor
+    # (exactly 0, or ~1e-16): fitting them raised on log(0), or reported a
+    # slope of rounding with exit 0; with fewer than 4 rate points the sweep
+    # writes no fit and exits 2
+    out = tmp_path / "out"
+    assert main(["rate-sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
+    assert all(r["outcome"] == "converged" for r in _read_rows(out / "rate.csv"))
+    assert not (out / "rate_fit.csv").exists()
+    assert "result = exit 2" in (out / "manifest.txt").read_text()
 
 
 _PHASES = {"solve": ("ground_state", "rc", "picard", "total"),

@@ -14,7 +14,7 @@ from prnls.spectral import (Field, Grid, _is_permutation_symmetric,
                             _symmetric_block_norms, gradient,
                             half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
                             norm_h1, norm_lq, plancherel_sum, random_band_limited,
-                            read_field, resample, sobolev_norms, symmetrize_radial,
+                            read_field, sobolev_norms, symmetrize_radial,
                             write_field)
 from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
                            relativistic_symbol, sigma_halfspace, symbol_ratio)
@@ -22,7 +22,7 @@ from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
 from conftest import axis_coords, coords, radius_sq, sample_field
 from fft_reference import (_require_real, block_partials, dct1_multiplier, dct1_plancherel_sum,
                            dst1_partials, fft_multiplier, fft_plancherel_sum, flip_average,
-                           full_grid_resample, full_grid_symmetrize_radial, gather,
+                           full_grid_symmetrize_radial, gather,
                            general_norms, lift, norm_w1q, norm_w2q)
 
 
@@ -642,37 +642,6 @@ def test_field_rejects_nonfinite():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         Field(grid, bad)
-
-
-def test_resample_to_finer_grid_hits_common_points():
-    grid = Grid(1, 64, 5.0)
-    f = Field(grid.even, np.exp(-grid.even.radius_sq))
-    fine = resample(f, Grid(1, 128, 5.0))
-    assert np.max(np.abs(fine.values[::2] - f.values)) < 1e-12
-
-
-# measured on the 1-D 1024, 2-D 128^2 and 256^2 and 3-D 64^3 ground states and
-# the 1-D and 2-D c = 16 solutions, at these targets and at scale sqrt(1.82) on
-# the source N: worst gap 4.6e-15 (of the field's max), on a 3/2-finer 1-D
-# target; the floor sits just above it
-_RESAMPLE_FLOOR = 6e-15
-
-
-@pytest.mark.parametrize("name", ["gs1d", "gs2d_small", "gs3d"])
-def test_block_resample_matches_full_grid_resample(name, request):
-    f = request.getfixturevalue(name).u_even
-    grid = f.grid.grid
-    scale = math.sqrt(1.82)
-    for target, s in ((Grid(grid.n, grid.N, grid.L / 2.0), 2.0),
-                      (Grid(grid.n, grid.N * 3 // 2, grid.L), 1.0),
-                      (Grid(grid.n, grid.N * 3 // 2, grid.L / scale), scale)):
-        block = resample(f, target, s)
-        assert block.grid == target.even
-        oracle = full_grid_resample(lift(grid.even, f), target, s)
-        gap = np.max(np.abs(lift(target.even, block).values - oracle.values))
-        assert gap < _RESAMPLE_FLOOR * np.max(np.abs(f.values)), (target, s, gap)
-    with pytest.raises(ValueError, match="restrict"):
-        resample(lift(grid.even, f), grid)
 
 
 def test_random_band_limited_deterministic():
