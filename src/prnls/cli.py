@@ -30,7 +30,11 @@ that does not converge still writes its reports on exit 2, so sweep scripts
 can treat collapse as data. A ground state that fails (a Petviashvili stall,
 collapse or blow-up) ends every command with exit 2 and a manifest.txt
 whose "result = solver failure: ..." line says why; ground-state also writes
-its ground_state.csv row, the other commands nothing more.
+its ground_state.csv row, the other commands nothing more. A value that
+leaves float64 during a run (an overflow, a division by zero or an invalid
+operation such as 0/0; underflow to 0 is allowed) ends it where it is formed,
+with exit 2 and a "result = float64 range: <message> at <file>:<line>" line;
+ground-state still writes its row.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -69,6 +74,8 @@ _OUTPUT_DIR_ENV = "PRNLS_OUTPUT_DIR"
 _GENUINE_MISMATCH = 1e-6
 _PROBE_START_SCALE = 0.3
 _DERIVATIVE_C_LADDER = (2.0, 8.0, 32.0, 128.0)
+# underflow stays quiet: the Gaussian seed's tail underflows by design
+_FLOAT_POLICY = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,6 @@ _SCHEMA = {
 _RUN_FLOORS = {"seed": 0, "probes": 1, "trials": 1, "samples": 100, "workers": 1}
 _NEEDS_FINITE_C = {"solve", "identity-check", "certify"}
 _NEEDS_SWEEP = {"sweep", "rate-sweep", "norm-probe"}
-_TAKES_C4 = {"identity-check", "certify"}
 
 
 def _get(cp, section: str, key: str, cast, default):
@@ -193,6 +199,9 @@ def parse_config(text: str, command: str = None) -> RunConfig:
         min_rungs = 4 if resolved_command == "rate-sweep" else 2
         if sweep.rungs < min_rungs:
             raise ConfigError(f"{resolved_command} needs rungs >= {min_rungs}, got {sweep.rungs}")
+        if len(set(sweep.ladder())) < sweep.rungs:
+            raise ConfigError(f"{sweep.rungs} rungs from c_min = {sweep.c_min!r} to c_max = "
+                              f"{sweep.c_max!r} repeat a speed")
     elif resolved_command in _NEEDS_SWEEP:
         raise ConfigError(f"{resolved_command} requires a [sweep] section")
     elif resolved_command == "symbol-check":
@@ -209,19 +218,6 @@ def parse_config(text: str, command: str = None) -> RunConfig:
                     run_int("samples", 100000), run_int("workers", 1))
     if cfg.command in _NEEDS_FINITE_C and math.isinf(params.c):
         raise ConfigError(f"{cfg.command} requires a finite c in [params]")
-    if cfg.command in _NEEDS_FINITE_C | _NEEDS_SWEEP:  # check the run's lowest speed
-        low = sweep.c_min if cfg.command in _NEEDS_SWEEP else reduce_params(params).c_tilde
-        try:  # the symbols divide by c^2; identity-check's and certify's identities take c^4
-            fits = low * low > 0.0 and (cfg.command not in _TAKES_C4 or low ** 4 < math.inf)
-        except OverflowError:
-            fits = False
-        if not fits:
-            raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes a power of c "
-                              "outside float64")
-        if not 4.0 * grid.xi_sq_max / (low * low) < math.inf:  # P_c's and P_inf - P_c's
-            raise ConfigError(f"{cfg.command} at c_tilde = {low!r} takes 4 |xi|^2 / c_tilde^2 "
-                              f"outside float64 at the grid's largest |xi|^2, "
-                              f"{grid.xi_sq_max!r}")
     return cfg
 
 
@@ -280,8 +276,25 @@ _worker_state = None
 def _start_worker(cfg: RunConfig, gs):
     global _worker_state
     _worker_state = (cfg, gs)
+    np.seterr(**_FLOAT_POLICY)  # spawn and forkserver workers do not inherit run()'s
 
 
+class _OutOfRange(Exception):
+    """A value left float64 during a run: "<message> at <file>:<line>"."""
+
+
+@contextmanager
+def _float_range():
+    """Re-raise a float64 escape as _OutOfRange, named with the innermost prnls line it passed."""
+    try:
+        yield
+    except (FloatingPointError, OverflowError) as exc:
+        line = [f for f in traceback.extract_tb(exc.__traceback__)
+                if os.path.dirname(f.filename) == os.path.dirname(__file__)][-1]
+        raise _OutOfRange(f"{exc} at {os.path.basename(line.filename)}:{line.lineno}") from exc
+
+
+@_float_range()  # in a pool worker too: the parent's traceback ends at pool.map
 def _solve_rung(c: float, cfg: RunConfig | None = None, gs=None):
     cfg, gs = _worker_state if cfg is None else (cfg, gs)
     rp = ReducedParams(cfg.params.n, cfg.params.p, c)
@@ -325,7 +338,7 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
     run = (cfg.params.n, cfg.params.p, cfg.grid.N, cfg.grid.L)
     try:
         gs = _limit_state(cfg)
-    except SolverError as exc:  # run() writes the reason to the manifest
+    except (SolverError, FloatingPointError, OverflowError) as exc:  # run() writes the reason
         outcome = "collapsed" if isinstance(exc, CollapseError) else "diverged"
         _write_csv(path, header, [run + (outcome, 0, math.nan, math.nan, math.nan)])
         raise
@@ -550,11 +563,13 @@ def run(cfg: RunConfig) -> int:
     manifest = os.path.join(out, "manifest.txt")
     _write_manifest(cfg, manifest)
     try:
-        with _timed(out, "total"):
+        with _timed(out, "total"), np.errstate(**_FLOAT_POLICY), _float_range():
             code = _RUNNERS[cfg.command](cfg, out)
         note = "ok" if code == 0 else f"exit {code}"
     except SolverError as exc:
         code, note = 2, f"solver failure: {exc}"
+    except _OutOfRange as exc:
+        code, note = 2, f"float64 range: {exc}"
     with open(manifest, "a") as fh:
         fh.write(f"result = {note}\n")
     return code

@@ -4,11 +4,15 @@ import gc
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +146,66 @@ def test_parse_config_returns_a_config_or_raises_config_error(text, command):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# speeds and scales where float64 runs out: c^2 underflows (1e-170) or is
+# subnormal (2.3e-162), c^4 overflows (1e77), c^2 nears or passes the top of
+# the range (1e150, 1e154, 1e200), c * 1000 overflows (1e306)
+_EDGE_FLOATS = (1e-170, 2.3e-162, 1e77, 1e150, 1e154, 1e200, 1e306, math.inf)
+_RUN_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.5, 64.0),
+                        st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                                  st.floats(1.0, 10.0), st.integers(-300, 300)))
+
+
+@st.composite
+def _whole_runs(draw):
+    """(command, config text, flags) for a run on a grid of at most 24 points per axis."""
+    command = draw(st.sampled_from(COMMANDS))
+    n = draw(st.integers(1, 3))
+    p = draw(st.one_of(st.floats(1.0, 6.0), _RUN_FLOATS))
+    params = {"n": n, "p": p}
+    for key in ("c", "m", "mu"):
+        if draw(st.booleans()):
+            params[key] = draw(_RUN_FLOATS)
+    sections = {"params": params,
+                "grid": {"n_points": 16 if n == 3 else draw(st.sampled_from((16, 24))),
+                         "box_radius": draw(_RUN_FLOATS)},
+                "run": {"seed": draw(st.integers(0, 3)), "probes": draw(st.integers(1, 3)),
+                        "trials": draw(st.integers(1, 3)),
+                        "samples": draw(st.integers(100, 300))}}
+    if command in ("sweep", "rate-sweep", "norm-probe") or draw(st.booleans()):
+        c_min = draw(_RUN_FLOATS)
+        c_max = c_min
+        for _ in range(draw(st.integers(1, 4))):  # a few ulps above c_min
+            c_max = math.nextafter(c_max, math.inf)
+        sections["sweep"] = {"c_min": c_min, "c_max": draw(st.one_of(st.just(c_max),
+                                                                     _RUN_FLOATS)),
+                             "rungs": draw(st.integers(2, 5))}
+    flags = {}
+    if command == "sweep":
+        flags = draw(st.sampled_from(({}, {"probe": True}, {"find_threshold": True})))
+    text = "".join(f"[{name}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+    return command, text, flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_whole_runs())
+def test_a_whole_run_ends_in_a_config_error_or_a_reported_exit(case):
+    # a run refuses its config before any output, or exits 0 or 2 with one
+    # "result =" line in its manifest; no float64 escape leaves it as a
+    # traceback or a warning
+    command, text, flags = case
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("error")
+        try:
+            code = cli.run(replace(parse_config(text, command), output_dir=out, **flags))
+        except ConfigError:
+            assert os.listdir(out) == []
+            return
+        with open(os.path.join(out, "manifest.txt")) as fh:
+            results = [line for line in fh if line.startswith("result = ")]
+    assert code in (0, 2) and len(results) == 1, (code, results)
 
 
 def test_manifest_echoes_every_config_key(tmp_path):
@@ -287,15 +351,6 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("solve", _TINY_2D.format("m = 1e-300\nc = 1e-300"), [], "c_tilde"),
     ("solve", _TINY_2D.format("mu = inf\nc = 16"), [], "finite"),
     ("identity-check", _TINY_2D.format("mu = 1e300\nm = 1e-300\nc = 16"), [], "c_tilde"),
-    ("identity-check", _TINY_2D.format("c = 1e100"), [], "power of c"),
-    ("certify", _TINY_2D.format("c = 1e-170"), [], "power of c"),
-    ("certify", _TINY_2D.format("c = 2.3e-162"), [], "4 |xi|^2 / c_tilde^2"),
-    ("sweep", _TINY_2D.format("") + "\n[sweep]\nc_min = 2.3e-162\nc_max = 1.0\nrungs = 2\n",
-     ["--probe"], "4 |xi|^2 / c_tilde^2"),
-    ("sweep", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n",
-     ["--probe"], "power of c"),
-    ("norm-probe", _TINY_2D.format("") + "\n[sweep]\nc_min = 1e-170\nc_max = 1.0\nrungs = 2\n",
-     [], "power of c"),
     ("ground-state", _TINY_2D.format("").replace("box_radius = 10.0", "box_radius = 1e160"),
      [], "box half-width"),
     ("solve", _TINY_2D.format("m = 1e-300\nmu = 1e-20\nc = 4"), [], "physical lift grid"),
@@ -307,9 +362,6 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
 ], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
         "rate-sweep-floor", "find-threshold-supercritical", "solve-infinite-m",
         "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde",
-        "identity-check-overflowing-c-fourth-power", "certify-underflowing-c-square",
-        "certify-overflowing-symbol-quotient", "sweep-probe-overflowing-symbol-quotient",
-        "sweep-probe-underflowing-c-square", "norm-probe-underflowing-c-square",
         "ground-state-overflowing-box", "solve-overflowing-lift-grid",
         "solve-underflowing-lift-scale", "solve-overflowing-lift-amplitude",
         "solve-underflowing-lift-amplitude"])
@@ -318,12 +370,9 @@ def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, 
     # a run whose solves would break solve()'s preconditions, or whose mass,
     # frequency, reduced speed, box, lift grid or lift amplitude leaves the
     # float range, exits 1 before it writes anything, instead of raising out
-    # of main() or running on inf: after output, identity-check at c = 1e100
-    # would raise at c^4, certify at c = 1e-170 on the 0/0 of c^2 = 0, the box
-    # and lift-grid cases in Grid, and solve at mu = 1e200, p = 1.5 at
-    # mu^(1/(p-1)); certify at c = 2.3e-162, where c^2 is subnormal and
-    # 4 |xi|^2 / c^2 overflows on 32^2, would solve its probes around R_c = 0,
-    # and solve at mu = 1e-300, p = 1.5 would write an all-zero lift
+    # of main() or running on inf: after output, the box and lift-grid cases
+    # would raise in Grid, and solve at mu = 1e200, p = 1.5 at mu^(1/(p-1));
+    # solve at mu = 1e-300, p = 1.5 would write an all-zero lift
     out = tmp_path / "out"
     assert main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags]) == 1
     err = capsys.readouterr().err
@@ -331,31 +380,97 @@ def test_construction_precondition_is_a_config_error(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-def test_speed_checks_keep_the_runs_that_complete():
-    # only a c^2 that underflows to 0, a 4 |xi|^2 / c^2 that overflows, or for
-    # identity-check and certify a c^4 that overflows, is refused: certify
-    # completes at c = 1e-100, where c^4 underflows, identity-check at c = 1e77,
-    # and symbol-check at any c_min
-    sweep = "\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n"
-    for command, text in (("certify", _TINY_2D.format("c = 1e-100")),
-                          ("identity-check", _TINY_2D.format("c = 1e77")),
-                          ("symbol-check", _TINY_2D.format("") + sweep)):
-        assert parse_config(text, command).command == command
+_SPEEDS_2D = _TINY_2D.format("") + "\n[sweep]\nc_min = {}\nc_max = {}\nrungs = {}\n"
+_SWEEP_1D = "[params]\nn = 1\np = 2.0\n\n[grid]\nn_points = 24\nbox_radius = 0.1\n\n" \
+    "[sweep]\nc_min = 1e10\nc_max = 1e154\nrungs = 3\n"
 
 
-def test_symbol_check_fails_on_a_nan_bound(tmp_path):
-    # at c_min = 1e-170 the square c^2 underflows to 0, so P_c is nan at the
-    # crossover radius and the difference bound is nan everywhere: the run
-    # completes, with every row's nan counted as a violation, and exits 2
-    text = _TINY_2D.format("") + ("\n[sweep]\nc_min = 1e-170\nc_max = 1e-169\nrungs = 2\n"
-                                  "\n[run]\nsamples = 1000\n")
+@pytest.mark.parametrize("command,text,flags,module", [
+    ("identity-check", _TINY_2D.format("c = 1e100"), [], "diagnostics"),
+    ("certify", _TINY_2D.format("c = 1e-170"), [], "diagnostics"),
+    ("certify", _TINY_2D.format("c = 2.3e-162"), [], "diagnostics"),
+    ("sweep", _SPEEDS_2D.format(2.3e-162, 1.0, 2), ["--probe"], "symbols"),
+    ("sweep", _SPEEDS_2D.format(1e-170, 1e-169, 2), ["--probe"], "symbols"),
+    ("norm-probe", _SPEEDS_2D.format(1e-170, 1.0, 2), [], "symbols"),
+    ("symbol-check", _SPEEDS_2D.format(1e-170, 1e-169, 2), [], "symbols"),
+    ("symbol-check", _SPEEDS_2D.format(1.0, 1e150, 2), [], "symbols"),
+    ("norm-probe", _SPEEDS_2D.format(1.0, 1e200, 2), [], "linsolve"),
+    ("norm-probe", _SPEEDS_2D.format(1.0, 1e306, 2), [], "linsolve"),
+    ("sweep", _SWEEP_1D, [], "symbols"),
+], ids=["identity-check-overflowing-c-fourth-power", "certify-underflowing-c-square",
+        "certify-overflowing-symbol-quotient", "sweep-probe-overflowing-symbol-quotient",
+        "sweep-probe-underflowing-c-square", "norm-probe-underflowing-c-square",
+        "symbol-check-underflowing-c-square", "symbol-check-underflowing-difference-bound",
+        "norm-probe-overflowing-c-square", "norm-probe-overflowing-seed",
+        "sweep-overflowing-symbol-difference"])
+def test_a_value_leaving_float64_is_exit_2(tmp_path, command, text, flags, module):
+    # a value that overflows, divides by zero or is invalid (0/0) in float64
+    # ends the run where it is formed: exit 2, with the reason and the
+    # module's line in the manifest. Before, the first six rows exited 1 on a
+    # predicted power of c; symbol-check counted a nan bound as a violation
+    # (at c^2 = 0, and at 1e150, where |xi|^4 / c^2 underflows), norm-probe
+    # wrote a nan lattice_sup at 1e200 and raised OverflowError at
+    # int(round(c * 1000)) at 1e306, and sweep overflowed P_inf - P_c at 1e154
+    # and exited 0
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        assert main(["symbol-check", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
-    rows = _read_rows(out / "symbols.csv")
-    assert len(rows) == 8
-    for row in rows:
-        assert row["worst_ratio"] == "nan" and int(row["violations"]) >= 1, row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, _cfg(tmp_path, text), "--output-dir", str(out), *flags])
+    assert code == 2
+    [result] = [line for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith("result = ")]
+    assert re.fullmatch(rf"result = float64 range: .+ at {module}\.py:\d+", result), result
+
+
+def test_ground_state_writes_its_row_when_it_leaves_float64(tmp_path):
+    # at p = 1e77 the Petviashvili loop's u^p overflows: ground-state writes
+    # its diverged row, as for a solver failure, and the manifest the reason
+    out = tmp_path / "out"
+    text = "[params]\nn = 1\np = 1e77\n\n[grid]\nn_points = 16\nbox_radius = 1.0\n"
+    assert main(["ground-state", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
+    assert _read_rows(out / "ground_state.csv")[0]["outcome"] == "diverged"
+    assert "result = float64 range: overflow" in (out / "manifest.txt").read_text()
+
+
+def test_a_float_range_failure_is_the_same_with_and_without_a_pool(tmp_path):
+    # a worker raises where its value leaves float64, as the serial run does,
+    # and the parent writes the worker's reason and line; before, the overflow
+    # in a worker stayed a warning there, and both runs exited 0
+    path = _cfg(tmp_path, _SWEEP_1D)
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        code = main(["sweep", path, "--workers", workers, "--output-dir", str(out)])
+        results = [line for line in (out / "manifest.txt").read_text().splitlines()
+                   if line.startswith("result = ")]
+        runs[workers] = (code, results, sorted(os.listdir(out)))
+    assert runs["1"] == runs["2"]
+    assert runs["1"][0] == 2 and runs["1"][1][0].startswith("result = float64 range: ")
+
+
+def test_a_pool_worker_takes_the_run_float_policy(monkeypatch):
+    # a spawn or forkserver worker starts from numpy's default error state, so
+    # the pool's initializer sets the run's; checked here without a process
+    monkeypatch.setattr(cli, "_worker_state", None)
+    saved = np.geterr()
+    try:
+        np.seterr(all="warn")
+        cli._start_worker(None, None)
+        assert np.geterr() == {**cli._FLOAT_POLICY, "under": "warn"}
+    finally:
+        np.seterr(**saved)
+
+
+def test_speed_checks_keep_the_runs_that_complete(tmp_path):
+    # certify completes at c = 1e-100, where c^4 underflows, and
+    # identity-check at c = 1e77, where c^2 and 4 |xi|^2 / c^2 stay finite
+    for command, text in (("certify", _TINY_2D.format("c = 1e-100")),
+                          ("identity-check", _TINY_2D.format("c = 1e77"))):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+        assert "result = ok" in (out / "manifest.txt").read_text()
 
 
 # ----------------------------------------------------------- subcommand runs
@@ -447,6 +562,17 @@ def test_rate_sweep_fits_no_rung_at_the_rounding_floor(tmp_path, text):
     assert all(r["outcome"] == "converged" for r in _read_rows(out / "rate.csv"))
     assert not (out / "rate_fit.csv").exists()
     assert "result = exit 2" in (out / "manifest.txt").read_text()
+
+
+def test_a_ladder_that_repeats_a_speed_is_a_config_error(tmp_path, capsys):
+    # c_max two ulps above c_min: np.geomspace repeats 4.000000000000001 over
+    # 4 rungs, and rate-sweep's fit raised ValueError("rate fit needs distinct
+    # c values") out of main(), leaving no result line
+    text = _RATE_1D.format(3.0, 64, 20.0, 4.0, 4.000000000000002, 4)
+    out = tmp_path / "out"
+    assert main(["rate-sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 1
+    assert "repeat a speed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _PHASES = {"solve": ("ground_state", "rc", "picard", "total"),

@@ -16,7 +16,10 @@ the even block stays in that one module. Only spectral indexes the orbit
 tables (Orbits.reps and Orbits.expand, through EvenBlock.at_reps and
 from_reps), so the orbit-vector layout has one home. Only cli checks the
 construction's hypotheses (construction_precondition): the solvers run
-whatever they are given, so the hypotheses have one gate. A function that
+whatever they are given, so the hypotheses have one gate. Only cli sets
+numpy's error state (seterr), and only cli and fixed_point enter an errstate:
+a run's float-range policy has one home, and solve's local over="ignore" is
+the one kernel that overrides it. A function that
 prnls.__all__ does not export has no parameter that every call in src sets
 to one value, the default or one module constant: that value is a constant
 of the function (cli.main, the console entry point, is exempt).
@@ -131,6 +134,11 @@ def test_only_spectral_indexes_the_orbit_tables():
 
 def test_only_cli_gates_on_the_construction_hypotheses():
     assert modules_referencing("construction_precondition") == ["cli"]
+
+
+def test_the_float_policy_has_one_home():
+    assert modules_referencing("seterr") == ["cli"]
+    assert modules_referencing("errstate") == ["cli", "fixed_point"]
 
 
 def test_the_lift_check_flags_a_call_not_a_word(tmp_path):
