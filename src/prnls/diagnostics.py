@@ -208,7 +208,9 @@ def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
     p >= (n+2)/(n-2)): the Nehari/Poho2 combination plus the trace/Young
     absorption leaves the slack (c^2-1) * int |U|^2, which must vanish. The
     certificate reports both sides for the candidate u; a nonzero candidate
-    shows a strictly positive gap.
+    shows a strictly positive gap. When c^4/4 underflows to 0 in float64 the
+    bulk terms vanish for a nonzero candidate too, and the conclusion says
+    the certificate is inconclusive; the regime and both sides are kept.
     """
     n, p, c = rp.n, rp.p, rp.c_tilde
     mu_coeff = 0.5 * c * c - 1.0
@@ -242,4 +244,9 @@ def nonexistence_certificate(u: Field, rp: ReducedParams) -> Certificate:
                 f"keeps it positive")
     if not np.any(u.values):
         text = "vacuously consistent: all terms vanish for u = 0"
+    elif 0.25 * c ** 4 == 0.0:  # c^4/4 underflows first; c^2 may underflow with it
+        small = "c^2 and c^4/4" if c * c == 0.0 else "c^4/4"
+        text = (f"inconclusive: {small} underflow to 0 in float64 at c = {c:.6g}, so the "
+                f"bulk terms vanish for a nonzero field and the gap {lhs - rhs:.6g} does "
+                f"not measure its bulk mass")
     return Certificate(regime, lhs, rhs, text)

@@ -60,7 +60,16 @@ OUTCOME_STALLED = "stalled"
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Per-run record of the contraction iteration."""
+    """Per-run record of the contraction iteration.
+
+    contraction_estimate is the largest single-step ratio
+    ||w_{k+1} - w_k|| / ||w_k - w_{k-1}|| over the whole Picard run, not a
+    contraction constant: a converged run can report it above 1. At n = 2,
+    p = 3, m = 2, mu = 0.5, c = 2 on 64^2, L = 20 the run converges in 78
+    steps, but 33 of its 77 ratios exceed 1, up to 2.46, recurring every
+    7 steps to the end (2.29 in its second half): the iteration oscillates
+    while it converges.
+    """
 
     outcome: str
     iterations: int

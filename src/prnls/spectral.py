@@ -43,15 +43,19 @@ Conventions
   the same multiplicities as the block's points).
 * The even block's transforms are dense matrix products, one cached
   (N/2+1)-square matrix (EvenBlock.dct_matrix, idct_matrix, diff_matrix)
-  along each axis, through BLAS. A transform costs O(N^{n+1}) against an
-  FFT's O(N^n log N), and its rounding error grows like sqrt(N) against an
-  FFT's log N. At the block sides of the default 3-D and 2-D grids (33 and
-  129) and of a 128^2 grid (65) the products are the faster. Measured with
-  one BLAS thread on an Intel Xeon, a multiplier pair takes 0.53 ms against
-  scipy's DCT-I 2.0 ms on 33^3, 0.09 against 0.21 ms on 65^2 and 0.52
-  against 0.66 ms on 129^2, but 0.22 against 0.05 ms at 1-D N = 1024 and
-  3.6 against 3.5 ms at 2-D N = 512. Each matrix angle pi j k / M is reduced
-  exactly (j k mod 2M) before its cosine or sine is taken.
+  along each axis, through BLAS; along the last axis of a 2-D or 3-D block
+  through its cached C-contiguous transpose (dct_matrix_t, idct_matrix_t),
+  so the first and the last axis are each one plain GEMM. A transform costs
+  O(N^{n+1}) against an FFT's O(N^n log N), and its rounding error grows
+  like sqrt(N) against an FFT's log N. At the block sides of the default
+  3-D grid (33) and of a 128^2 grid (65) the products are the faster, and
+  at the 2-D default grid's 129 about even. Measured with one BLAS thread on
+  an Intel Xeon (best of 15 interleaved rounds), a multiplier pair takes
+  0.31 ms against scipy's DCT-I 0.88 ms on 33^3, 0.040 against 0.086 ms on
+  65^2 (0.050 ms through mat.T) and 0.31 against 0.28 ms on 129^2, but 0.16
+  against 0.03 ms at 1-D N = 1024 and 2.3 against 1.4 ms at 2-D N = 512.
+  Each matrix angle pi j k / M is reduced exactly (j k mod 2M) before its
+  cosine or sine is taken.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
   which is exactly consistent with the physical-space quadrature h^n * sum().
 * First-derivative multipliers zero the Nyquist mode (k = -N/2), the standard
@@ -200,20 +204,35 @@ def _reduced_angles(m: int) -> np.ndarray:
     return np.outer(j, j) % (2 * m)
 
 
-def _along_axis(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the matrix mat along one axis of values; mat's row count is that axis's new length."""
+def _along_first_axis(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply the square matrix mat along axis 0 of values: mat @ values.reshape(s, -1)."""
+    return (mat @ values.reshape(values.shape[0], -1)).reshape(values.shape)
+
+
+def _along_axis(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None,
+                axis: int) -> np.ndarray:
+    """Apply the square matrix mat along one axis of values.
+
+    Axis 0 is _along_first_axis, also in 1-D, where mat_t is not read. The
+    last axis of a 2-D or 3-D array is one GEMM too, values.reshape(-1, s) @
+    mat_t, on mat's C-contiguous transpose mat_t: with mat.T, a Fortran-order
+    view, OpenBLAS's transposed-operand kernel takes 18.3 against 12.6 us for
+    a 65-square product, 5.1 against 3.5 us at side 33 and the same at 129
+    (one thread, Intel Xeon). The 3-D middle axis is a stacked matmul.
+    """
+    if axis == 0:
+        return _along_first_axis(values, mat)
     shape = values.shape
-    out = shape[:axis] + mat.shape[:1] + shape[axis + 1:]
     if axis == len(shape) - 1:
-        return (values.reshape(-1, shape[axis]) @ mat.T).reshape(out)
+        return (values.reshape(-1, shape[axis]) @ mat_t).reshape(shape)
     return np.matmul(mat, values.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))
-                     ).reshape(out)
+                     ).reshape(shape)
 
 
-def _transform(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply the matrix mat along every axis of values."""
+def _transform(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None) -> np.ndarray:
+    """Apply the square matrix mat, with its C-contiguous transpose mat_t, along every axis."""
     for axis in range(values.ndim):
-        values = _along_axis(values, mat, axis)
+        values = _along_axis(values, mat, mat_t, axis)
     return values
 
 
@@ -321,6 +340,16 @@ class EvenBlock:
         synth = np.zeros((m + 1, m + 1))
         synth[1:-1, 1:-1] = sin * (-self.grid.freqs_half[1:-1] / m)
         return synth @ self.dct_matrix
+
+    @cached_property
+    def dct_matrix_t(self) -> np.ndarray | None:
+        """dct_matrix's C-contiguous transpose, for the last axis (_along_axis); None in 1-D."""
+        return np.ascontiguousarray(self.dct_matrix.T) if self.n > 1 else None
+
+    @cached_property
+    def idct_matrix_t(self) -> np.ndarray | None:
+        """idct_matrix's C-contiguous transpose, for the last axis (_along_axis); None in 1-D."""
+        return np.ascontiguousarray(self.idct_matrix.T) if self.n > 1 else None
 
     @cached_property
     def orbits(self) -> "Orbits":
@@ -451,7 +480,8 @@ def half_spectrum_apply(grid, values: np.ndarray, mult_half: np.ndarray) -> np.n
     gradient().
     """
     if isinstance(grid, EvenBlock):
-        return _transform(mult_half * _transform(values, grid.dct_matrix), grid.idct_matrix)
+        spectrum = _transform(values, grid.dct_matrix, grid.dct_matrix_t)
+        return _transform(mult_half * spectrum, grid.idct_matrix, grid.idct_matrix_t)
     return np.fft.irfftn(mult_half * np.fft.rfftn(values), s=grid.shape,
                           axes=range(grid.n))
 
@@ -508,7 +538,7 @@ def plancherel_sum(f: Field, weight) -> float:
     if not isinstance(g, EvenBlock):
         raise ValueError("plancherel_sum takes an even-block field; "
                          "EvenBlock.restrict takes a full-grid field there")
-    power = g.weights * _transform(f.values, g.dct_matrix) ** 2
+    power = g.weights * _transform(f.values, g.dct_matrix, g.dct_matrix_t) ** 2
     return float(g.cell_volume / g.N ** g.n * np.sum(half_spectrum_multiplier(g, weight) * power))
 
 
@@ -556,7 +586,7 @@ def _symmetric_block_norms(f: Field) -> tuple:
     n, v = g.n, f.values
     orbits = g.orbits
     vr = g.at_reps(v)  # v's own terms are taken once per orbit
-    d = _along_axis(v, g.diff_matrix, 0)
+    d = _along_first_axis(v, g.diff_matrix)
     nyquist = np.tensordot(g.dct_matrix[-1], v, axes=1)
     plane = g.cell_volume / g.N * float(np.sum(g.weights[0] * nyquist * nyquist))
     xi_m = g.grid.freqs_half[-1]

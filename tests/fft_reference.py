@@ -162,7 +162,7 @@ def block_partials(f: Field) -> list:
     along axis a, zero on the x = 0 and x = L faces.
     """
     g = f.grid
-    return [_along_axis(f.values, g.diff_matrix, a) for a in range(g.n)]
+    return [_along_axis(f.values, g.diff_matrix, g.diff_matrix.T, a) for a in range(g.n)]
 
 
 def general_norms(f: Field) -> tuple:

@@ -473,6 +473,18 @@ def test_speed_checks_keep_the_runs_that_complete(tmp_path):
         assert "result = ok" in (out / "manifest.txt").read_text()
 
 
+def test_certify_says_when_its_bulk_terms_underflow(tmp_path):
+    # at c = 1e-100 the bulk mass term 0.25 c^4 sum underflows to 0, so the
+    # combined left side is exactly 0 and the gap is the boundary side alone
+    out = tmp_path / "out"
+    text = _TINY_2D.format("c = 1e-100")
+    assert main(["certify", _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+    [row] = _read_rows(out / "certificate.csv")
+    assert row["regime"] == "A" and float(row["combined_lhs"]) == 0.0
+    assert float(row["combined_rhs"]) < 0.0
+    assert row["conclusion"].startswith("inconclusive: c^4/4 underflow to 0")
+
+
 # ----------------------------------------------------------- subcommand runs
 
 def test_ground_state_command(tmp_path):

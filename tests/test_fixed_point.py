@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from prnls import fixed_point as fp
 from prnls import spectral
+from prnls.diagnostics import fit_rate
 from prnls.errors import ConvergenceError, SolverError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
@@ -48,6 +49,31 @@ def test_remainder_decay_rate_3d(gs3d):
     ratio = norms[16.0] / norms[8.0]
     print(f"measured 3d remainder ratio R_2c/R_c = {ratio:.4f}")
     assert 0.1 <= ratio <= 0.5 + 1e-9
+
+
+# w = R_c + L^-1 Q(w), and Q is quadratic in w where u_inf > 0, so w - R_c
+# falls like ||w||^2 ~ c^-4. Measured on the ladder c = 8, 16, 32, 64 over 22
+# families (1-D 256-1024 points, p = 1.5-7; 2-D 64^2-256^2, p = 1.6-3.5;
+# 3-D 32^3-64^3, p = 1.4-1.8): slopes -3.997 to -4.268 (2-D 64^2, p = 3) with
+# r^2 >= 0.9988. At c = 4, ||w - R_c|| is still 0.64 ||w||, so the ladder
+# starts at 8, where it is at most 0.18 ||w||.
+_SECOND_ORDER_LADDER = (8.0, 16.0, 32.0, 64.0)
+
+
+@pytest.mark.parametrize("n,N,L,p", [(1, 512, 20.0 * math.pi, 5.0), (2, 128, 20.0, 3.0),
+                                     (3, 32, 10.0, 1.8)])
+def test_construction_is_second_order_in_the_speed(n, N, L, p):
+    grid = Grid(n, N, L)
+    gs = solve_limit_equation(ReducedParams(n, p, 8.0), grid)
+    points = []
+    for c in _SECOND_ORDER_LADDER:
+        rp = ReducedParams(n, p, c)
+        construction = fp.prepare(rp, gs)
+        u_c, rep = fp.solve(rp, grid, gs, construction=construction)
+        assert rep.converged
+        points.append((c, intersection_norm(u_c - gs.u_even - construction.rc)))
+    fit = fit_rate(points)
+    assert -4.4 <= fit.slope <= -3.9 and fit.r_squared >= 0.995, fit
 
 
 def test_nonlinear_q_zero(gs2d_small):

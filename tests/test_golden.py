@@ -5,9 +5,11 @@ repository root, with
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-(no CASE rewrites every case). A change that reruns it must say why in
-CHANGES.md: the files are the reference every later change is compared
-with, not a snapshot to refresh.
+(no CASE rewrites every case). It prints what each rewrite changes: every
+changed SOLUTION or EXACT cell, each SOLUTION cell with its relative change,
+and each field dump's payload gap. A change that reruns it must say why,
+with that printout, in CHANGES.md: the files are the reference every later
+change is compared with, not a snapshot to refresh.
 
 Every cell is compared by its column's class. Labels, outcomes, counts, the
 parameter echo and the exit code must match exactly (nan matches nan).
@@ -24,7 +26,9 @@ field's max.
 import csv
 import math
 import pathlib
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -157,6 +161,16 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
+def _relative_gap(g: float, w: float) -> float:
+    return abs(g - w) / max(abs(g), abs(w))
+
+
+def _payload_gap(got_raw: bytes, want_raw: bytes) -> float:
+    """The largest gap between two dump payloads, relative to the max of want_raw's field."""
+    g, w = np.frombuffer(got_raw, dtype="<f8"), np.frombuffer(want_raw, dtype="<f8")
+    return float(np.max(np.abs(g - w))) / float(np.max(np.abs(w)))
+
+
 def _cell_problem(column: str, got: str, want: str, converged: bool) -> str:
     """Why the cell `got` does not pass against the golden `want`; empty when it passes."""
     if column in EXACT:
@@ -165,8 +179,8 @@ def _cell_problem(column: str, got: str, want: str, converged: bool) -> str:
     if math.isnan(g) or math.isnan(w):
         return "" if math.isnan(g) and math.isnan(w) else "nan against a number"
     if column in SOLUTION:
-        ok = g == w or abs(g - w) <= SOLUTION_RTOL * max(abs(g), abs(w))
-        return "" if ok else f"relative gap {abs(g - w) / max(abs(g), abs(w)):.2e}"
+        ok = g == w or _relative_gap(g, w) <= SOLUTION_RTOL
+        return "" if ok else f"relative gap {_relative_gap(g, w):.2e}"
     if column in MISMATCH:
         return "" if abs(g - w) <= MISMATCH_ATOL else f"absolute gap {abs(g - w):.2e}"
     if column in GS_RESIDUALS:
@@ -203,9 +217,8 @@ def compare_dump(got_path, want_path) -> list:
         return [f"header {got_head!r} != {want_head!r}"]
     if len(got_raw) != len(want_raw):
         return [f"payload of {len(got_raw)} bytes, golden has {len(want_raw)}"]
-    g, w = np.frombuffer(got_raw, dtype="<f8"), np.frombuffer(want_raw, dtype="<f8")
-    gap, top = float(np.max(np.abs(g - w))), float(np.max(np.abs(w)))
-    return [] if gap <= SOLUTION_RTOL * top else [f"payload gap {gap / top:.2e} of its max"]
+    gap = _payload_gap(got_raw, want_raw)
+    return [] if gap <= SOLUTION_RTOL else [f"payload gap {gap:.2e} of its max"]
 
 
 @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -222,19 +235,59 @@ def test_outputs_match_golden(case, tmp_path):
     assert problems == []
 
 
+def changes(new_dir, old_dir, names) -> list:
+    """What rewriting old_dir's files `names` from new_dir changes, as readable strings.
+
+    Each SOLUTION cell that changes, with its relative change; each EXACT
+    cell that changes; and each field dump's payload gap, changed or not.
+    """
+    lines = []
+    for name in names:
+        new, old = new_dir / name, old_dir / name
+        if not old.exists():
+            lines.append(f"{name}: new file")
+        elif name.endswith(".bin"):
+            got_raw, want_raw = (path.read_bytes().partition(b"\n")[2] for path in (new, old))
+            lines.append(f"{name}: payload gap {_payload_gap(got_raw, want_raw):.2e} of its max"
+                         if len(got_raw) == len(want_raw) else f"{name}: payload size changed")
+        else:
+            got, want = _rows(new), _rows(old)
+            if got[0] != want[0] or len(got) != len(want):
+                lines.append(f"{name}: header or row count changed")
+                continue
+            for k, (grow, wrow) in enumerate(zip(got[1:], want[1:]), start=1):
+                for column, g, w in zip(want[0], grow, wrow):
+                    if g == w or column not in SOLUTION | EXACT:
+                        continue
+                    why = (f"relative change {_relative_gap(float(g), float(w)):.2e}"
+                           if column in SOLUTION else "EXACT cell")
+                    lines.append(f"{name} row {k} {column}: {w} -> {g} ({why})")
+    return lines
+
+
 def regenerate(cases):
-    """Rewrite the golden set of each case from the current tree, and its exit code."""
+    """Rewrite the golden set of each case from the current tree, and its exit code.
+
+    Prints, per case, its exit code and what the rewrite changes (see changes).
+    """
     codes = dict(_rows(DATA / EXIT_CODES)[1:])
     for case in cases:
         out = DATA / case
-        if out.exists():
+        with tempfile.TemporaryDirectory() as tmp:
+            new = pathlib.Path(tmp)
+            code = str(run_config(case, new))
+            keep = kept(case, new)
+            old_code = codes.get(case, "none")
+            print(f"{case}: exit code {old_code} -> {code}" if code != old_code
+                  else f"{case}: exit code {code}")
+            for line in changes(new, out, keep):
+                print(f"  {line}")
+            out.mkdir(parents=True, exist_ok=True)
             for old in out.iterdir():
                 old.unlink()
-        codes[case] = run_config(case, out)
-        keep = kept(case, out)
-        for extra in out.iterdir():
-            if extra.name not in keep:
-                extra.unlink()
+            for name in keep:
+                shutil.copyfile(new / name, out / name)
+        codes[case] = code
     with open(DATA / EXIT_CODES, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("config", "exit_code"))

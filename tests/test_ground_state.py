@@ -120,6 +120,23 @@ def test_ground_state_holds_only_the_block_field():
     assert vars(gs).keys() == {f.name for f in dataclasses.fields(gs)}
 
 
+def test_ground_state_tends_to_the_gausson_as_p_tends_to_one():
+    # As p -> 1, -u'' + u = u^p scales to the log-NLS -u'' = u log u, whose
+    # ground state, the Gausson, has max e^{n/2}. Measured on the 1-D default
+    # grid: max 1.56250 ... 1.64463 at p = 1.5 ... 1.02, the gap to e^{1/2}
+    # 0.172-0.205 (p - 1), and at most 1.8e-8 of the max on the block's outer
+    # face, so the box does not truncate the wave.
+    grid = Grid.default(1)
+    gaps = []
+    for p in (1.3, 1.1, 1.05, 1.02):
+        u = solve_limit_equation(ReducedParams(1, p, 8.0), grid).u_even.values
+        assert abs(u[-1]) < 1e-6 * u.max()
+        gap = math.exp(0.5) - u.max()
+        assert 0.16 * (p - 1.0) <= gap <= 0.22 * (p - 1.0), (p, gap)
+        gaps.append(gap)
+    assert gaps == sorted(gaps, reverse=True)
+
+
 def test_positive_everywhere(gs1d, gs2d_small):
     # strict positivity where the solution lives; the far field of the final
     # iterate carries ~1e-7 spectral ringing around zero, so the global

@@ -215,10 +215,10 @@ def test_even_block_partials_are_the_restricted_gradient():
 # floors above hold for block sides up to 33 (N <= 64, the grids of the block
 # tests above), and above that grow by sqrt(side / 33). The scipy path takes
 # a partial through 2n one-axis transforms, as a multiplier pair does, so the
-# partials have the multiplier's floor. Measured over 2,000 random cases of
-# _block_oracle_cases and the 15 fields of the shapes test below: worst gap 1.79e-15
-# for the multiplier (1.37e-15 after the scaling), 8.0e-16 for plancherel_sum
-# and 1.84e-15 for the partials (1.31e-15 after the scaling).
+# partials have the multiplier's floor. Measured over 2,000 derandomized cases
+# of _block_oracle_cases and the 15 fields of the shapes test below: worst gap
+# 1.74e-15 for the multiplier (1.24e-15 after the scaling), 8.4e-16 for
+# plancherel_sum and 1.63e-15 for the partials (1.25e-15 after the scaling).
 
 def _side_scale(block):
     return max(1.0, math.sqrt((block.N // 2 + 1) / 33))
