@@ -26,8 +26,10 @@ seed and thread count give byte-identical files.
 
 Exit codes: 0 success, 1 usage/config error, 2 mathematical failure
 (non-convergence; for certify, an unrefuted converged solution). A solve
-that does not converge still writes its reports on exit 2, so sweep scripts
-can treat collapse as data. A ground state that fails (a Petviashvili stall,
+that does not converge still writes its rows on exit 2, so sweep scripts
+can treat collapse as data; for the one solve of solve and identity-check,
+manifest.txt's "result = solver failure: <outcome>: <message>" line also
+says why it failed. A ground state that fails (a Petviashvili stall,
 collapse or blow-up) ends every command with exit 2 and a manifest.txt
 whose "result = solver failure: ..." line says why; ground-state also writes
 its ground_state.csv row, the other commands nothing more. A value that
@@ -126,10 +128,8 @@ def _get(cp, section: str, key: str, cast, default):
         return default
     raw = cp.get(section, key)
     try:
-        if cast is bool:
-            raise TypeError
         return cast(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
 
 
@@ -266,7 +266,7 @@ def _action(rp: ReducedParams, u_c) -> float:
     """u_c's action at rp, nan when the solve did not converge."""
     if u_c is None:
         return math.nan
-    return action(u_c, PhysicalParams(rp.n, rp.p, 0.5, 1.0, rp.c_tilde))
+    return action(u_c, rp)
 
 
 # a sweep worker's (cfg, gs), set once by the pool's initializer; the parent never sets it
@@ -323,12 +323,21 @@ def _limit_state(cfg: RunConfig):
                                     tol=cfg.tolerances.tol_gs)
 
 
-def _solve_timed(cfg: RunConfig, rp: ReducedParams, gs):
-    """solve() at one speed, timing R_c's phase (operator, R_c, ceiling) and the Picard loop."""
+def _solve_one(cfg: RunConfig, rp: ReducedParams, gs):
+    """solve() at one speed, timing R_c's phase (operator, R_c, ceiling) and the Picard loop.
+
+    Writes solve.csv and returns u_c; a solve that fails raises SolverError
+    with its outcome and reason after its row.
+    """
     with _timed(cfg.output_dir, "rc"):
         construction = prepare(rp, gs, cfg.tolerances.tol_lin)
     with _timed(cfg.output_dir, "picard"):
-        return solve(rp, cfg.grid, gs, tol=cfg.tolerances, construction=construction)
+        u_c, rep = solve(rp, cfg.grid, gs, tol=cfg.tolerances, construction=construction)
+    _write_csv(os.path.join(cfg.output_dir, "solve.csv"), _SOLVE_HEADER,
+               [_solve_row(rp, gs, rep, _action(rp, u_c))])
+    if u_c is None:
+        raise SolverError(f"{rep.outcome}: {rep.message}")
+    return u_c
 
 
 def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
@@ -353,11 +362,7 @@ def _cmd_solve(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", rp.p, math.inf)
-    u_c, rep = _solve_timed(cfg, rp, gs)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER,
-               [_solve_row(rp, gs, rep, _action(rp, u_c))])
-    if u_c is None:
-        return 2
+    u_c = _solve_one(cfg, rp, gs)
     write_field(os.path.join(out, "u_c.bin"), u_c, "u_c", rp.p, rp.c_tilde)
     if (cfg.params.m, cfg.params.mu) != (0.5, 1.0):  # else u_c is in the physical frame
         write_field(os.path.join(out, "u_c_physical.bin"), lift_solution(u_c, cfg.params),
@@ -428,11 +433,7 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
 def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
     rp = reduce_params(cfg.params)
     gs = _limit_state(cfg)
-    u_c, rep = _solve_timed(cfg, rp, gs)
-    _write_csv(os.path.join(out, "solve.csv"), _SOLVE_HEADER,
-               [_solve_row(rp, gs, rep, _action(rp, u_c))])
-    if u_c is None:
-        return 2
+    u_c = _solve_one(cfg, rp, gs)
     with _timed(out, "identities"):
         report = check_identities(u_c, rp)
         ratio = trace_inequality_check(u_c, rp.c_tilde)

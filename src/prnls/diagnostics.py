@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PhysicalParams, ReducedParams
+from .params import ReducedParams
 from .spectral import Field, norm_lq, plancherel_sum
-from .symbols import relativistic_symbol, sigma_halfspace
+from .symbols import kinetic, sigma_halfspace
 
 _MISMATCH_EPS = 1e-300
 
@@ -167,15 +167,15 @@ def fit_rate(points) -> RateFit:
     return RateFit(float(slope), float(intercept), r_squared)
 
 
-def action(u: Field, params: PhysicalParams) -> float:
+def action(u: Field, rp: ReducedParams) -> float:
     """Variational action, whose critical points are the solitary waves, of an even-block field.
 
-    (1/2) <(sqrt(-c^2 Lap + m^2 c^4) - m c^2) u, u> + (mu/2) ||u||_2^2
-    - ||u||_{p+1}^{p+1} / (p+1), the kinetic term in cancellation-free form.
+    (1/2) <(P_c(D) - 1) u, u> + (1/2) ||u||_2^2 - ||u||_{p+1}^{p+1} / (p+1) at
+    the reduced speed c_tilde, the kinetic term in cancellation-free form.
     """
-    kinetic = plancherel_sum(u, relativistic_symbol(params.m, params.c))
-    return (0.5 * kinetic + 0.5 * params.mu * norm_lq(u, 2) ** 2
-            - norm_lq(u, params.p + 1.0) ** (params.p + 1.0) / (params.p + 1.0))
+    kin = plancherel_sum(u, kinetic(rp.c_tilde))
+    return (0.5 * kin + 0.5 * norm_lq(u, 2) ** 2
+            - norm_lq(u, rp.p + 1.0) ** (rp.p + 1.0) / (rp.p + 1.0))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .errors import ConvergenceError
 from .ground_state import GroundState
 from .params import ReducedParams, ToleranceSet
 from .spectral import (Field, Grid, half_spectrum_apply, half_spectrum_multiplier, norm_lq,
-                       random_band_limited, sobolev_norms, symmetrize_radial)
+                       sobolev_norms, symmetrize_radial)
 from .symbols import inverse_difference, p_c
 
 _RESTART = 50
@@ -224,7 +224,7 @@ class ProbeReport:
 
 def _random_shell_field(grid: Grid, rng: np.random.Generator, r_lo: float,
                         r_hi: float) -> Field:
-    """Random field with spectrum supported on the shell r_lo <= |xi| <= r_hi."""
+    """Random field of max 1, its spectrum on r_lo <= |xi| <= r_hi (a ball at r_lo = 0)."""
     r2 = grid.xi_sq_half
     mask = ((r2 >= r_lo * r_lo) & (r2 <= r_hi * r_hi)).astype(np.float64)
     v = half_spectrum_apply(grid, rng.standard_normal(grid.shape), mask)
@@ -253,7 +253,7 @@ def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
     n_shells = max(trials - 2, 1)
     radii = np.exp(np.linspace(np.log(xi_min), np.log(kmax), n_shells))
     fields = [_random_shell_field(grid, rng, 0.7 * r, 1.3 * r) for r in radii]
-    fields += [random_band_limited(grid, rng, kmax) for _ in range(min(trials - n_shells, 2))]
+    fields += [_random_shell_field(grid, rng, 0.0, kmax) for _ in range(min(trials - n_shells, 2))]
 
     lower = upper = inv_ratio = 0.0
     for f in fields:

@@ -133,10 +133,9 @@ class Grid:
         return self.h ** self.n
 
     @cached_property
-    def freqs(self) -> tuple:
-        """Per-axis frequency values xi = (pi/L) k in FFT storage order."""
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
-        return (xi,) * self.n
+    def freqs(self) -> np.ndarray:
+        """Frequency values xi = (pi/L) k of every axis, in FFT storage order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
 
     @cached_property
     def freqs_half(self) -> np.ndarray:
@@ -146,20 +145,16 @@ class Grid:
     @cached_property
     def xi_sq_half(self) -> np.ndarray:
         """|xi|^2 on the rfftn lattice (last axis halved)."""
-        return _axis_sum([xi * xi for xi in self.freqs[:-1] + (self.freqs_half,)])
+        return _axis_sum([xi * xi for xi in [self.freqs] * (self.n - 1) + [self.freqs_half]])
 
     @cached_property
     def deriv_freqs_half(self) -> tuple:
-        """Per-axis first-derivative frequencies on the rfftn lattice."""
-        out = []
-        for a in range(self.n - 1):
-            xi = self.freqs[a].copy()
-            xi[self.N // 2] = 0.0
-            out.append(np.reshape(xi, _axis_shape(self.n, a)))
-        xi = self.freqs_half.copy()
-        xi[-1] = 0.0  # last rfft entry is the Nyquist mode
-        out.append(np.reshape(xi, (1,) * (self.n - 1) + (len(xi),)))
-        return tuple(out)
+        """Per-axis first-derivative frequencies on the rfftn lattice, Nyquist mode zeroed."""
+        xi, xi_half = self.freqs.copy(), self.freqs_half.copy()
+        xi[self.N // 2] = 0.0
+        xi_half[-1] = 0.0  # last rfft entry is the Nyquist mode
+        return tuple(np.reshape(v, _axis_shape(self.n, a))
+                     for a, v in enumerate([xi] * (self.n - 1) + [xi_half]))
 
     @cached_property
     def even(self) -> "EvenBlock":
@@ -640,15 +635,6 @@ def symmetrize_radial(f: Field) -> Field:
     if not isinstance(block, EvenBlock):
         raise ValueError("symmetrize_radial takes an even-block field; restrict it first")
     return Field(block, block.from_reps(block.orbit_mean(f.values)))
-
-
-def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float) -> Field:
-    """Random smooth test field with spectrum restricted to |xi| <= kmax."""
-    noise = rng.standard_normal(grid.shape)
-    mask = (grid.xi_sq_half <= kmax * kmax).astype(np.float64)
-    f = Field(grid, half_spectrum_apply(grid, noise, mask))
-    scale = float(np.max(np.abs(f.values)))
-    return f * (1.0 / scale) if scale > 0 else f
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ interpolates between the non-relativistic symbol P_inf(xi) = |xi|^2 + 1
 cancellation-free algebraic forms so that both regimes are computed to full
 relative precision:
 
-    P_c          = 2 r2 / (1 + s) + 1,            s = sqrt(1 + 4 r2 / c^2)
+    P_c - 1      = 2 r2 / (1 + s),                s = sqrt(1 + 4 r2 / c^2)
     P_inf - P_c  = 4 r2^2 / (c^2 (1 + s)^2)  (>= 0, exact difference form)
 
-with r2 = |xi|^2. Symbols are radial by construction: each factory returns a
-vectorized function of |xi|^2 only, which preserves the floating dtype of its
-input (longdouble in the finite-difference derivative checks below).
+with r2 = |xi|^2; kinetic is P_c - 1, the paper's sqrt(c^2 |xi|^2 + m^2 c^4)
+- m c^2 at m = 1/2, and p_c adds 1 to it. Symbols are radial by construction:
+each factory returns a vectorized function of |xi|^2 only, which preserves the
+floating dtype of its input (longdouble in the finite-difference checks below).
 """
 
 from __future__ import annotations
@@ -30,15 +31,21 @@ def _check_c(c: float):
         raise ValueError(f"propagation speed c must be positive, got {c}")
 
 
-def p_c(c: float):
-    """Reduced pseudo-relativistic symbol, stable in all regimes (c = inf allowed)."""
+def kinetic(c: float):
+    """Kinetic part P_c - 1 of the reduced symbol, stable in all regimes (c = inf allowed)."""
     _check_c(c)
 
     def fn(r2):
         s = np.sqrt(1.0 + 4.0 * r2 / (c * c))
-        return 2.0 * r2 / (1.0 + s) + 1.0
+        return 2.0 * r2 / (1.0 + s)
 
     return fn
+
+
+def p_c(c: float):
+    """Reduced pseudo-relativistic symbol P_c = kinetic(c) + 1."""
+    kin = kinetic(c)
+    return lambda r2: kin(r2) + 1.0
 
 
 def p_infty_minus_p_c(c: float):
@@ -65,19 +72,6 @@ def symbol_ratio(c: float):
     _check_c(c)
     pc = p_c(c)
     return lambda r2: pc(r2) / (r2 + 1.0)
-
-
-def relativistic_symbol(m: float, c: float):
-    """General kinetic symbol sqrt(c^2 |xi|^2 + m^2 c^4) - m c^2 (no unit shift)."""
-    _check_c(c)
-    if not (m > 0):
-        raise ValueError(f"mass m must be positive, got {m}")
-
-    def fn(r2):
-        s = np.sqrt(1.0 + r2 / (m * m * c * c))
-        return r2 / (m * (1.0 + s))
-
-    return fn
 
 
 def sigma_halfspace(c: float):

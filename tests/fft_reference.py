@@ -35,6 +35,11 @@ norms as two functions, before sobolev_norms returned both from one
 gradient: each builds the gradient, and norm_w2q transforms all n^2 second
 partials. lift is EvenBlock.lift as it was before write_field streamed a
 block field's dump slab by slab: the whole even full-grid field at once.
+relativistic_symbol is the physical frame's kinetic symbol
+sqrt(c^2 |xi|^2 + m^2 c^4) - m c^2 at any mass m, an oracle for the reduced
+kinetic part (m = 1/2) and for lifted solutions. random_band_limited is the
+norm probe's broadband field as it was drawn before the probe drew it as a
+shell from 0 to kmax.
 """
 
 import itertools
@@ -80,7 +85,7 @@ def xi_sq_full(grid) -> np.ndarray:
     for a in range(grid.n):
         shape = [1] * grid.n
         shape[a] = -1
-        xi = np.reshape(grid.freqs[a], shape)
+        xi = np.reshape(grid.freqs, shape)
         out = out + xi * xi
     return out
 
@@ -98,6 +103,27 @@ def fft_plancherel_sum(f: Field, weight) -> float:
     w = np.asarray(weight(xi_sq_full(g)), dtype=np.float64)
     power = np.abs(np.fft.fftn(f.values)) ** 2
     return float(g.cell_volume / g.N ** g.n * np.sum(w * power))
+
+
+def relativistic_symbol(m: float, c: float):
+    """General kinetic symbol sqrt(c^2 |xi|^2 + m^2 c^4) - m c^2 (no unit shift)."""
+    if not (c > 0 and m > 0):
+        raise ValueError(f"mass m and speed c must be positive, got m = {m}, c = {c}")
+
+    def fn(r2):
+        s = np.sqrt(1.0 + r2 / (m * m * c * c))
+        return r2 / (m * (1.0 + s))
+
+    return fn
+
+
+def random_band_limited(grid: Grid, rng: np.random.Generator, kmax: float) -> Field:
+    """Random smooth test field with spectrum restricted to |xi| <= kmax, of max 1."""
+    noise = rng.standard_normal(grid.shape)
+    mask = (grid.xi_sq_half <= kmax * kmax).astype(np.float64)
+    f = Field(grid, half_spectrum_apply(grid, noise, mask))
+    scale = float(np.max(np.abs(f.values)))
+    return f * (1.0 / scale) if scale > 0 else f
 
 
 def full_grid_resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
@@ -118,7 +144,7 @@ def full_grid_resample(f: Field, target: Grid, scale: float = 1.0) -> Field:
     y = scale * axis_coords(target)
     out = coeffs
     for axis in range(src.n):
-        e = np.exp(1j * np.outer(y, src.freqs[axis])) * phase / src.N
+        e = np.exp(1j * np.outer(y, src.freqs)) * phase / src.N
         out = np.moveaxis(np.tensordot(e, out, axes=(1, axis)), 0, axis)
     return Field(target, _require_real(out, "resample"))
 

@@ -21,12 +21,12 @@ from prnls.fixed_point import OUTCOME_CONVERGED, random_start, solve
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import invert, linearized_operator, operator_norm_probe
 from prnls.params import ReducedParams
-from prnls.spectral import Field, Grid, intersection_norm, norm_h1, norm_lq, random_band_limited
+from prnls.spectral import Field, Grid, intersection_norm, norm_h1, norm_lq
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
                            check_pointwise_bounds)
 
 from conftest import C5_LADDER, axis_coords, sample_field
-from fft_reference import full_grid_apply, full_grid_symmetrize_radial, lift
+from fft_reference import full_grid_apply, full_grid_symmetrize_radial, lift, random_band_limited
 from strip_oracle import halfspace_fd_weights
 
 

@@ -557,6 +557,24 @@ def test_ground_state_seed_above_the_blowup_ceiling_is_a_solver_failure(tmp_path
     assert "result = solver failure: petviashvili seed amplitude" in manifest
 
 
+@pytest.mark.parametrize("command", ["solve", "identity-check"])
+def test_a_failed_solve_says_why_in_the_manifest(tmp_path, command):
+    # this solve leaves the contraction ball at its second step; the manifest
+    # said only "result = exit 2", and the report's reason was lost
+    text = ("[params]\nn = 2\np = 3.0\nc = 2.0\nm = 1.0\nmu = 2.0\n\n"
+            "[grid]\nn_points = 64\nbox_radius = 20.0\n")
+    out = tmp_path / "out"
+    assert main([command, _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
+    row = _read_rows(out / "solve.csv")[0]
+    assert (row["outcome"], row["iterations"]) == ("diverged", "2")
+    written = ["manifest.txt", "solve.csv"] + (["u_inf.bin"] if command == "solve" else [])
+    assert sorted(os.listdir(out)) == written
+    results = [line for line in (out / "manifest.txt").read_text().splitlines()
+               if line.startswith("result = ")]
+    assert results == ["result = solver failure: diverged: ||w||=5.609e+00 left the "
+                       "contraction ball (ceiling 4.824e+00)"]
+
+
 _RATE_1D = "[params]\nn = 1\np = {}\n\n[grid]\nn_points = {}\nbox_radius = {}\n\n" \
     "[sweep]\nc_min = {}\nc_max = {}\nrungs = {}\n"
 

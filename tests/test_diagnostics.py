@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 import prnls
 from prnls.diagnostics import (action, check_identities, extension_weights, fit_rate,
                                nonexistence_certificate, trace_inequality_check)
-from prnls.params import PhysicalParams, ReducedParams
+from prnls.params import ReducedParams
 from prnls.spectral import Field, Grid, norm_lq, plancherel_sum
 from prnls.symbols import sigma_halfspace
 
@@ -146,16 +146,14 @@ def test_fit_rate_flat_data_is_a_perfect_zero_slope():
 
 def test_action_zero_field():
     grid = Grid(2, 32, 10.0)
-    params = PhysicalParams(n=2, p=3.0, m=0.5, mu=1.0, c=16.0)
-    assert action(Field.zeros(grid.even), params) == 0.0
+    assert action(Field.zeros(grid.even), ReducedParams(2, 3.0, 16.0)) == 0.0
 
 
 def test_action_of_solution_matches_nehari_form(uc16_small):
     # on a solution the quadratic part equals the L^{p+1} mass, so the action
     # reduces to (1/2 - 1/(p+1)) ||u||_{p+1}^{p+1}
     u_c, _ = uc16_small
-    params = PhysicalParams(n=2, p=3.0, m=0.5, mu=1.0, c=16.0)
-    a = action(u_c, params)
+    a = action(u_c, ReducedParams(2, 3.0, 16.0))
     expected = (0.5 - 0.25) * norm_lq(u_c, 4.0) ** 4
     assert a == pytest.approx(expected, rel=1e-6)
     assert a > 0

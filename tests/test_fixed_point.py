@@ -20,7 +20,7 @@ from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
                             signed_power, symmetrize_radial)
 from prnls.symbols import p_c
 
-from fft_reference import fft_multiplier, full_grid_symmetrize_radial, lift
+from fft_reference import fft_multiplier, full_grid_symmetrize_radial, lift, random_band_limited
 
 
 def test_remainder_vanishes_at_infinite_speed(gs2d_small):
@@ -109,7 +109,6 @@ def test_nonlinear_q_superlinear(p, floor, gs2d_small):
         from prnls.ground_state import solve_limit_equation
         gs = solve_limit_equation(ReducedParams(2, p, 8.0), grid, tol=1e-12)
     rng = np.random.default_rng(7)
-    from prnls.spectral import random_band_limited
     v = symmetrize_radial(grid.even.restrict(random_band_limited(grid, rng, 3.0)))
     v = Field(v.grid, v.values / norm_h1(v))
     eps = np.array([1e-1, 1e-2, 1e-3])
@@ -172,7 +171,6 @@ def test_random_start_properties(grid2d_small):
 def test_random_start_matches_full_grid_construction(grid):
     # the block start against the full-grid path it replaces: the same noise,
     # rfftn band mask, full symmetrization, then restriction (gap 1.0e-15 on 64^3)
-    from prnls.spectral import random_band_limited
     for seed in range(3):
         radial = grid.even.restrict(full_grid_symmetrize_radial(
             random_band_limited(grid, np.random.default_rng(seed), 4.0)))

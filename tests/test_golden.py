@@ -11,6 +11,18 @@ and each field dump's payload gap. A change that reruns it must say why,
 with that printout, in CHANGES.md: the files are the reference every later
 change is compared with, not a snapshot to refresh.
 
+The committed files pass at SOLUTION_RTOL but need not match a given host's
+output byte for byte, so a change that means to keep every output byte is
+checked against its parent on one host instead. With
+
+    PYTHONPATH=src python tests/test_golden.py --dump DIR [CASE ...]
+
+each case writes every file of its run except manifest.txt (the one file
+with wall times), and its exit code as exit_code.txt, to DIR/<case>/, which
+must not exist yet; tests/data/golden is not touched. Dump the parent's tree
+and the change's to two directories, then `diff -r PARENT_DIR CHANGE_DIR`
+lists every file whose bytes differ and prints nothing when none does.
+
 Every cell is compared by its column's class. Labels, outcomes, counts, the
 parameter echo and the exit code must match exactly (nan matches nan).
 Solution cells, computed values of the solution or of the fit, must agree to
@@ -23,10 +35,13 @@ header must match exactly and its payload to SOLUTION_RTOL of the golden
 field's max.
 """
 
+import argparse
 import csv
 import math
+import os
 import pathlib
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -235,6 +250,23 @@ def test_outputs_match_golden(case, tmp_path):
     assert problems == []
 
 
+def test_dump_writes_a_case_and_leaves_the_golden_set_alone(tmp_path):
+    before = {path: path.read_bytes() for path in DATA.rglob("*") if path.is_file()}
+    src = pathlib.Path(__file__).parents[1] / "src"
+    subprocess.run([sys.executable, __file__, "--dump", str(tmp_path / "dump"), "ground-state"],
+                   env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+                   check=True)
+    out = tmp_path / "dump" / "ground-state"
+    assert sorted(p.name for p in out.iterdir()) == ["exit_code.txt", "ground_state.csv",
+                                                      "u_inf.bin"]
+    codes = dict(_rows(DATA / EXIT_CODES)[1:])
+    assert (out / "exit_code.txt").read_text() == f"{codes['ground-state']}\n"
+    golden = DATA / "ground-state"
+    assert compare_csv(out / "ground_state.csv", golden / "ground_state.csv") == []
+    assert compare_dump(out / "u_inf.bin", golden / "u_inf.bin") == []
+    assert {path: path.read_bytes() for path in DATA.rglob("*") if path.is_file()} == before
+
+
 def changes(new_dir, old_dir, names) -> list:
     """What rewriting old_dir's files `names` from new_dir changes, as readable strings.
 
@@ -294,5 +326,24 @@ def regenerate(cases):
         writer.writerows(sorted(codes.items()))
 
 
+def dump(root: pathlib.Path, cases):
+    """Write each case's output files but manifest.txt, and its exit code, to root/<case>/."""
+    for case in cases:
+        out = root / case
+        out.mkdir(parents=True)  # an existing directory could hold another run's files
+        code = run_config(case, out)
+        (out / "manifest.txt").unlink()
+        (out / "exit_code.txt").write_text(f"{code}\n")
+
+
 if __name__ == "__main__":
-    regenerate(sys.argv[1:] or sorted(CONFIGS))
+    parser = argparse.ArgumentParser(description="Rewrite the golden set, or dump the outputs.")
+    parser.add_argument("cases", nargs="*", metavar="CASE", help="default: every case")
+    parser.add_argument("--dump", metavar="DIR", type=pathlib.Path,
+                        help="write the outputs to DIR/<case>/ instead of the golden set")
+    args = parser.parse_args()
+    cases = args.cases or sorted(CONFIGS)
+    if args.dump:
+        dump(args.dump, cases)
+    else:
+        regenerate(cases)

@@ -12,7 +12,10 @@ others import it, so a constant cannot drift between two copies. Only spectral
 lifts a block field to the full grid (write_field, which streams a block
 field's dump as its lift), so no other module grows a full-grid path back,
 and only spectral names EvenBlock, so the choice between the full grid and
-the even block stays in that one module. Only spectral indexes the orbit
+the even block stays in that one module. Only params and cli use
+PhysicalParams (prnls/__init__ only re-exports it): every solver and
+diagnostic works in the reduced frame (m = 1/2, mu = 1), so the physical
+frame has one way in. Only spectral indexes the orbit
 tables (Orbits.reps and Orbits.expand, through EvenBlock.at_reps and
 from_reps), so the orbit-vector layout has one home. Only cli checks the
 construction's hypotheses (construction_precondition): the solvers run
@@ -123,6 +126,11 @@ def test_only_spectral_lifts_to_the_full_grid():
 
 def test_only_spectral_names_the_even_block_type():
     assert [m for m in modules_referencing("EvenBlock") if m != "spectral"] == []
+
+
+def test_only_params_and_cli_name_the_physical_parameters():
+    # an import or an __all__ string is no use of the name, so __init__ is not listed
+    assert modules_referencing("PhysicalParams") == ["cli", "params"]
 
 
 def test_only_spectral_indexes_the_orbit_tables():

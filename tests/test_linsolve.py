@@ -9,16 +9,16 @@ from prnls.diagnostics import action, check_identities
 from prnls.errors import ConvergenceError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import _gmres, invert, linearized_operator, operator_norm_probe
-from prnls.params import PhysicalParams, ReducedParams
+from prnls.params import ReducedParams
 from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, intersection_norm, norm_h1, norm_lq,
-                            plancherel_sum, random_band_limited, symmetrize_radial)
+                            plancherel_sum, symmetrize_radial)
 from prnls.symbols import inverse_difference
 
 from conftest import sample_field
 from fft_reference import (block_apply, block_potential, fft_plancherel_sum, full_grid_invert,
                            full_grid_krylov_operator, full_grid_pc, full_grid_potential, gather,
-                           lift, lstsq_gmres)
+                           lift, lstsq_gmres, random_band_limited)
 
 
 def _random_radial(grid, seed, kmax=4.0):
@@ -397,7 +397,7 @@ def test_operator_grid_mismatch(gs2d_small):
     full = Field.zeros(gs2d_small.grid)
     for measure in (lambda f: plancherel_sum(f, lambda r2: 1.0 + r2), norm_h1,
                     intersection_norm, lambda f: check_identities(f, rp),
-                    lambda f: action(f, PhysicalParams(2, 3.0, 0.5, 1.0, 16.0))):
+                    lambda f: action(f, rp)):
         with pytest.raises(ValueError, match="EvenBlock.restrict"):
             measure(full)
     block = gs2d_small.grid.even

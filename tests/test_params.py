@@ -6,9 +6,7 @@ import pytest
 from prnls.params import (PhysicalParams, ReducedParams, lift_solution, physical_frame,
                           reduce_params)
 from prnls.spectral import Field, Grid, norm_lq, signed_power
-from prnls.symbols import relativistic_symbol
-
-from fft_reference import fft_multiplier, lift
+from fft_reference import fft_multiplier, lift, relativistic_symbol
 
 
 def test_reduce_worked_examples():

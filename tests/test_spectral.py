@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 from prnls.spectral import (Field, Grid, _is_permutation_symmetric,
                             _symmetric_block_norms, gradient,
                             half_spectrum_apply, half_spectrum_multiplier, intersection_norm,
-                            norm_h1, norm_lq, plancherel_sum, random_band_limited,
-                            read_field, sobolev_norms, symmetrize_radial,
+                            norm_h1, norm_lq, plancherel_sum, read_field, sobolev_norms, symmetrize_radial,
                             write_field)
-from prnls.symbols import (inverse_difference, p_c, p_infty_minus_p_c,
-                           relativistic_symbol, sigma_halfspace, symbol_ratio)
+from prnls.symbols import (inverse_difference, kinetic, p_c, p_infty_minus_p_c,
+                           sigma_halfspace, symbol_ratio)
 
 from conftest import axis_coords, coords, radius_sq, sample_field
 from fft_reference import (_require_real, block_partials, dct1_multiplier, dct1_plancherel_sum,
                            dst1_partials, fft_multiplier, fft_plancherel_sum, flip_average,
                            full_grid_symmetrize_radial, gather,
-                           general_norms, lift, norm_w1q, norm_w2q)
+                           general_norms, lift, norm_w1q, norm_w2q, random_band_limited)
 
 
 def _random_field(grid, seed):
@@ -97,7 +96,7 @@ _MULTIPLIER_FLOOR = 1.5e-15
 
 _WEIGHTS = (lambda c: (lambda r2: np.ones_like(r2)), lambda c: (lambda r2: r2 + 1.0), p_c,
             p_infty_minus_p_c, inverse_difference, symbol_ratio, sigma_halfspace,
-            lambda c: relativistic_symbol(0.5, c))
+            kinetic)
 
 
 @st.composite

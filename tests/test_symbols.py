@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prnls.symbols import (check_derivative_bounds, check_difference_bound,
-                           check_pointwise_bounds, inverse_difference, p_c,
-                           p_infty_minus_p_c, relativistic_symbol,
-                           sigma_halfspace, symbol_ratio)
+                           check_pointwise_bounds, inverse_difference, kinetic, p_c,
+                           p_infty_minus_p_c, sigma_halfspace, symbol_ratio)
+
+from fft_reference import relativistic_symbol
 
 _SAMPLE_R2 = np.geomspace(1e-12, 1e12, 2000)
 
@@ -231,6 +232,13 @@ def test_relativistic_symbol_reduces_to_p_c_minus_one():
         # the "- 1.0" path costs the comparison an absolute 1e-16 of noise,
         # which dominates where the symbol itself is ~1e-12
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+    # kinetic is that symbol bit for bit: the two forms differ by powers of two
+    # (m^2 = 1/4, m = 1/2), which scale exactly; p_c adds 1.0 to it and nothing else
+    r2 = np.concatenate([[0.0], _SAMPLE_R2])
+    for c in (2.0, 64.0, 1e6, math.inf):
+        kin = kinetic(c)(r2)
+        assert np.array_equal(kin, relativistic_symbol(0.5, c)(r2)), c
+        assert np.array_equal(p_c(c)(r2), kin + 1.0), c
 
 
 def test_relativistic_symbol_nonrelativistic_limit():
