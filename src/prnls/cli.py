@@ -29,10 +29,13 @@ Exit codes: 0 success, 1 usage/config error, 2 mathematical failure
 that does not converge still writes its rows on exit 2, so sweep scripts
 can treat collapse as data; for the one solve of solve and identity-check,
 manifest.txt's "result = solver failure: <outcome>: <message>" line also
-says why it failed. A ground state that fails (a Petviashvili stall,
-collapse or blow-up) ends every command with exit 2 and a manifest.txt
-whose "result = solver failure: ..." line says why; ground-state also writes
-its ground_state.csv row, the other commands nothing more. A value that
+says why it failed; sweep and rate-sweep append, after their CSVs, one
+line "rung = c <c>: <outcome>: <message>" per rung that did not converge,
+the same with or without workers. A ground state that fails (a
+Petviashvili stall, collapse or blow-up) ends every command with exit 2
+and a manifest.txt whose "result = solver failure: ..." line says why;
+ground-state also writes its ground_state.csv row, the other commands
+nothing more. A value that
 leaves float64 during a run (an overflow, a division by zero or an invalid
 operation such as 0/0; underflow to 0 is allowed) ends it where it is formed,
 with exit 2 and a "result = float64 range: <message> at <file>:<line>" line;
@@ -384,6 +387,14 @@ def _sweep_rows(cfg: RunConfig, gs):
         return list(pool.map(_solve_rung, ladder))
 
 
+def _note_failed_rungs(out: str, results):
+    """Append "rung = c <c>: <outcome>: <message>" to the manifest for each unconverged rung."""
+    with open(os.path.join(out, "manifest.txt"), "a") as fh:
+        for rp, rep, _ in results:
+            if not rep.converged:
+                fh.write(f"rung = c {_fmt(rp.c_tilde)}: {rep.outcome}: {rep.message}\n")
+
+
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
@@ -392,6 +403,7 @@ def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
                [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
+    _note_failed_rungs(out, results)
     return 0 if all(rep.converged for _, rep, _ in results) else 2
 
 
@@ -427,6 +439,7 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
                    [(fit.slope, fit.intercept, fit.r_squared, len(points))])
     else:
         code = 2
+    _note_failed_rungs(out, results)
     return code
 
 

@@ -43,17 +43,27 @@ Conventions
   the same multiplicities as the block's points).
 * The even block's transforms are dense matrix products, one cached
   (N/2+1)-square matrix (EvenBlock.dct_matrix, idct_matrix, diff_matrix)
-  along each axis, through BLAS; along the last axis of a 2-D or 3-D block
-  through its cached C-contiguous transpose (dct_matrix_t, idct_matrix_t),
-  so the first and the last axis are each one plain GEMM. A transform costs
-  O(N^{n+1}) against an FFT's O(N^n log N), and its rounding error grows
-  like sqrt(N) against an FFT's log N. At the block sides of the default
-  3-D grid (33) and of a 128^2 grid (65) the products are the faster, and
-  at the 2-D default grid's 129 about even. Measured with one BLAS thread on
-  an Intel Xeon (best of 15 interleaved rounds), a multiplier pair takes
-  0.31 ms against scipy's DCT-I 0.88 ms on 33^3, 0.040 against 0.086 ms on
-  65^2 (0.050 ms through mat.T) and 0.31 against 0.28 ms on 129^2, but 0.16
-  against 0.03 ms at 1-D N = 1024 and 2.3 against 1.4 ms at 2-D N = 512.
+  along each axis, through BLAS. A 1-D block is mat @ v and a 2-D block
+  (mat @ V) @ mat_t, plain GEMMs, the last axis on the matrix's cached
+  C-contiguous transpose (dct_matrix_t, idct_matrix_t). A 3-D block of side
+  s is three stacked s-square matmuls and never one flat GEMM with s^2
+  rows: axis 0 on the (j1, j0, j2) view, axis 2 through the transpose, then
+  axis 1, which rotates the layout back to (k0, k1, k2). Measured with one
+  BLAS thread on an Intel Xeon (best of 15 interleaved rounds), a 3-D
+  multiplier pair takes, against the flat GEMMs along the first and the
+  last axis, 14.0 against 15.6 us at s = 9 (16^3), 39 against 36 us at 17
+  (32^3), 107 against 100 us at 25 (48^3), 0.24 against 0.31 ms at 33 (the
+  default 64^3), 0.59 against 0.70 ms at 41 (80^3) and 1.15 against
+  1.37 ms at 49 (96^3). Sides 17 and 25 lose 5-21 % over four such runs:
+  the cost of one form, with no size switch.
+  A transform costs O(N^{n+1}) against an FFT's O(N^n log N), and its
+  rounding error grows like sqrt(N) against an FFT's log N. At the block
+  sides of the default 3-D grid (33) and of a 128^2 grid (65) the products
+  are the faster, and at the 2-D default grid's 129 about even. Measured the
+  same way, a multiplier pair takes 0.25 ms against scipy's DCT-I 0.93 ms on
+  33^3, 0.040 against 0.086 ms on 65^2 (0.050 ms through mat.T) and 0.31
+  against 0.28 ms on 129^2, but 0.16 against 0.03 ms at 1-D N = 1024 and
+  2.3 against 1.4 ms at 2-D N = 512.
   Each matrix angle pi j k / M is reduced exactly (j k mod 2M) before its
   cosine or sine is taken.
 * Plancherel-type sums use the factor h^n / N^n on raw unscaled FFT power,
@@ -204,31 +214,24 @@ def _along_first_axis(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (mat @ values.reshape(values.shape[0], -1)).reshape(values.shape)
 
 
-def _along_axis(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None,
-                axis: int) -> np.ndarray:
-    """Apply the square matrix mat along one axis of values.
-
-    Axis 0 is _along_first_axis, also in 1-D, where mat_t is not read. The
-    last axis of a 2-D or 3-D array is one GEMM too, values.reshape(-1, s) @
-    mat_t, on mat's C-contiguous transpose mat_t: with mat.T, a Fortran-order
-    view, OpenBLAS's transposed-operand kernel takes 18.3 against 12.6 us for
-    a 65-square product, 5.1 against 3.5 us at side 33 and the same at 129
-    (one thread, Intel Xeon). The 3-D middle axis is a stacked matmul.
-    """
-    if axis == 0:
-        return _along_first_axis(values, mat)
-    shape = values.shape
-    if axis == len(shape) - 1:
-        return (values.reshape(-1, shape[axis]) @ mat_t).reshape(shape)
-    return np.matmul(mat, values.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))
-                     ).reshape(shape)
-
-
 def _transform(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None) -> np.ndarray:
-    """Apply the square matrix mat, with its C-contiguous transpose mat_t, along every axis."""
-    for axis in range(values.ndim):
-        values = _along_axis(values, mat, mat_t, axis)
-    return values
+    """Apply the square matrix mat, with its C-contiguous transpose mat_t, along every axis.
+
+    1-D is mat @ v and 2-D (mat @ V) @ mat_t, plain GEMMs (mat_t is None in
+    1-D). A 3-D block (s, s, s) runs as three stacked s-square matmuls, never
+    as one flat GEMM with s^2 rows: at s = 33 the last axis as one (1089 x 33)
+    @ (33 x 33) GEMM took 62 us against 37 us stacked, and axis 0 as one
+    (33 x 33) @ (33 x 1089) GEMM 48 against 40 us (one thread, Intel Xeon).
+    The passes rotate the layout (j0, j1, j2) -> (j1, k0, j2) -> (j1, k0, k2)
+    -> (k0, k1, k2).
+    """
+    if values.ndim == 1:
+        return mat @ values
+    if values.ndim == 2:
+        return (mat @ values) @ mat_t
+    rows = np.matmul(mat, values.transpose(1, 0, 2))  # axis 0
+    rows = np.matmul(rows, mat_t)  # axis 2
+    return np.matmul(mat, rows.transpose(1, 0, 2))  # axis 1
 
 
 @dataclass(frozen=True)
@@ -338,12 +341,12 @@ class EvenBlock:
 
     @cached_property
     def dct_matrix_t(self) -> np.ndarray | None:
-        """dct_matrix's C-contiguous transpose, for the last axis (_along_axis); None in 1-D."""
+        """dct_matrix's C-contiguous transpose, for the last axis (_transform); None in 1-D."""
         return np.ascontiguousarray(self.dct_matrix.T) if self.n > 1 else None
 
     @cached_property
     def idct_matrix_t(self) -> np.ndarray | None:
-        """idct_matrix's C-contiguous transpose, for the last axis (_along_axis); None in 1-D."""
+        """idct_matrix's C-contiguous transpose, for the last axis (_transform); None in 1-D."""
         return np.ascontiguousarray(self.idct_matrix.T) if self.n > 1 else None
 
     @cached_property

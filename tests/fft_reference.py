@@ -14,7 +14,10 @@ with the realness check (_require_real) that fft_multiplier also applies.
 block_partials and general_norms are intersection_norm's general path, the
 way it measured a block field before it took only permutation-symmetric
 ones: all n partials (diff_matrix along each axis), norm_h1 and the
-W^{1,2n} norm summed over the partials.
+W^{1,2n} norm summed over the partials. _along_axis, which takes each of
+those partials, is one matrix along one axis of a block, the per-axis pass
+that the block transforms ran through before a 3-D block became three
+stacked matmuls; a 1-D or 2-D transform still gives its bits.
 full_grid_symmetrize_radial and full_grid_gaussian are the radial
 projection and the Petviashvili seed as they were built on the full grid,
 before the even block became the only place that builds or projects a
@@ -43,6 +46,7 @@ shell from 0 to kmax.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.fft
@@ -51,7 +55,7 @@ from prnls.errors import ConvergenceError
 from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
                                 limit_residual)
 from prnls.linsolve import _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import (Field, Grid, _along_axis, gradient, half_spectrum_apply,
+from prnls.spectral import (Field, Grid, _along_first_axis, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, norm_h1, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
 
@@ -179,6 +183,23 @@ def dst1_partials(f: Field) -> list:
             d = scipy.fft.idctn(d, type=1, axes=others)
         out.append(np.pad(d, [(1, 1) if b == a else (0, 0) for b in range(g.n)]))
     return out
+
+
+def _along_axis(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None,
+                axis: int) -> np.ndarray:
+    """Apply the square matrix mat along one axis of values.
+
+    Axis 0 is spectral._along_first_axis, also in 1-D, where mat_t is not
+    read. The last axis of a 2-D or 3-D array is one GEMM too,
+    values.reshape(-1, s) @ mat_t, and the 3-D middle axis a stacked matmul.
+    """
+    if axis == 0:
+        return _along_first_axis(values, mat)
+    shape = values.shape
+    if axis == len(shape) - 1:
+        return (values.reshape(-1, shape[axis]) @ mat_t).reshape(shape)
+    return np.matmul(mat, values.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))
+                     ).reshape(shape)
 
 
 def block_partials(f: Field) -> list:

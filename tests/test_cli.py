@@ -575,6 +575,21 @@ def test_a_failed_solve_says_why_in_the_manifest(tmp_path, command):
                        "contraction ball (ceiling 4.824e+00)"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_says_why_each_failed_rung_failed(tmp_path, workers):
+    # the golden rate-sweep config: its c = 4 rung diverges at its first step,
+    # and the manifest said only "result = exit 2"
+    text = ("[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius = 20.0\n\n"
+            "[sweep]\nc_min = 4.0\nc_max = 64.0\nrungs = 5\n")
+    out = tmp_path / "out"
+    assert main(["rate-sweep", _cfg(tmp_path, text), "--workers", workers,
+                 "--output-dir", str(out)]) == 2
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("rung = ")] == [
+        "rung = c 4: diverged: ||w||=3.688e+01 left the contraction ball (ceiling 4.824e+00)"]
+    assert lines[-1] == "result = exit 2"
+
+
 _RATE_1D = "[params]\nn = 1\np = {}\n\n[grid]\nn_points = {}\nbox_radius = {}\n\n" \
     "[sweep]\nc_min = {}\nc_max = {}\nrungs = {}\n"
 

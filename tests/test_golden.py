@@ -22,6 +22,13 @@ with wall times), and its exit code as exit_code.txt, to DIR/<case>/, which
 must not exist yet; tests/data/golden is not touched. Dump the parent's tree
 and the change's to two directories, then `diff -r PARENT_DIR CHANGE_DIR`
 lists every file whose bytes differ and prints nothing when none does.
+To measure what moved, run
+
+    PYTHONPATH=src python tests/test_golden.py --compare PARENT_DIR CHANGE_DIR
+
+It prints, for every file whose bytes differ, the largest relative change
+of each CSV column that changed, and each field dump's payload gap
+relative to the parent field's max ("no file differs" when none does).
 
 Every cell is compared by its column's class. Labels, outcomes, counts, the
 parameter echo and the exit code must match exactly (nan matches nan).
@@ -267,6 +274,37 @@ def test_dump_writes_a_case_and_leaves_the_golden_set_alone(tmp_path):
     assert {path: path.read_bytes() for path in DATA.rglob("*") if path.is_file()} == before
 
 
+def test_compare_measures_what_moved_between_two_dumps(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def write(root, w, outcome, rungs, payload, code):
+        case = root / "case"
+        case.mkdir(parents=True)
+        (case / "run.csv").write_text(
+            f"n,w_norm,outcome,residual\n2,1.5,converged,1e-12\n3,{w},{outcome},1e-12\n")
+        (case / "same.csv").write_text("n\n2\n")
+        (case / "shape.csv").write_text("n\n" + "".join(f"{k}\n" for k in range(rungs)))
+        (case / "u.bin").write_bytes(b"header\n" + np.array(payload, "<f8").tobytes())
+        (case / "exit_code.txt").write_text(f"{code}\n")
+
+    write(parent, "2.0", "converged", 2, [1.0, -4.0], 0)
+    write(change, "2.000002", "diverged", 3, [1.0, -4.000004], 2)
+    (change / "case" / "extra.csv").write_text("n\n1\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    out = subprocess.run([sys.executable, __file__, "--compare", str(parent), str(change)],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines() == [
+        f"case/extra.csv: only in {change}",
+        "case/exit_code.txt: differs",
+        "case/run.csv w_norm: largest relative change 1.00e-06 (row 2)",
+        "case/run.csv outcome: largest relative change inf (row 2)",
+        "case/shape.csv: header or row count changed",
+        "case/u.bin: payload gap 1.00e-06 of its max",
+    ]
+    assert compare_dumps(parent, parent) == []
+
+
 def changes(new_dir, old_dir, names) -> list:
     """What rewriting old_dir's files `names` from new_dir changes, as readable strings.
 
@@ -279,21 +317,78 @@ def changes(new_dir, old_dir, names) -> list:
         if not old.exists():
             lines.append(f"{name}: new file")
         elif name.endswith(".bin"):
-            got_raw, want_raw = (path.read_bytes().partition(b"\n")[2] for path in (new, old))
-            lines.append(f"{name}: payload gap {_payload_gap(got_raw, want_raw):.2e} of its max"
-                         if len(got_raw) == len(want_raw) else f"{name}: payload size changed")
+            lines.append(f"{name}: {_dump_change(new, old)}")
         else:
-            got, want = _rows(new), _rows(old)
-            if got[0] != want[0] or len(got) != len(want):
+            cells = _changed_cells(new, old)
+            if cells is None:
                 lines.append(f"{name}: header or row count changed")
                 continue
-            for k, (grow, wrow) in enumerate(zip(got[1:], want[1:]), start=1):
-                for column, g, w in zip(want[0], grow, wrow):
-                    if g == w or column not in SOLUTION | EXACT:
-                        continue
-                    why = (f"relative change {_relative_gap(float(g), float(w)):.2e}"
-                           if column in SOLUTION else "EXACT cell")
-                    lines.append(f"{name} row {k} {column}: {w} -> {g} ({why})")
+            for k, column, g, w in cells:
+                if column not in SOLUTION | EXACT:
+                    continue
+                why = (f"relative change {_relative_gap(float(g), float(w)):.2e}"
+                       if column in SOLUTION else "EXACT cell")
+                lines.append(f"{name} row {k} {column}: {w} -> {g} ({why})")
+    return lines
+
+
+def _changed_cells(new, old):
+    """(row, column, new cell, old cell) of every cell that differs; None if the shape differs."""
+    got, want = _rows(new), _rows(old)
+    if got[0] != want[0] or len(got) != len(want):
+        return None
+    return [(k, column, g, w) for k, (grow, wrow) in enumerate(zip(got[1:], want[1:]), start=1)
+            for column, g, w in zip(want[0], grow, wrow) if g != w]
+
+
+def _dump_change(new, old) -> str:
+    """The payload gap of the field dump new against old, relative to old's max."""
+    got_raw, want_raw = (path.read_bytes().partition(b"\n")[2] for path in (new, old))
+    if len(got_raw) != len(want_raw):
+        return "payload size changed"
+    return f"payload gap {_payload_gap(got_raw, want_raw):.2e} of its max"
+
+
+def _cell_change(g: str, w: str) -> float:
+    """The relative change from w to g: inf unless both are finite numbers."""
+    try:
+        g, w = float(g), float(w)
+    except ValueError:
+        return math.inf
+    return _relative_gap(g, w) if math.isfinite(g) and math.isfinite(w) else math.inf
+
+
+def compare_dumps(parent: pathlib.Path, change: pathlib.Path) -> list:
+    """What differs between two --dump directories, one readable string per finding.
+
+    A file in one directory only is named. For every file whose bytes differ,
+    a CSV gets one line per column that changed, with its largest relative
+    change and the row where it is (inf when a cell is not a finite number
+    in both), or that its header or row count changed; a field dump gets
+    its payload gap relative to the parent field's max; any other file that
+    it differs.
+    """
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    lines = [f"{rel}: only in {root}" for root, others in ((parent, change), (change, parent))
+             for rel in sorted(files(root) - files(others))]
+    for rel in sorted(files(parent) & files(change)):
+        old, new = parent / rel, change / rel
+        if old.read_bytes() == new.read_bytes():
+            continue
+        if rel.suffix == ".bin":
+            lines.append(f"{rel}: {_dump_change(new, old)}")
+        elif rel.suffix != ".csv":
+            lines.append(f"{rel}: differs")
+        elif (cells := _changed_cells(new, old)) is None:
+            lines.append(f"{rel}: header or row count changed")
+        else:
+            largest = {}
+            for k, column, g, w in cells:
+                largest[column] = max(largest.get(column, (-1.0, 0)), (_cell_change(g, w), k))
+            lines += [f"{rel} {column}: largest relative change {gap:.2e} (row {k})"
+                      for column, (gap, k) in largest.items()]
     return lines
 
 
@@ -341,9 +436,13 @@ if __name__ == "__main__":
     parser.add_argument("cases", nargs="*", metavar="CASE", help="default: every case")
     parser.add_argument("--dump", metavar="DIR", type=pathlib.Path,
                         help="write the outputs to DIR/<case>/ instead of the golden set")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT_DIR", "CHANGE_DIR"),
+                        type=pathlib.Path, help="print what differs between two dumps")
     args = parser.parse_args()
     cases = args.cases or sorted(CONFIGS)
-    if args.dump:
+    if args.compare:
+        print("\n".join(compare_dumps(*args.compare)) or "no file differs")
+    elif args.dump:
         dump(args.dump, cases)
     else:
         regenerate(cases)
