@@ -11,7 +11,7 @@ from .diagnostics import (Certificate, ExtensionWeights, IdentityReport, RateFit
                           action, check_identities, extension_weights, fit_rate,
                           nonexistence_certificate, trace_inequality_check)
 from .errors import CollapseError, ConfigError, ConvergenceError, SolverError
-from .fixed_point import SolveReport, find_convergence_threshold, solve
+from .fixed_point import SolveReport, solve
 from .ground_state import GroundState, limit_residual, solve_limit_equation
 from .linsolve import LinearizedOperator, invert, linearized_operator, operator_norm_probe
 from .params import (PhysicalParams, ReducedParams, ToleranceSet, lift_solution,
@@ -24,7 +24,7 @@ __all__ = [
     "action", "check_identities", "extension_weights", "fit_rate",
     "nonexistence_certificate", "trace_inequality_check",
     "CollapseError", "ConfigError", "ConvergenceError", "SolverError",
-    "SolveReport", "find_convergence_threshold", "solve",
+    "SolveReport", "solve",
     "GroundState", "limit_residual", "solve_limit_equation",
     "LinearizedOperator", "invert", "linearized_operator", "operator_norm_probe",
     "PhysicalParams", "ReducedParams", "ToleranceSet", "lift_solution", "reduce_params",

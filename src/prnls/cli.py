@@ -3,7 +3,7 @@
 Subcommands
     ground-state   solve the limit equation at (n, p)
     solve          construct u_c at one speed; dumps u_inf and u_c
-    sweep          geometric c-ladder of solves (--probe, --find-threshold)
+    sweep          geometric c-ladder of solves (--probe skips the construction gate)
     rate-sweep     sweep plus power-law fit of distance vs c
     identity-check solve, then evaluate the half-space identities and trace ratio
     certify        seeded probe campaign plus non-existence certificate
@@ -31,7 +31,9 @@ can treat collapse as data; for the one solve of solve and identity-check,
 manifest.txt's "result = solver failure: <outcome>: <message>" line also
 says why it failed; sweep and rate-sweep append, after their CSVs, one
 line "rung = c <c>: <outcome>: <message>" per rung that did not converge,
-the same with or without workers. A ground state that fails (a
+the same with or without workers; a rate-sweep with fewer than four
+converged rungs above the rounding floor writes no rate_fit.csv and says so
+in a "rate_fit = skipped: ..." line. A ground state that fails (a
 Petviashvili stall, collapse or blow-up) ends every command with exit 2
 and a manifest.txt whose "result = solver failure: ..." line says why;
 ground-state also writes its ground_state.csv row, the other commands
@@ -62,8 +64,8 @@ from . import __version__
 from .diagnostics import action, check_identities, fit_rate, nonexistence_certificate, \
     nonexistence_regime, trace_inequality_check
 from .errors import CollapseError, ConfigError, SolverError
-from .fixed_point import ROUNDING_FLOOR, SolveReport, construction_precondition, \
-    find_convergence_threshold, prepare, random_start, solve
+from .fixed_point import ROUNDING_FLOOR, SolveReport, construction_precondition, prepare, \
+    random_start, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
 from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, \
@@ -107,7 +109,6 @@ class RunConfig:
     samples: int
     workers: int
     probe: bool = False
-    find_threshold: bool = False
 
 
 _SCHEMA = {
@@ -248,7 +249,7 @@ def _write_manifest(cfg: RunConfig, path: str):
     lines += [f"{section}.{key} = {_fmt(getattr(sections[section], key))}"
               for section, keys in _SCHEMA.items() if sections[section] is not None
               for key in keys if key != "command"]
-    lines += [f"run.{k} = {_fmt(getattr(cfg, k))}" for k in ("probe", "find_threshold")]
+    lines.append(f"run.probe = {_fmt(cfg.probe)}")
     lines += [f"versions.python = {sys.version.split()[0]}",
               f"versions.numpy = {np.__version__}",
               f"versions.package = {__version__}"]
@@ -305,9 +306,13 @@ def _solve_rung(c: float, cfg: RunConfig | None = None, gs=None):
     return rp, rep, _action(rp, u_c)
 
 
-def _append_time(out: str, phase: str, seconds: float):
+def _append_manifest(out: str, *lines: str):
     with open(os.path.join(out, "manifest.txt"), "a") as fh:
-        fh.write(f"timings.{phase}_seconds = {seconds:.3f}\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _append_time(out: str, phase: str, seconds: float):
+    _append_manifest(out, f"timings.{phase}_seconds = {seconds:.3f}")
 
 
 @contextmanager
@@ -389,37 +394,18 @@ def _sweep_rows(cfg: RunConfig, gs):
 
 def _note_failed_rungs(out: str, results):
     """Append "rung = c <c>: <outcome>: <message>" to the manifest for each unconverged rung."""
-    with open(os.path.join(out, "manifest.txt"), "a") as fh:
-        for rp, rep, _ in results:
-            if not rep.converged:
-                fh.write(f"rung = c {_fmt(rp.c_tilde)}: {rep.outcome}: {rep.message}\n")
+    _append_manifest(out, *(f"rung = c {_fmt(rp.c_tilde)}: {rep.outcome}: {rep.message}"
+                            for rp, rep, _ in results if not rep.converged))
 
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
     gs = _limit_state(cfg)
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
-    if cfg.find_threshold:
-        return _cmd_find_threshold(cfg, gs, out)
     results = _sweep_rows(cfg, gs)
     _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
                [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
     _note_failed_rungs(out, results)
     return 0 if all(rep.converged for _, rep, _ in results) else 2
-
-
-def _cmd_find_threshold(cfg: RunConfig, gs, out: str) -> int:
-    path = os.path.join(out, "threshold.csv")
-    header = ("c_diverged", "c_converged", "probes", "error")
-    try:
-        th = find_convergence_threshold(gs, cfg.sweep.c_min, cfg.sweep.c_max,
-                                        tol=cfg.tolerances)
-    except ValueError as exc:
-        _write_csv(path, header, [(math.nan, math.nan, 0, str(exc))])
-        return 2
-    _write_csv(path, header, [(th.c_diverged, th.c_converged, len(th.history), "")])
-    _write_csv(os.path.join(out, "threshold_history.csv"), ("c", "outcome"),
-               list(th.history))
-    return 0
 
 
 def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
@@ -439,6 +425,8 @@ def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
                    [(fit.slope, fit.intercept, fit.r_squared, len(points))])
     else:
         code = 2
+        _append_manifest(out, f"rate_fit = skipped: {len(points)} of {len(results)} rungs "
+                              f"converged above the rounding floor {floor:.3e}; the fit needs 4")
     _note_failed_rungs(out, results)
     return code
 
@@ -519,7 +507,7 @@ def _cmd_norm_probe(cfg: RunConfig, out: str) -> int:
     rows = []
     parseval_ok = True
     for c in cfg.sweep.ladder():
-        for q in (2.0, 2.0 * cfg.params.n):
+        for q in sorted({2.0, 2.0 * cfg.params.n}):  # one q = 2 in 1-D
             rep = operator_norm_probe(cfg.grid, c, q, trials=cfg.trials, seed=cfg.seed)
             ok = rep.inv_diff_ratio <= rep.lattice_sup * (1.0 + 1e-10)
             parseval_ok = parseval_ok and (ok or q != 2.0)
@@ -549,8 +537,7 @@ def _check_construction(cfg: RunConfig):
     The one gate on the paper's hypotheses: the solvers run any input. certify
     needs (n, p, c) inside a non-existence regime. The other solves must meet
     construction_precondition: sweeps check their lowest rung, whose ladder
-    value is c_tilde itself; --find-threshold checks p only, because its lower
-    endpoint is meant to fail; sweep --probe skips the check.
+    value is c_tilde itself; sweep --probe skips the check.
     """
     if cfg.command == "certify":
         rp = reduce_params(cfg.params)
@@ -561,7 +548,7 @@ def _check_construction(cfg: RunConfig):
     if cfg.command in ("solve", "identity-check"):
         c_tilde = reduce_params(cfg.params).c_tilde
     elif cfg.command == "rate-sweep" or (cfg.command == "sweep" and not cfg.probe):
-        c_tilde = math.inf if cfg.find_threshold else cfg.sweep.c_min
+        c_tilde = cfg.sweep.c_min
     else:
         return
     reason = construction_precondition(ReducedParams(cfg.params.n, cfg.params.p, c_tilde))
@@ -574,8 +561,7 @@ def run(cfg: RunConfig) -> int:
     _check_construction(cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    manifest = os.path.join(out, "manifest.txt")
-    _write_manifest(cfg, manifest)
+    _write_manifest(cfg, os.path.join(out, "manifest.txt"))
     try:
         with _timed(out, "total"), np.errstate(**_FLOAT_POLICY), _float_range():
             code = _RUNNERS[cfg.command](cfg, out)
@@ -584,8 +570,7 @@ def run(cfg: RunConfig) -> int:
         code, note = 2, f"solver failure: {exc}"
     except _OutOfRange as exc:
         code, note = 2, f"float64 range: {exc}"
-    with open(manifest, "a") as fh:
-        fh.write(f"result = {note}\n")
+    _append_manifest(out, f"result = {note}")
     return code
 
 
@@ -605,7 +590,6 @@ def main(argv=None) -> int:
             cmd.add_argument("--workers", type=int, default=None)
         if name == "sweep":
             cmd.add_argument("--probe", action="store_true")
-            cmd.add_argument("--find-threshold", action="store_true")
 
     try:
         args = parser.parse_args(argv)
@@ -620,9 +604,8 @@ def main(argv=None) -> int:
             updates["output_dir"] = args.output_dir
         if getattr(args, "workers", None) is not None:
             updates["workers"] = _run_floor("workers", args.workers)
-        for flag in ("probe", "find_threshold"):
-            if getattr(args, flag, False):
-                updates[flag] = True
+        if getattr(args, "probe", False):
+            updates["probe"] = True
         return run(replace(cfg, **updates))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

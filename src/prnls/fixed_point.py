@@ -46,7 +46,6 @@ from .symbols import p_infty_minus_p_c
 
 _C_FLOOR = 2.0
 _MAX_PICARD = 200
-_BISECTION_ROUNDS = 8
 _START_KMAX = 4.0
 # relative rounding floor of a norm: solve() steps, and rate-sweep fits, no distance below
 # ROUNDING_FLOOR * max(||u_inf||_{H^1}, 1)
@@ -247,42 +246,3 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                                                      f"{tol.tol_residual:g}")
 
         return None, replace(report, message=f"no convergence within {_MAX_PICARD} iterations")
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Bisection bracket for the smallest c at which the contraction converges."""
-
-    c_diverged: float
-    c_converged: float
-    history: tuple
-
-
-def find_convergence_threshold(gs: GroundState, c_lo: float, c_hi: float,
-                               tol: ToleranceSet = ToleranceSet()) -> ThresholdReport:
-    """Bisect [c_lo, c_hi] for the empirical convergence threshold of solve().
-
-    n, p and the grid are those of the ground state gs, which every probe run
-    reuses. c_lo must fail and c_hi must converge (checked). Returns the
-    bracket after _BISECTION_ROUNDS halvings and the probe history.
-    """
-    history = []
-
-    def outcome_at(c):
-        rp = ReducedParams(gs.grid.n, gs.p, c)
-        _, rep = solve(rp, gs.grid, gs, tol=tol)
-        history.append((c, rep.outcome))
-        return rep.converged
-
-    if outcome_at(c_lo):
-        raise ValueError(f"bisection needs a failing lower endpoint; c={c_lo} converged")
-    if not outcome_at(c_hi):
-        raise ValueError(f"bisection needs a converging upper endpoint; c={c_hi} did not")
-    lo, hi = c_lo, c_hi
-    for _ in range(_BISECTION_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        if outcome_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdReport(lo, hi, tuple(history))

@@ -183,7 +183,7 @@ def _whole_runs(draw):
                              "rungs": draw(st.integers(2, 5))}
     flags = {}
     if command == "sweep":
-        flags = draw(st.sampled_from(({}, {"probe": True}, {"find_threshold": True})))
+        flags = draw(st.sampled_from(({}, {"probe": True})))
     text = "".join(f"[{name}]\n" + "".join(f"{key} = {value!r}\n" for key, value in keys.items())
                    for name, keys in sections.items())
     return command, text, flags
@@ -213,7 +213,7 @@ def test_manifest_echoes_every_config_key(tmp_path):
     _write_manifest(parse_config(EVERY_SECTION), str(path))
     lines = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
     expected = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
-    expected = expected - {"run.command"} | {"run.probe", "run.find_threshold"}
+    expected = expected - {"run.command"} | {"run.probe"}
     assert expected <= lines.keys(), expected - lines.keys()
     assert lines["command"] == "sweep"
     assert {k: float(lines[f"tolerances.{k}"]) for k in _SCHEMA["tolerances"]} == {
@@ -346,7 +346,7 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("rate-sweep", _SMALL_SPEED_2D + "\n[sweep]\nc_min = 1.0\nc_max = 16.0\nrungs = 4\n",
      [], "floor"),
     ("sweep", _SUPERCRITICAL_3D + "\n[sweep]\nc_min = 2.0\nc_max = 8.0\nrungs = 2\n",
-     ["--find-threshold"], "subcritical"),
+     [], "subcritical"),
     ("solve", _TINY_2D.format("m = inf\nc = 16"), [], "finite"),
     ("solve", _TINY_2D.format("m = 1e-300\nc = 1e-300"), [], "c_tilde"),
     ("solve", _TINY_2D.format("mu = inf\nc = 16"), [], "finite"),
@@ -360,7 +360,7 @@ _TINY_2D = "[params]\nn = 2\np = 3.0\n{}\n[grid]\nn_points = 32\nbox_radius = 10
     ("solve", _TINY_2D.replace("p = 3.0", "p = 1.5").format("m = 0.5\nmu = 1e-300\nc = 4e150"),
      [], "lift amplitude"),
 ], ids=["solve-supercritical", "solve-floor", "identity-check-floor", "sweep-floor",
-        "rate-sweep-floor", "find-threshold-supercritical", "solve-infinite-m",
+        "rate-sweep-floor", "sweep-supercritical", "solve-infinite-m",
         "solve-underflowing-c-tilde", "solve-infinite-mu", "identity-check-overflowing-c-tilde",
         "ground-state-overflowing-box", "solve-overflowing-lift-grid",
         "solve-underflowing-lift-scale", "solve-overflowing-lift-amplitude",
@@ -601,12 +601,22 @@ def test_rate_sweep_fits_no_rung_at_the_rounding_floor(tmp_path, text):
     # every rung converges to a w at or below solve()'s rounding floor
     # (exactly 0, or ~1e-16): fitting them raised on log(0), or reported a
     # slope of rounding with exit 0; with fewer than 4 rate points the sweep
-    # writes no fit and exits 2
-    out = tmp_path / "out"
-    assert main(["rate-sweep", _cfg(tmp_path, text), "--output-dir", str(out)]) == 2
-    assert all(r["outcome"] == "converged" for r in _read_rows(out / "rate.csv"))
-    assert not (out / "rate_fit.csv").exists()
-    assert "result = exit 2" in (out / "manifest.txt").read_text()
+    # writes no fit, says why in the manifest, and exits 2, with or without workers
+    cfg = _cfg(tmp_path, text)
+    skipped = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert main(["rate-sweep", cfg, "--workers", workers, "--output-dir", str(out)]) == 2
+        rows = _read_rows(out / "rate.csv")
+        assert all(r["outcome"] == "converged" for r in rows)
+        assert not (out / "rate_fit.csv").exists()
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[-1] == "result = exit 2"
+        skipped += [line for line in lines if line.startswith("rate_fit = ")]
+    assert len(skipped) == 2 and skipped[0] == skipped[1]
+    assert skipped[0].startswith(f"rate_fit = skipped: 0 of {len(rows)} rungs converged above "
+                                 "the rounding floor ")
+    assert skipped[0].endswith("; the fit needs 4")
 
 
 def test_a_ladder_that_repeats_a_speed_is_a_config_error(tmp_path, capsys):
@@ -711,6 +721,16 @@ trials = 3
     rows = _read_rows(out / "norm_probe.csv")
     assert len(rows) == 4  # 2 rungs x (q = 2, q = 2n)
     assert all(r["parseval_ok"] == "true" for r in rows if float(r["q"]) == 2.0)
+
+
+def test_norm_probe_in_1d_writes_one_row_per_speed_and_exponent(tmp_path):
+    # at n = 1, q = 2n is q = 2: each probe ran and was written twice
+    text = ("[params]\nn = 1\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius = 20.0\n\n"
+            "[sweep]\nc_min = 2.0\nc_max = 8.0\nrungs = 2\n\n[run]\ntrials = 2\n")
+    out = tmp_path / "out"
+    assert main(["norm-probe", _cfg(tmp_path, text), "--output-dir", str(out)]) == 0
+    rows = _read_rows(out / "norm_probe.csv")
+    assert [(float(r["c"]), float(r["q"])) for r in rows] == [(2.0, 2.0), (8.0, 2.0)]
 
 
 def test_identity_check_command(tmp_path):
@@ -992,31 +1012,6 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
-
-def test_sweep_find_threshold(tmp_path):
-    text = """
-[params]
-n = 2
-p = 3.0
-
-[grid]
-n_points = 64
-box_radius = 20.0
-
-[sweep]
-c_min = 2.0
-c_max = 8.0
-rungs = 2
-"""
-    out = tmp_path / "out"
-    code = main(["sweep", _cfg(tmp_path, text), "--find-threshold",
-                 "--output-dir", str(out)])
-    assert code == 0
-    row = _read_rows(out / "threshold.csv")[0]
-    lo, hi = float(row["c_diverged"]), float(row["c_converged"])
-    assert 2.0 <= lo < hi <= 8.0
-    history = _read_rows(out / "threshold_history.csv")
-    assert len(history) == int(row["probes"]) >= 4
 
 
 # ------------------------------------------------------------ output routing

@@ -410,18 +410,3 @@ def test_mismatched_input_rejected(gs2d_small):
     for w0 in (Field.zeros(gs2d_small.grid), Field.zeros(Grid(2, 64, 20.0).even)):
         with pytest.raises(ValueError, match="even block"):
             fp.solve(ReducedParams(2, 3.0, 16.0), gs2d_small.grid, gs=gs2d_small, w0=w0)
-
-
-def test_convergence_threshold_bisection():
-    grid = Grid(2, 64, 20.0)
-    gs = solve_limit_equation(ReducedParams(2, 3.0, 8.0), grid, tol=1e-12)
-    th = fp.find_convergence_threshold(gs, 2.0, 8.0)
-    assert th.c_diverged < th.c_converged
-    assert th.c_converged - th.c_diverged == pytest.approx((8.0 - 2.0) / 2 ** 8)
-    assert len(th.history) == 10  # two endpoints plus eight bisection probes
-    assert all(outcome for _, outcome in th.history)
-
-    with pytest.raises(ValueError, match="lower endpoint"):
-        fp.find_convergence_threshold(gs, 16.0, 32.0)
-    with pytest.raises(ValueError, match="upper endpoint"):
-        fp.find_convergence_threshold(gs, 2.0, 3.0)

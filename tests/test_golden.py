@@ -140,7 +140,6 @@ seed = 0
     "solve": (("solve",), SMALL),
     # exit 2: the c = 2 rung diverges
     "sweep-probe": (("sweep", "--probe"), SMALL),
-    "sweep-find-threshold": (("sweep", "--find-threshold"), SMALL),
     "symbol-check": (("symbol-check",), SMALL),
     "norm-probe": (("norm-probe",), SMALL),
 }
@@ -149,8 +148,7 @@ DUMPED = {"ground-state", "solve"}
 
 EXACT = {"n", "p", "c", "outcome", "iterations", "regime", "conclusion", "identity",
          "seed", "points", "n_points", "box_radius", "check", "samples", "violations",
-         "family", "order", "q", "trials", "parseval_ok", "c_diverged", "c_converged",
-         "probes", "error"}
+         "family", "order", "q", "trials", "parseval_ok"}
 SOLUTION = {"w_norm", "rc_norm", "action", "lhs", "rhs", "combined_lhs", "combined_rhs",
             "ratio", "slope", "intercept", "r_squared", "h1_norm", "center_value",
             "worst_ratio", "argmax_xi", "sup_scaled", "lower_ratio", "upper_ratio",
