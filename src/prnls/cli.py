@@ -4,7 +4,7 @@ Subcommands
     ground-state   solve the limit equation at (n, p)
     solve          construct u_c at one speed; dumps u_inf and u_c
     sweep          geometric c-ladder of solves (--probe skips the construction gate)
-    rate-sweep     sweep plus power-law fit of distance vs c
+    rate-sweep     sweep's ladder, rows in rate.csv, plus power-law fit of distance vs c
     identity-check solve, then evaluate the half-space identities and trace ratio
     certify        seeded probe campaign plus non-existence certificate
     symbol-check   sampled symbol inequalities and derivative-bound constants
@@ -392,43 +392,47 @@ def _sweep_rows(cfg: RunConfig, gs):
         return list(pool.map(_solve_rung, ladder))
 
 
-def _note_failed_rungs(out: str, results):
-    """Append "rung = c <c>: <outcome>: <message>" to the manifest for each unconverged rung."""
+def _rate_fit(out: str, gs, results) -> bool:
+    """Fit the converged rungs above solve()'s rounding floor to rate_fit.csv.
+
+    Fewer than four give no fit, a "rate_fit = skipped: ..." line and False.
+    """
+    floor = ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0)  # solve()'s own rounding floor
+    points = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results
+              if rep.converged and rep.w_norm > floor]
+    if len(points) < 4:
+        _append_manifest(out, f"rate_fit = skipped: {len(points)} of {len(results)} rungs "
+                              f"converged above the rounding floor {floor:.3e}; the fit needs 4")
+        return False
+    fit = fit_rate(points)
+    _write_csv(os.path.join(out, "rate_fit.csv"), ("slope", "intercept", "r_squared", "points"),
+               [(fit.slope, fit.intercept, fit.r_squared, len(points))])
+    return True
+
+
+def _run_ladder(cfg: RunConfig, out: str, csv_name: str, fit=None) -> int:
+    """sweep and rate-sweep: the ground state (dumped as u_inf.bin), then a csv_name row per rung.
+
+    Then fit(out, gs, results), if given, and a "rung = c <c>: ..." manifest line
+    per unconverged rung; exit 2 unless every rung converged and the fit was written.
+    """
+    gs = _limit_state(cfg)
+    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
+    results = _sweep_rows(cfg, gs)
+    _write_csv(os.path.join(out, csv_name), _SOLVE_HEADER,
+               [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
+    fitted = fit is None or fit(out, gs, results)
     _append_manifest(out, *(f"rung = c {_fmt(rp.c_tilde)}: {rep.outcome}: {rep.message}"
                             for rp, rep, _ in results if not rep.converged))
+    return 0 if fitted and all(rep.converged for _, rep, _ in results) else 2
 
 
 def _cmd_sweep(cfg: RunConfig, out: str) -> int:
-    gs = _limit_state(cfg)
-    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
-    results = _sweep_rows(cfg, gs)
-    _write_csv(os.path.join(out, "sweep.csv"), _SOLVE_HEADER,
-               [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
-    _note_failed_rungs(out, results)
-    return 0 if all(rep.converged for _, rep, _ in results) else 2
+    return _run_ladder(cfg, out, "sweep.csv")
 
 
 def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
-    gs = _limit_state(cfg)
-    write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
-    results = _sweep_rows(cfg, gs)
-    _write_csv(os.path.join(out, "rate.csv"), _SOLVE_HEADER,
-               [_solve_row(rp, gs, rep, act) for rp, rep, act in results])
-    converged = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results if rep.converged]
-    code = 0 if len(converged) == len(results) else 2
-    floor = ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0)  # solve()'s own rounding floor
-    points = [(c, w) for c, w in converged if w > floor]
-    if len(points) >= 4:
-        fit = fit_rate(points)
-        _write_csv(os.path.join(out, "rate_fit.csv"),
-                   ("slope", "intercept", "r_squared", "points"),
-                   [(fit.slope, fit.intercept, fit.r_squared, len(points))])
-    else:
-        code = 2
-        _append_manifest(out, f"rate_fit = skipped: {len(points)} of {len(results)} rungs "
-                              f"converged above the rounding floor {floor:.3e}; the fit needs 4")
-    _note_failed_rungs(out, results)
-    return code
+    return _run_ladder(cfg, out, "rate.csv", _rate_fit)
 
 
 def _cmd_identity_check(cfg: RunConfig, out: str) -> int:

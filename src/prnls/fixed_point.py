@@ -29,7 +29,7 @@ one speed (certify) pays for the R_c inversion once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +61,13 @@ OUTCOME_STALLED = "stalled"
 class SolveReport:
     """Per-run record of the contraction iteration.
 
-    contraction_estimate is the largest single-step ratio
-    ||w_{k+1} - w_k|| / ||w_k - w_{k-1}|| over the whole Picard run, not a
-    contraction constant: a converged run can report it above 1. At n = 2,
-    p = 3, m = 2, mu = 0.5, c = 2 on 64^2, L = 20 the run converges in 78
-    steps, but 33 of its 77 ratios exceed 1, up to 2.46, recurring every
-    7 steps to the end (2.29 in its second half): the iteration oscillates
-    while it converges.
+    steps[k] and w_norms[k] are ||w_{k+1} - w_k|| and ||w_{k+1}||. contraction_estimate
+    is the largest steps[k] / steps[k-1] whose steps[k-1] is above the step floor
+    max(10 tol_step, ROUNDING_FLOOR max(||u_inf||_{H^1}, 1)), else 0; not a
+    contraction constant: a converged run can report it above 1. At n = 2, p = 3,
+    m = 2, mu = 0.5, c = 2 on 64^2, L = 20 the run converges in 78 steps, but 30
+    of its 70 ratios above the floor exceed 1, up to 2.46, recurring every 7
+    steps to the end: the iteration oscillates while it converges.
     """
 
     outcome: str
@@ -129,11 +129,6 @@ def random_start(grid: Grid, rng: np.random.Generator, scale: float) -> Field:
     f = symmetrize_radial(Field(block, half_spectrum_apply(block, v, mask)))
     size = intersection_norm(f)
     return f * (scale / size) if size > 0 else f
-
-
-def _contraction_estimate(steps, floor: float) -> float:
-    ratios = [steps[k] / steps[k - 1] for k in range(1, len(steps)) if steps[k - 1] > floor]
-    return max(ratios) if ratios else 0.0
 
 
 def construction_precondition(rp: ReducedParams) -> str:
@@ -201,48 +196,48 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
           or construction.tol_lin != tol.tol_lin):
         raise ValueError("supplied construction was prepared for other parameters, "
                          "ground state or tol_lin")
-    # one running report; its "stalled" outcome stands unless an earlier exit decides
-    report = SolveReport(OUTCOME_STALLED, 0, 0.0, np.nan, np.nan, np.nan)
-    if construction.failure:
-        return None, replace(report, outcome=OUTCOME_DIVERGED, message=construction.failure)
-    report = replace(report, rc_norm=construction.rc_norm)
-
     block = grid.even
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
+    step_floor = max(10.0 * tol.tol_step, ROUNDING_FLOOR * max(ceiling, 1.0))
+    # the report's steps, w_norms and running contraction_estimate, as SolveReport defines them
+    steps, w_norms = [], []
+    k, wn, estimate = 0, np.nan, 0.0
+
+    def report(outcome, message="", residual=np.nan):  # built once, at the run's exit
+        return SolveReport(outcome, k, estimate, residual, construction.rc_norm, wn,
+                           tuple(w_norms), tuple(steps), message)
+
+    if construction.failure:
+        return None, report(OUTCOME_DIVERGED, construction.failure)
     # a start far outside the ball overflows float64 on its way to a diverged
     # outcome, which the report carries, so numpy's overflow warnings stay quiet
     with np.errstate(over="ignore"):
         w = symmetrize_radial(w0) if w0 is not None else Field.zeros(block)
-        step_floor = max(10.0 * tol.tol_step, ROUNDING_FLOOR * max(ceiling, 1.0))
         for k in range(1, _MAX_PICARD + 1):
             try:
                 w_new = phi(op, w, rc, tol.tol_lin)
             except (ConvergenceError, OverflowError) as exc:
-                return None, replace(report, outcome=OUTCOME_DIVERGED, iterations=k,
-                                     w_norm=intersection_norm(w),
-                                     message=f"Phi_c(w) failed at iteration {k}: {exc}")
-            steps = report.steps + (intersection_norm(w_new - w),)
+                wn = intersection_norm(w)
+                return None, report(OUTCOME_DIVERGED, f"Phi_c(w) failed at iteration {k}: {exc}")
+            steps.append(intersection_norm(w_new - w))
             wn = intersection_norm(w_new)
+            w_norms.append(wn)
             w = w_new
-            report = replace(report, iterations=k, steps=steps,
-                             w_norms=report.w_norms + (wn,), w_norm=wn,
-                             contraction_estimate=_contraction_estimate(steps, step_floor))
+            if k > 1 and steps[-2] > step_floor:
+                estimate = max(estimate, steps[-1] / steps[-2])
 
             if float(np.max(np.abs(op.u + block.at_reps(w.values)))) < _COLLAPSE_FLOOR:
-                return None, replace(report, outcome=OUTCOME_COLLAPSED,
-                                     message="iterate collapsed to zero")
+                return None, report(OUTCOME_COLLAPSED, "iterate collapsed to zero")
             if not np.isfinite(wn) or wn > ceiling:
-                return None, replace(report, outcome=OUTCOME_DIVERGED,
-                                     message=f"||w||={wn:.3e} left the contraction ball "
-                                             f"(ceiling {ceiling:.3e})")
+                return None, report(OUTCOME_DIVERGED, f"||w||={wn:.3e} left the contraction ball "
+                                                      f"(ceiling {ceiling:.3e})")
             if steps[-1] < tol.tol_step:
                 u_c = gs.u_even + w
                 residual = limit_residual(u_c, rp.p, rp.c_tilde)
-                report = replace(report, final_residual=residual)
                 if residual <= tol.tol_residual:
-                    return u_c, replace(report, outcome=OUTCOME_CONVERGED)
-                return None, replace(report, message=f"step tolerance met but residual "
+                    return u_c, report(OUTCOME_CONVERGED, residual=residual)
+                return None, report(OUTCOME_STALLED, f"step tolerance met but residual "
                                                      f"{residual:.3e} > tol_residual "
-                                                     f"{tol.tol_residual:g}")
+                                                     f"{tol.tol_residual:g}", residual)
 
-        return None, replace(report, message=f"no convergence within {_MAX_PICARD} iterations")
+        return None, report(OUTCOME_STALLED, f"no convergence within {_MAX_PICARD} iterations")

@@ -165,7 +165,7 @@ def _gmres(apply_b, b: np.ndarray, tol_abs: float):
                 break  # invariant subspace reached; restart from the new residual
             basis[j + 1] = w / h_next
         y = np.linalg.solve(tri[:used, :used], np.asarray(g[:used]))
-        x = x + np.tensordot(y, basis[:used], axes=(0, 0))
+        x = x + y @ basis[:used]
         if res <= tol_abs:
             return x, total
         r = b - apply_b(x)

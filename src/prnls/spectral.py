@@ -585,7 +585,7 @@ def _symmetric_block_norms(f: Field) -> tuple:
     orbits = g.orbits
     vr = g.at_reps(v)  # v's own terms are taken once per orbit
     d = _along_first_axis(v, g.diff_matrix)
-    nyquist = np.tensordot(g.dct_matrix[-1], v, axes=1)
+    nyquist = (g.dct_matrix[-1] @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
     plane = g.cell_volume / g.N * float(np.sum(g.weights[0] * nyquist * nyquist))
     xi_m = g.grid.freqs_half[-1]
     h1_sq = g.cell_volume * (float(orbits.weights @ (vr * vr)) + n * g.lattice_sum(d * d)) \

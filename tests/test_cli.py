@@ -1063,3 +1063,23 @@ rungs = 2
     assert main(["sweep", cfg, "--output-dir", str(serial)]) == 0
     assert main(["sweep", cfg, "--workers", "2", "--output-dir", str(parallel)]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_rate_sweep_and_sweep_write_the_same_rows(tmp_path):
+    # one ladder runner: on a 4-rung ladder whose c = 4 rung leaves the
+    # contraction ball, rate.csv and sweep.csv hold the same bytes, and the
+    # manifests the same rung lines, serial and on a pool
+    text = ("[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 64\nbox_radius = 20.0\n\n"
+            "[sweep]\nc_min = 4.0\nc_max = 32.0\nrungs = 4\n")
+    cfg = _cfg(tmp_path, text)
+    for workers in ("1", "2"):
+        runs = {}
+        for command, name in (("sweep", "sweep.csv"), ("rate-sweep", "rate.csv")):
+            out = tmp_path / f"{command}{workers}"
+            code = main([command, cfg, "--workers", workers, "--output-dir", str(out)])
+            rungs = [line for line in (out / "manifest.txt").read_text().splitlines()
+                     if line.startswith("rung = ")]
+            runs[command] = (code, (out / name).read_bytes(), rungs)
+        assert runs["sweep"] == runs["rate-sweep"]
+        code, rows, rungs = runs["sweep"]
+        assert code == 2 and rows.count(b"\n") == 5 and len(rungs) == 1

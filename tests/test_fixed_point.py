@@ -15,7 +15,7 @@ from prnls.diagnostics import fit_rate
 from prnls.errors import ConvergenceError, SolverError
 from prnls.ground_state import solve_limit_equation
 from prnls.linsolve import linearized_operator
-from prnls.params import ReducedParams, ToleranceSet
+from prnls.params import PhysicalParams, ReducedParams, ToleranceSet, reduce_params
 from prnls.spectral import (Field, Grid, intersection_norm, norm_h1, norm_lq,
                             signed_power, symmetrize_radial)
 from prnls.symbols import p_c
@@ -203,6 +203,22 @@ def test_solve_report_steps_decrease(uc16_small):
     assert len(steps) == rep.iterations
     for a, b in zip(steps[1:-1], steps[2:]):
         assert b < a
+
+
+def test_contraction_estimate_is_the_largest_step_ratio_above_the_floor():
+    # the oscillating run SolveReport's docstring quotes (c_tilde = 4 sqrt(2)):
+    # it converges, yet 30 of its 70 step ratios above the step floor exceed 1
+    rp = reduce_params(PhysicalParams(2, 3.0, 2.0, 0.5, 2.0))
+    grid = Grid(2, 64, 20.0)
+    gs = solve_limit_equation(rp, grid)
+    _, rep = fp.solve(rp, grid, gs)
+    tol = ToleranceSet()
+    floor = max(10.0 * tol.tol_step, fp.ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0))
+    ratios = [b / a for a, b in zip(rep.steps, rep.steps[1:]) if a > floor]
+    assert rep.converged and rep.iterations == len(rep.steps) == len(rep.w_norms) == 78
+    assert len(ratios) == 70 and sum(r > 1.0 for r in ratios) == 30
+    assert rep.contraction_estimate == max(ratios)
+    assert rep.contraction_estimate == pytest.approx(2.4613, abs=1e-4)
 
 
 def test_independent_residual_recompute(uc16_small):
