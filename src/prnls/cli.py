@@ -11,7 +11,10 @@ Subcommands
     norm-probe     empirical operator-norm ratios over a c-ladder
 
 Config files are INI-style with sections [params], [grid], [tolerances],
-[sweep], [run]; unknown sections or keys are rejected. Every run writes
+[sweep], [run]; unknown sections or keys are rejected, and _SCHEMA gives each
+key's type and default. The subcommand alone names the command. The output
+directory is --output-dir, else [run] output_dir, else ./prnls-out; one that
+cannot be created is a config error (exit 1) before any output. Every run writes
 manifest.txt (config echo, versions) before any numeric work and appends
 timings, each as a line "timings.<phase>_seconds = ...":
     ground_state   the ground-state solve, when it ends (also if it fails)
@@ -74,10 +77,6 @@ from .spectral import Grid, intersection_norm, norm_h1, write_field
 from .symbols import check_derivative_bounds, check_difference_bound, \
     check_pointwise_bounds
 
-COMMANDS = ("ground-state", "solve", "sweep", "rate-sweep", "identity-check",
-            "certify", "symbol-check", "norm-probe")
-
-_OUTPUT_DIR_ENV = "PRNLS_OUTPUT_DIR"
 _GENUINE_MISMATCH = 1e-6
 _PROBE_START_SCALE = 0.3
 _DERIVATIVE_C_LADDER = (2.0, 8.0, 32.0, 128.0)
@@ -111,13 +110,18 @@ class RunConfig:
     probe: bool = False
 
 
+# each config key's (type, default) for parse_config: a _REQUIRED key must be
+# set, a grid key left at None takes Grid.default(n)'s value
+_REQUIRED = object()
 _SCHEMA = {
-    "params": {"n": int, "p": float, "c": float, "m": float, "mu": float},
-    "grid": {"n_points": int, "box_radius": float},
-    "tolerances": {f.name: float for f in fields(ToleranceSet)},
-    "sweep": {"c_min": float, "c_max": float, "rungs": int},
-    "run": {"command": str, "output_dir": str, "seed": int, "probes": int,
-            "trials": int, "samples": int, "workers": int},
+    "params": {"n": (int, _REQUIRED), "p": (float, _REQUIRED), "c": (float, math.inf),
+               "m": (float, 0.5), "mu": (float, 1.0)},
+    "grid": {"n_points": (int, None), "box_radius": (float, None)},
+    "tolerances": {f.name: (float, f.default) for f in fields(ToleranceSet)},
+    "sweep": {"c_min": (float, _REQUIRED), "c_max": (float, _REQUIRED),
+              "rungs": (int, _REQUIRED)},
+    "run": {"output_dir": (str, "prnls-out"), "seed": (int, 0), "probes": (int, 50),
+            "trials": (int, 20), "samples": (int, 100000), "workers": (int, 1)},
 }
 
 _RUN_FLOORS = {"seed": 0, "probes": 1, "trials": 1, "samples": 100, "workers": 1}
@@ -125,9 +129,11 @@ _NEEDS_FINITE_C = {"solve", "identity-check", "certify"}
 _NEEDS_SWEEP = {"sweep", "rate-sweep", "norm-probe"}
 
 
-def _get(cp, section: str, key: str, cast, default):
+def _get(cp, section: str, key: str):
+    """[section] key as its _SCHEMA type, or its _SCHEMA default when absent."""
+    cast, default = _SCHEMA[section][key]
     if not cp.has_option(section, key):
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
         return default
     raw = cp.get(section, key)
@@ -137,14 +143,14 @@ def _get(cp, section: str, key: str, cast, default):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from None
 
 
-def _run_floor(key: str, val: int) -> int:
-    """Check a [run] integer against its floor, whether it came from the file or a flag."""
-    if val < _RUN_FLOORS[key]:
+def _run_floor(key: str, val):
+    """Check a [run] value against its floor, if it has one, whether from the file or a flag."""
+    if key in _RUN_FLOORS and val < _RUN_FLOORS[key]:
         raise ConfigError(f"{key} must be >= {_RUN_FLOORS[key]}, got {val}")
     return val
 
 
-def parse_config(text: str, command: str = None) -> RunConfig:
+def parse_config(text: str, command: str) -> RunConfig:
     """Parse and validate an INI config; unknown sections/keys are errors."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -159,67 +165,50 @@ def parse_config(text: str, command: str = None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
-    file_command = _get(cp, "run", "command", str, "")
-    if file_command and file_command not in COMMANDS:
-        raise ConfigError(f"unknown command {file_command!r} (choose from {', '.join(COMMANDS)})")
-    if command and file_command and command != file_command:
-        raise ConfigError(f"config says command = {file_command} but {command} was invoked")
-    resolved_command = command or file_command or "solve"
-
     if not cp.has_section("params"):
         raise ConfigError("missing required section [params]")
-    n = _get(cp, "params", "n", int, None)
-    p = _get(cp, "params", "p", float, None)
-    c = _get(cp, "params", "c", float, math.inf)
-    m = _get(cp, "params", "m", float, 0.5)
-    mu = _get(cp, "params", "mu", float, 1.0)
+    n, p, c, m, mu = (_get(cp, "params", key) for key in _SCHEMA["params"])
     try:
         params = PhysicalParams(n, p, m, mu, c)
         reduce_params(params)  # a finite c must reduce to a finite positive c_tilde
         default_grid = Grid.default(n)
-        grid = Grid(n, _get(cp, "grid", "n_points", int, default_grid.N),
-                    _get(cp, "grid", "box_radius", float, default_grid.L))
-        if resolved_command == "solve":  # solve lifts u_c to the physical frame
+        size, radius = (_get(cp, "grid", key) for key in _SCHEMA["grid"])
+        grid = Grid(n, default_grid.N if size is None else size,
+                    default_grid.L if radius is None else radius)
+        if command == "solve":  # solve lifts u_c to the physical frame
             physical_frame(grid, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def tol(field):
-        val = _get(cp, "tolerances", field.name, float, field.default)
+    def tol(key):
+        val = _get(cp, "tolerances", key)
         if not (0 < val < math.inf):
-            raise ConfigError(f"{field.name} must be positive and finite, got {val}")
+            raise ConfigError(f"{key} must be positive and finite, got {val}")
         return val
 
-    tols = ToleranceSet(*(tol(f) for f in fields(ToleranceSet)))
+    tols = ToleranceSet(*map(tol, _SCHEMA["tolerances"]))
 
     sweep = None
     if cp.has_section("sweep"):
-        sweep = SweepSpec(_get(cp, "sweep", "c_min", float, None),
-                          _get(cp, "sweep", "c_max", float, None),
-                          _get(cp, "sweep", "rungs", int, None))
+        sweep = SweepSpec(*(_get(cp, "sweep", key) for key in _SCHEMA["sweep"]))
         if not (0 < sweep.c_min < sweep.c_max < math.inf):
             raise ConfigError(f"need 0 < c_min < c_max < inf, got {sweep.c_min}, "
                               f"{sweep.c_max}")
-        min_rungs = 4 if resolved_command == "rate-sweep" else 2
+        min_rungs = 4 if command == "rate-sweep" else 2
         if sweep.rungs < min_rungs:
-            raise ConfigError(f"{resolved_command} needs rungs >= {min_rungs}, got {sweep.rungs}")
+            raise ConfigError(f"{command} needs rungs >= {min_rungs}, got {sweep.rungs}")
         if len(set(sweep.ladder())) < sweep.rungs:
             raise ConfigError(f"{sweep.rungs} rungs from c_min = {sweep.c_min!r} to c_max = "
                               f"{sweep.c_max!r} repeat a speed")
-    elif resolved_command in _NEEDS_SWEEP:
-        raise ConfigError(f"{resolved_command} requires a [sweep] section")
-    elif resolved_command == "symbol-check":
+    elif command in _NEEDS_SWEEP:
+        raise ConfigError(f"{command} requires a [sweep] section")
+    elif command == "symbol-check":
         sweep = SweepSpec(2.0, 1024.0, 10)
 
-    def run_int(key, default):
-        return _run_floor(key, _get(cp, "run", key, int, default))
-
-    output_dir = _get(cp, "run", "output_dir", str, "") \
-        or os.environ.get(_OUTPUT_DIR_ENV, "") or "prnls-out"
-
-    cfg = RunConfig(resolved_command, params, grid, tols, sweep, output_dir,
-                    run_int("seed", 0), run_int("probes", 50), run_int("trials", 20),
-                    run_int("samples", 100000), run_int("workers", 1))
+    run = {key: _run_floor(key, _get(cp, "run", key)) for key in _SCHEMA["run"]}
+    if not run["output_dir"]:  # an empty output_dir = takes the default too
+        run["output_dir"] = _SCHEMA["run"]["output_dir"][1]
+    cfg = RunConfig(command, params, grid, tols, sweep, **run)
     if cfg.command in _NEEDS_FINITE_C and math.isinf(params.c):
         raise ConfigError(f"{cfg.command} requires a finite c in [params]")
     return cfg
@@ -248,7 +237,7 @@ def _write_manifest(cfg: RunConfig, path: str):
     lines = [f"command = {cfg.command}"]
     lines += [f"{section}.{key} = {_fmt(getattr(sections[section], key))}"
               for section, keys in _SCHEMA.items() if sections[section] is not None
-              for key in keys if key != "command"]
+              for key in keys]
     lines.append(f"run.probe = {_fmt(cfg.probe)}")
     lines += [f"versions.python = {sys.version.split()[0]}",
               f"versions.numpy = {np.__version__}",
@@ -533,6 +522,7 @@ _RUNNERS = {
     "symbol-check": _cmd_symbol_check,
     "norm-probe": _cmd_norm_probe,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def _check_construction(cfg: RunConfig):
@@ -564,8 +554,11 @@ def run(cfg: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     _check_construction(cfg)
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _write_manifest(cfg, os.path.join(out, "manifest.txt"))
+    try:
+        os.makedirs(out, exist_ok=True)
+        _write_manifest(cfg, os.path.join(out, "manifest.txt"))
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
     try:
         with _timed(out, "total"), np.errstate(**_FLOAT_POLICY), _float_range():
             code = _RUNNERS[cfg.command](cfg, out)

@@ -656,6 +656,8 @@ def write_field(path, f: Field, label: str, p: float = float("nan"),
     """
     if any(ch.isspace() for ch in label) or not label:
         raise ValueError(f"label must be non-empty and contain no whitespace: {label!r}")
+    if not label.isascii():  # checked before open() truncates path
+        raise ValueError(f"label must be ASCII: {label!r}")
     grid = f.grid.grid if isinstance(f.grid, EvenBlock) else f.grid
     head = (f"n={grid.n} N={grid.N} L={grid.L!r} p={float(p)!r} "
             f"c={float(c)!r} label={label}\n")

@@ -53,8 +53,7 @@ def _read_rows(path):
 
 # ------------------------------------------------------------- parse_config
 
-def test_parse_config_defaults(monkeypatch):
-    monkeypatch.delenv("PRNLS_OUTPUT_DIR", raising=False)
+def test_parse_config_defaults():
     cfg = parse_config(MINIMAL_2D, "ground-state")
     assert cfg.command == "ground-state"
     assert cfg.params.m == 0.5 and cfg.params.mu == 1.0
@@ -91,7 +90,6 @@ c_max = 64.0
 rungs = 5
 
 [run]
-command = sweep
 output_dir = out-here
 seed = 7
 probes = 3
@@ -102,7 +100,7 @@ workers = 2
 
 
 def test_parse_config_reads_every_section():
-    cfg = parse_config(EVERY_SECTION)
+    cfg = parse_config(EVERY_SECTION, "sweep")
     assert cfg.command == "sweep"
     assert cfg.params.c == 32.0 and cfg.params.m == 1.0
     assert cfg.grid.N == 64 and cfg.grid.L == 15.0
@@ -114,8 +112,7 @@ def test_parse_config_reads_every_section():
 
 _VALUES = st.one_of(
     st.sampled_from(["1", "2", "3", "-1", "0", "3.0", "16", "64", "20.0", "1e-10", "1e308",
-                     "1e999", "inf", "-inf", "nan", "true", "", "x", "9" * 5000,
-                     "ground-state", "rate-sweep"]),
+                     "1e999", "inf", "-inf", "nan", "true", "", "x", "9" * 5000]),
     st.text(max_size=12))
 
 
@@ -139,7 +136,7 @@ def _config_texts(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_config_texts(), st.sampled_from((None,) + COMMANDS))
+@given(_config_texts(), st.sampled_from(COMMANDS))
 def test_parse_config_returns_a_config_or_raises_config_error(text, command):
     try:
         cfg = parse_config(text, command)
@@ -210,10 +207,10 @@ def test_a_whole_run_ends_in_a_config_error_or_a_reported_exit(case):
 
 def test_manifest_echoes_every_config_key(tmp_path):
     path = tmp_path / "manifest.txt"
-    _write_manifest(parse_config(EVERY_SECTION), str(path))
+    _write_manifest(parse_config(EVERY_SECTION, "sweep"), str(path))
     lines = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
     expected = {f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys}
-    expected = expected - {"run.command"} | {"run.probe"}
+    expected |= {"run.probe"}
     assert expected <= lines.keys(), expected - lines.keys()
     assert lines["command"] == "sweep"
     assert {k: float(lines[f"tolerances.{k}"]) for k in _SCHEMA["tolerances"]} == {
@@ -264,17 +261,6 @@ def test_parse_config_rate_sweep_needs_four_rungs():
     text = MINIMAL_2D + "\n[sweep]\nc_min = 4.0\nc_max = 64.0\nrungs = 3\n"
     with pytest.raises(ConfigError, match="rungs >= 4"):
         parse_config(text, "rate-sweep")
-
-
-def test_parse_config_command_mismatch():
-    text = MINIMAL_2D + "\n[run]\ncommand = sweep\n"
-    with pytest.raises(ConfigError, match="sweep but ground-state was invoked"):
-        parse_config(text, "ground-state")
-
-
-def test_parse_config_unknown_run_command():
-    with pytest.raises(ConfigError, match="unknown command"):
-        parse_config(MINIMAL_2D + "\n[run]\ncommand = frobnicate\n")
 
 
 def test_parse_config_run_value_floors():
@@ -1016,16 +1002,29 @@ def test_importing_the_cli_loads_no_process_pool():
 
 # ------------------------------------------------------------ output routing
 
-def test_output_dir_env_and_flag(tmp_path, monkeypatch):
-    text = MINIMAL_2D + "\n[run]\nsamples = 100\n"
-    env_dir = tmp_path / "env-out"
-    monkeypatch.setenv("PRNLS_OUTPUT_DIR", str(env_dir))
-    assert main(["symbol-check", _cfg(tmp_path, text)]) == 0
-    assert (env_dir / "symbols.csv").exists()
-
-    flag_dir = tmp_path / "flag-out"
+def test_output_dir_flag_beats_the_config_key(tmp_path):
+    file_dir, flag_dir = tmp_path / "file-out", tmp_path / "flag-out"
+    text = MINIMAL_2D + f"\n[run]\nsamples = 100\noutput_dir = {file_dir}\n"
     assert main(["symbol-check", _cfg(tmp_path, text), "--output-dir", str(flag_dir)]) == 0
-    assert (flag_dir / "symbols.csv").exists()
+    assert (flag_dir / "symbols.csv").exists() and not file_dir.exists()
+    assert main(["symbol-check", _cfg(tmp_path, text)]) == 0
+    assert (file_dir / "symbols.csv").exists()
+
+
+def test_an_empty_output_dir_takes_the_default():
+    # with neither channel set the default holds too: test_parse_config_defaults
+    assert parse_config(MINIMAL_2D + "\n[run]\noutput_dir =\n", "ground-state").output_dir \
+        == "prnls-out"
+
+
+def test_an_output_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    text = MINIMAL_2D + "\n[run]\nsamples = 100\n"
+    assert main(["symbol-check", _cfg(tmp_path, text), "--output-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+    assert taken.read_text() == "keep"
 
 
 # -------------------------------------------------------------- determinism

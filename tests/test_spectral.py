@@ -720,6 +720,17 @@ def test_write_field_gives_the_lift_then_tobytes_bytes(tmp_path, n, N, on_block)
     assert g.grid == grid and np.array_equal(g.values, full.values)
 
 
+@pytest.mark.parametrize("label", ["", "u c", "u\u00fc"])
+def test_write_field_rejects_a_bad_label_before_touching_the_file(tmp_path, label):
+    # the label goes into the ASCII header: a bad one must leave an existing file whole
+    path = tmp_path / "field.bin"
+    write_field(path, _random_field(Grid(2, 16, 5.0), 3), "u", p=3.0, c=8.0)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="label must be"):
+        write_field(path, _random_field(Grid(2, 16, 5.0), 4), label)
+    assert path.read_bytes() == before
+
+
 def test_write_field_streams_a_block_field_without_a_full_grid_array(tmp_path):
     grid = Grid(3, 64, 15.0)
     f = Field(grid.even, np.random.default_rng(0).standard_normal(grid.even.shape))
