@@ -59,6 +59,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,8 +68,8 @@ from . import __version__
 from .diagnostics import action, check_identities, fit_rate, nonexistence_certificate, \
     nonexistence_regime, trace_inequality_check
 from .errors import CollapseError, ConfigError, SolverError
-from .fixed_point import ROUNDING_FLOOR, SolveReport, construction_precondition, prepare, \
-    random_start, solve
+from .fixed_point import OUTCOME_COLLAPSED, OUTCOME_CONVERGED, OUTCOME_DIVERGED, SolveReport, \
+    construction_precondition, prepare, random_start, rounding_floor, solve
 from .ground_state import solve_limit_equation
 from .linsolve import operator_norm_probe
 from .params import PhysicalParams, ReducedParams, ToleranceSet, lift_solution, \
@@ -345,11 +346,11 @@ def _cmd_ground_state(cfg: RunConfig, out: str) -> int:
     try:
         gs = _limit_state(cfg)
     except (SolverError, FloatingPointError, OverflowError) as exc:  # run() writes the reason
-        outcome = "collapsed" if isinstance(exc, CollapseError) else "diverged"
+        outcome = OUTCOME_COLLAPSED if isinstance(exc, CollapseError) else OUTCOME_DIVERGED
         _write_csv(path, header, [run + (outcome, 0, math.nan, math.nan, math.nan)])
         raise
     center = float(gs.u_even.values[(0,) * cfg.params.n])
-    _write_csv(path, header, [run + ("converged", gs.iterations, gs.residual,
+    _write_csv(path, header, [run + (OUTCOME_CONVERGED, gs.iterations, gs.residual,
                                      norm_h1(gs.u_even), center)])
     write_field(os.path.join(out, "u_inf.bin"), gs.u_even, "u_inf", cfg.params.p, math.inf)
     return 0
@@ -374,9 +375,9 @@ def _sweep_rows(cfg: RunConfig, gs):
         return [_solve_rung(c, cfg, gs) for c in ladder]
     # imported here, so only a sweep that forks loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    # a forking pool starts all its workers at the first submit: one per rung at most.
+    # a forking pool starts all its workers at the first submit: one per rung and CPU at most.
     # Each worker gets (cfg, gs) once (by fork, or pickled once under spawn); a job is its speed
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ladder)),
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(ladder), os.cpu_count() or 1),
                              initializer=_start_worker, initargs=(cfg, gs)) as pool:
         return list(pool.map(_solve_rung, ladder))
 
@@ -386,7 +387,7 @@ def _rate_fit(out: str, gs, results) -> bool:
 
     Fewer than four give no fit, a "rate_fit = skipped: ..." line and False.
     """
-    floor = ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0)  # solve()'s own rounding floor
+    floor = rounding_floor(norm_h1(gs.u_even))
     points = [(rp.c_tilde, rep.w_norm) for rp, rep, _ in results
               if rep.converged and rep.w_norm > floor]
     if len(points) < 4:
@@ -414,14 +415,6 @@ def _run_ladder(cfg: RunConfig, out: str, csv_name: str, fit=None) -> int:
     _append_manifest(out, *(f"rung = c {_fmt(rp.c_tilde)}: {rep.outcome}: {rep.message}"
                             for rp, rep, _ in results if not rep.converged))
     return 0 if fitted and all(rep.converged for _, rep, _ in results) else 2
-
-
-def _cmd_sweep(cfg: RunConfig, out: str) -> int:
-    return _run_ladder(cfg, out, "sweep.csv")
-
-
-def _cmd_rate_sweep(cfg: RunConfig, out: str) -> int:
-    return _run_ladder(cfg, out, "rate.csv", _rate_fit)
 
 
 def _cmd_identity_check(cfg: RunConfig, out: str) -> int:
@@ -515,8 +508,8 @@ def _cmd_norm_probe(cfg: RunConfig, out: str) -> int:
 _RUNNERS = {
     "ground-state": _cmd_ground_state,
     "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "rate-sweep": _cmd_rate_sweep,
+    "sweep": partial(_run_ladder, csv_name="sweep.csv"),
+    "rate-sweep": partial(_run_ladder, csv_name="rate.csv", fit=_rate_fit),
     "identity-check": _cmd_identity_check,
     "certify": _cmd_certify,
     "symbol-check": _cmd_symbol_check,

@@ -29,8 +29,14 @@ from .symbols import kinetic, sigma_halfspace
 _MISMATCH_EPS = 1e-300
 
 
-def _rel_mismatch(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _MISMATCH_EPS)
+def _halfspace_sums(u: Field, c: float) -> tuple:
+    """int |grad_x U|^2, int |dt U|^2 and int |U|^2 for u's extension U, from one DCT-I of u.
+
+    Each t-integral collapses analytically (int_0^inf e^{-2 t sigma} dt = 1/(2 sigma)).
+    """
+    sigma = sigma_halfspace(c)
+    return plancherel_sum(u, lambda r2: r2 / (2.0 * sigma(r2)), lambda r2: 0.5 * sigma(r2),
+                          lambda r2: 0.5 / sigma(r2))
 
 
 @dataclass(frozen=True)
@@ -57,17 +63,12 @@ class ExtensionWeights:
 def extension_weights(u: Field, c: float, p: float) -> ExtensionWeights:
     """Half-space integrals of the extension of an even-block field u, in closed form.
 
-    With U(xi,t) = u(xi) e^{-t sigma}, every t-integral collapses analytically
-    (int_0^inf e^{-2 t sigma} dt = 1/(2 sigma)), leaving pure Plancherel sums.
+    The bulk terms are c^2 and c^4/4 times the raw half-space sums, all three
+    from one DCT-I of u. A speed c <= 0 raises ValueError (symbols.sigma_halfspace).
     """
-    if not (c > 0):
-        raise ValueError(f"speed c must be positive, got {c}")
-    sigma = sigma_halfspace(c)
-    grad_x = c * c * plancherel_sum(u, lambda r2: r2 / (2.0 * sigma(r2)))
-    grad_t = c * c * plancherel_sum(u, lambda r2: 0.5 * sigma(r2))
-    mass = 0.25 * c ** 4 * plancherel_sum(u, lambda r2: 0.5 / sigma(r2))
-    return ExtensionWeights(grad_x, grad_t, mass, c * norm_lq(u, 2) ** 2,
-                            c * norm_lq(u, p + 1.0) ** (p + 1.0))
+    grad_x, grad_t, mass = _halfspace_sums(u, c)
+    return ExtensionWeights(c * c * grad_x, c * c * grad_t, 0.25 * c ** 4 * mass,
+                            c * norm_lq(u, 2) ** 2, c * norm_lq(u, p + 1.0) ** (p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class IdentityReport:
 
 
 def _identity_row(label, lhs, rhs) -> IdentityRow:
-    return IdentityRow(label, lhs, rhs, _rel_mismatch(lhs, rhs))
+    return IdentityRow(label, lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), _MISMATCH_EPS))
 
 
 def check_identities(u_c: Field, rp: ReducedParams) -> IdentityReport:
@@ -126,9 +127,7 @@ def check_identities(u_c: Field, rp: ReducedParams) -> IdentityReport:
 
 def trace_inequality_check(u: Field, c: float) -> float:
     """Ratio ||u||_2^2 / (2 ||U||_2 ||dt U||_2), <= 1 by Cauchy-Schwarz; u on the even block."""
-    sigma = sigma_halfspace(c)
-    mass_raw = plancherel_sum(u, lambda r2: 0.5 / sigma(r2))
-    grad_t_raw = plancherel_sum(u, lambda r2: 0.5 * sigma(r2))
+    _, grad_t_raw, mass_raw = _halfspace_sums(u, c)
     bound = 2.0 * math.sqrt(mass_raw) * math.sqrt(grad_t_raw)
     trace = norm_lq(u, 2) ** 2
     if bound == 0.0:
@@ -173,7 +172,7 @@ def action(u: Field, rp: ReducedParams) -> float:
     (1/2) <(P_c(D) - 1) u, u> + (1/2) ||u||_2^2 - ||u||_{p+1}^{p+1} / (p+1) at
     the reduced speed c_tilde, the kinetic term in cancellation-free form.
     """
-    kin = plancherel_sum(u, kinetic(rp.c_tilde))
+    (kin,) = plancherel_sum(u, kinetic(rp.c_tilde))
     return (0.5 * kin + 0.5 * norm_lq(u, 2) ** 2
             - norm_lq(u, rp.p + 1.0) ** (rp.p + 1.0) / (rp.p + 1.0))
 

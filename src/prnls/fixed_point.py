@@ -47,14 +47,20 @@ from .symbols import p_infty_minus_p_c
 _C_FLOOR = 2.0
 _MAX_PICARD = 200
 _START_KMAX = 4.0
-# relative rounding floor of a norm: solve() steps, and rate-sweep fits, no distance below
-# ROUNDING_FLOOR * max(||u_inf||_{H^1}, 1)
-ROUNDING_FLOOR = 1e-14
+_ROUNDING_FLOOR = 1e-14
 
 OUTCOME_CONVERGED = "converged"
 OUTCOME_COLLAPSED = "collapsed"
 OUTCOME_DIVERGED = "diverged"
 OUTCOME_STALLED = "stalled"
+
+
+def rounding_floor(h1_norm: float) -> float:
+    """Rounding floor 1e-14 max(h1_norm, 1) of a norm, for h1_norm = ||u_inf||_{H^1}.
+
+    solve()'s contraction estimate and rate-sweep's fit read no distance below it.
+    """
+    return _ROUNDING_FLOOR * max(h1_norm, 1.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class SolveReport:
 
     steps[k] and w_norms[k] are ||w_{k+1} - w_k|| and ||w_{k+1}||. contraction_estimate
     is the largest steps[k] / steps[k-1] whose steps[k-1] is above the step floor
-    max(10 tol_step, ROUNDING_FLOOR max(||u_inf||_{H^1}, 1)), else 0; not a
+    max(10 tol_step, rounding_floor(||u_inf||_{H^1})), else 0; not a
     contraction constant: a converged run can report it above 1. At n = 2, p = 3,
     m = 2, mu = 0.5, c = 2 on 64^2, L = 20 the run converges in 78 steps, but 30
     of its 70 ratios above the floor exceed 1, up to 2.46, recurring every 7
@@ -198,7 +204,7 @@ def solve(rp: ReducedParams, grid: Grid, gs: GroundState, w0: Field = None,
                          "ground state or tol_lin")
     block = grid.even
     op, rc, ceiling = construction.op, construction.rc, construction.ceiling
-    step_floor = max(10.0 * tol.tol_step, ROUNDING_FLOOR * max(ceiling, 1.0))
+    step_floor = max(10.0 * tol.tol_step, rounding_floor(ceiling))
     # the report's steps, w_norms and running contraction_estimate, as SolveReport defines them
     steps, w_norms = [], []
     k, wn, estimate = 0, np.nan, 0.0

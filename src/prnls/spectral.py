@@ -209,11 +209,6 @@ def _reduced_angles(m: int) -> np.ndarray:
     return np.outer(j, j) % (2 * m)
 
 
-def _along_first_axis(values: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply the square matrix mat along axis 0 of values: mat @ values.reshape(s, -1)."""
-    return (mat @ values.reshape(values.shape[0], -1)).reshape(values.shape)
-
-
 def _transform(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None) -> np.ndarray:
     """Apply the square matrix mat, with its C-contiguous transpose mat_t, along every axis.
 
@@ -448,10 +443,8 @@ class Field:
         self._check_same_grid(other)
         return Field(self.grid, self.values - other.values)
 
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values * other.values)
+    def __mul__(self, other) -> "Field":
+        """The field scaled by the real number other; a Field operand raises TypeError."""
         return Field(self.grid, self.values * float(other))
 
     __rmul__ = __mul__
@@ -522,27 +515,31 @@ def norm_lq(f: Field, q: float) -> float:
     return _lq(f.grid, f.values, q)
 
 
-def plancherel_sum(f: Field, weight) -> float:
-    """Frequency-side quadratic form sum_k weight(|xi_k|^2) |fhat_k|^2 of an even-block field.
+def plancherel_sum(f: Field, *weights) -> tuple:
+    """Frequency-side quadratic forms sum_k weight(|xi_k|^2) |fhat_k|^2 of an even-block field.
 
-    `weight` maps |xi|^2 to a radial weight. The sum runs over the full
-    lattice: the DCT-I coefficients are fhat on the non-negative orthant and
-    count with the block's weights. Normalized to match (2 pi)^{-n} *
-    integral of weight * |continuum FT|^2; with weight 1 this equals the
-    squared L^2 norm. A full-grid field raises ValueError: EvenBlock.restrict
-    takes its sign-flip average onto the block.
+    Each weight maps |xi|^2 to a radial weight; all of them are summed
+    against one DCT-I of f, and the result holds one sum per weight, in
+    order. The sum runs over the full lattice: the DCT-I coefficients are
+    fhat on the non-negative orthant and count with the block's weights.
+    Normalized to match (2 pi)^{-n} * integral of weight * |continuum FT|^2;
+    with weight 1 this equals the squared L^2 norm. A full-grid field raises
+    ValueError: EvenBlock.restrict takes its sign-flip average onto the block.
     """
     g = f.grid
     if not isinstance(g, EvenBlock):
         raise ValueError("plancherel_sum takes an even-block field; "
                          "EvenBlock.restrict takes a full-grid field there")
     power = g.weights * _transform(f.values, g.dct_matrix, g.dct_matrix_t) ** 2
-    return float(g.cell_volume / g.N ** g.n * np.sum(half_spectrum_multiplier(g, weight) * power))
+    return tuple(float(g.cell_volume / g.N ** g.n
+                       * np.sum(half_spectrum_multiplier(g, weight) * power))
+                 for weight in weights)
 
 
 def norm_h1(f: Field) -> float:
     """Sobolev H^1 norm of an even-block field, via the (1 + |xi|^2) multiplier."""
-    return math.sqrt(plancherel_sum(f, lambda r2: 1.0 + r2))
+    (h1_sq,) = plancherel_sum(f, lambda r2: 1.0 + r2)
+    return math.sqrt(h1_sq)
 
 
 def sobolev_norms(f: Field, q: float) -> tuple:
@@ -584,7 +581,7 @@ def _symmetric_block_norms(f: Field) -> tuple:
     n, v = g.n, f.values
     orbits = g.orbits
     vr = g.at_reps(v)  # v's own terms are taken once per orbit
-    d = _along_first_axis(v, g.diff_matrix)
+    d = (g.diff_matrix @ v.reshape(v.shape[0], -1)).reshape(v.shape)
     nyquist = (g.dct_matrix[-1] @ v.reshape(v.shape[0], -1)).reshape(v.shape[1:])
     plane = g.cell_volume / g.N * float(np.sum(g.weights[0] * nyquist * nyquist))
     xi_m = g.grid.freqs_half[-1]

@@ -55,7 +55,7 @@ from prnls.errors import ConvergenceError
 from prnls.ground_state import (_MAX_PETVIASHVILI, _RESIDUAL_STALL, initial_gaussian,
                                 limit_residual)
 from prnls.linsolve import _STALL_FACTOR, _STALL_WINDOW, _gmres
-from prnls.spectral import (Field, Grid, _along_first_axis, gradient, half_spectrum_apply,
+from prnls.spectral import (Field, Grid, gradient, half_spectrum_apply,
                             half_spectrum_multiplier, norm_h1, norm_lq, symmetrize_radial)
 from prnls.symbols import p_c
 
@@ -189,13 +189,13 @@ def _along_axis(values: np.ndarray, mat: np.ndarray, mat_t: np.ndarray | None,
                 axis: int) -> np.ndarray:
     """Apply the square matrix mat along one axis of values.
 
-    Axis 0 is spectral._along_first_axis, also in 1-D, where mat_t is not
-    read. The last axis of a 2-D or 3-D array is one GEMM too,
+    Axis 0 is one GEMM, mat @ values.reshape(s, -1), also in 1-D, where
+    mat_t is not read. The last axis of a 2-D or 3-D array is one GEMM too,
     values.reshape(-1, s) @ mat_t, and the 3-D middle axis a stacked matmul.
     """
-    if axis == 0:
-        return _along_first_axis(values, mat)
     shape = values.shape
+    if axis == 0:
+        return (mat @ values.reshape(shape[0], -1)).reshape(shape)
     if axis == len(shape) - 1:
         return (values.reshape(-1, shape[axis]) @ mat_t).reshape(shape)
     return np.matmul(mat, values.reshape(-1, shape[axis], math.prod(shape[axis + 1:]))

@@ -910,14 +910,27 @@ def _serial_pool(monkeypatch):
 
 def test_worker_pool_is_capped_at_the_rung_count(tmp_path, monkeypatch):
     # a forking pool starts all max_workers processes at its first submit, so
-    # --workers 500 on a 2-rung ladder must ask for 2
+    # --workers 500 on a 2-rung ladder must ask for 2, on a machine of any size
     seen = _serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 2\n"
     out = tmp_path / "out"
     assert main(["sweep", _cfg(tmp_path, text), "--workers", "500",
                  "--output-dir", str(out)]) == 0
     assert seen["requested"] == [2]
     assert len(_read_rows(out / "sweep.csv")) == 2
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # --workers 500 on 3 rungs and 2 CPUs asks for 2 processes, not 3 or 500
+    seen = _serial_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    text = SOLVE_2D + "\n[sweep]\nc_min = 8.0\nc_max = 16.0\nrungs = 3\n"
+    out = tmp_path / "out"
+    assert main(["sweep", _cfg(tmp_path, text), "--workers", "500",
+                 "--output-dir", str(out)]) == 0
+    assert seen["requested"] == [2]
+    assert len(_read_rows(out / "sweep.csv")) == 3
 
 
 def test_sweep_pool_gets_the_state_once_and_each_job_is_a_speed(tmp_path, monkeypatch):

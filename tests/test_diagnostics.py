@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import prnls
+from prnls import spectral
 from prnls.diagnostics import (action, check_identities, extension_weights, fit_rate,
                                nonexistence_certificate, trace_inequality_check)
 from prnls.params import ReducedParams
@@ -47,7 +48,7 @@ def test_bulk_summand_identity():
         w = extension_weights(u, c, 3.0)
         total = w.grad_x_bulk + w.grad_t_bulk + w.mass_bulk
         sig = sigma_halfspace(c)
-        direct = c * c * plancherel_sum(u, lambda r2: sig(r2))
+        direct = c * c * plancherel_sum(u, lambda r2: sig(r2))[0]
         assert total == pytest.approx(direct, rel=1e-12)
 
 
@@ -55,6 +56,24 @@ def test_extension_weights_zero_field():
     grid = Grid(1, 32, 5.0)
     w = extension_weights(Field.zeros(grid.even), 4.0, 3.0)
     assert w.grad_bulk == 0.0 and w.mass_bulk == 0.0 and w.boundary_l2 == 0.0
+    for c in (0.0, -4.0, math.nan):
+        with pytest.raises(ValueError, match="c must be positive"):
+            extension_weights(Field.zeros(grid.even), c, 3.0)
+
+
+def test_half_space_quantities_take_one_transform_each(monkeypatch):
+    # the x-gradient, t-gradient and mass sums share one DCT-I of u
+    grid = Grid(2, 32, 10.0)
+    u = grid.even.restrict(Field(grid, np.random.default_rng(6).standard_normal(grid.shape)))
+    calls = []
+    transform = spectral._transform
+    monkeypatch.setattr(spectral, "_transform",
+                        lambda *args: calls.append(args) or transform(*args))
+    for quantity in (lambda: extension_weights(u, 4.0, 3.0),
+                     lambda: trace_inequality_check(u, 4.0)):
+        calls.clear()
+        quantity()
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- iden-tities

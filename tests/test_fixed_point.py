@@ -213,7 +213,7 @@ def test_contraction_estimate_is_the_largest_step_ratio_above_the_floor():
     gs = solve_limit_equation(rp, grid)
     _, rep = fp.solve(rp, grid, gs)
     tol = ToleranceSet()
-    floor = max(10.0 * tol.tol_step, fp.ROUNDING_FLOOR * max(norm_h1(gs.u_even), 1.0))
+    floor = max(10.0 * tol.tol_step, fp.rounding_floor(norm_h1(gs.u_even)))
     ratios = [b / a for a, b in zip(rep.steps, rep.steps[1:]) if a > floor]
     assert rep.converged and rep.iterations == len(rep.steps) == len(rep.w_norms) == 78
     assert len(ratios) == 70 and sum(r > 1.0 for r in ratios) == 30

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prnls import spectral
 from prnls.linsolve import _random_shell_field
 from prnls.spectral import (Field, Grid, _is_permutation_symmetric,
                             _symmetric_block_norms, _transform, gradient,
@@ -179,7 +180,7 @@ def test_plancherel_sum_matches_full_fft(case):
     # the block sum of an even field against the sum over its full fftn lattice
     f, weight = case
     ref = fft_plancherel_sum(f, weight)
-    assert _rel_gap(plancherel_sum(f.grid.even.restrict(f), weight), ref) \
+    assert _rel_gap(plancherel_sum(f.grid.even.restrict(f), weight)[0], ref) \
         <= _BLOCK_PLANCHEREL_FLOOR
 
 
@@ -242,7 +243,7 @@ def _check_block_against_scipy(f, sym):
     ref = dct1_multiplier(f.values, mult)
     got = half_spectrum_apply(block, f.values, mult)
     assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
-    assert _rel_gap(plancherel_sum(f, sym), dct1_plancherel_sum(f, sym)) \
+    assert _rel_gap(plancherel_sum(f, sym)[0], dct1_plancherel_sum(f, sym)) \
         <= _BLOCK_PLANCHEREL_FLOOR
     for got, ref in zip(block_partials(f), dst1_partials(f)):
         assert np.max(np.abs(got - ref)) <= _BLOCK_MULTIPLIER_FLOOR * scale * np.max(np.abs(ref))
@@ -460,8 +461,22 @@ def test_norm_w2q_separable_cosine_closed_form(N, q, ka, kb):
 def test_parseval():
     grid = Grid(2, 32, 5.0)
     f = grid.even.restrict(_random_field(grid, 7))
-    assert plancherel_sum(f, lambda r2: np.ones_like(r2)) == pytest.approx(
+    assert plancherel_sum(f, lambda r2: np.ones_like(r2))[0] == pytest.approx(
         norm_lq(f, 2) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+def test_plancherel_sum_takes_every_weight_on_one_transform(monkeypatch, n, N):
+    # several weights share one DCT-I, and each sum keeps the bits of its own call
+    grid = Grid(n, N, 5.0)
+    f = grid.even.restrict(_random_field(grid, 8))
+    a, b = (lambda r2: 1.0 + r2), kinetic(3.0)
+    single = (plancherel_sum(f, a)[0], plancherel_sum(f, b)[0])
+    calls = []
+    monkeypatch.setattr(spectral, "_transform",
+                        lambda *args: calls.append(args) or _transform(*args))
+    assert plancherel_sum(f, a, b) == single
+    assert len(calls) == 1
 
 
 def test_norm_lq_rejects_small_q():
@@ -657,6 +672,8 @@ def test_field_rejects_nonfinite():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         Field(grid, bad)
+    with pytest.raises(TypeError):  # a Field scales by a number, never by a Field
+        Field.zeros(grid) * Field.zeros(grid)
 
 
 # the largest rfftn coefficient of a shell field outside its shell, relative to
