@@ -584,9 +584,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         cfg = parse_config(text, args.command)
         updates = {}

@@ -91,7 +91,7 @@ class SolveReport:
         return self.outcome == OUTCOME_CONVERGED
 
 
-def remainder_rc(op: LinearizedOperator, tol_lin: float = ToleranceSet.tol_lin) -> Field:
+def remainder_rc(op: LinearizedOperator, tol_lin: float) -> Field:
     """First-order correction R_c = L^{-1} (P_inf(D) - P_c(D)) u_inf, on the even block."""
     block = op.grid.even
     mult = half_spectrum_multiplier(block, p_infty_minus_p_c(op.c))
@@ -115,8 +115,7 @@ def nonlinear_q(op: LinearizedOperator, w: Field) -> Field:
     return Field(block, block.from_reps(q))
 
 
-def phi(op: LinearizedOperator, w: Field, rc: Field,
-        tol_lin: float = ToleranceSet.tol_lin) -> Field:
+def phi(op: LinearizedOperator, w: Field, rc: Field, tol_lin: float) -> Field:
     """Phi_c(w) = R_c + L^{-1} Q(w) on the even block, for a radial w; both terms are radial."""
     return rc + invert(op, nonlinear_q(op, w), tol=tol_lin)
 
@@ -163,8 +162,7 @@ class Construction:
     failure: str = ""
 
 
-def prepare(rp: ReducedParams, gs: GroundState,
-            tol_lin: float = ToleranceSet.tol_lin) -> Construction:
+def prepare(rp: ReducedParams, gs: GroundState, tol_lin: float) -> Construction:
     """Build the operator and R_c for solve() at rp around the ground state gs."""
     op = linearized_operator(rp, gs)
     ceiling = norm_h1(gs.u_even)

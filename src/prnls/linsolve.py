@@ -232,8 +232,7 @@ def _random_shell_field(grid: Grid, rng: np.random.Generator, r_lo: float,
     return Field(grid, v / scale if scale > 0 else v)
 
 
-def operator_norm_probe(grid: Grid, c: float, q: float, trials: int = 20,
-                        seed: int = 0) -> ProbeReport:
+def operator_norm_probe(grid: Grid, c: float, q: float, trials: int, seed: int) -> ProbeReport:
     """Sample the two-sided W^{1,q}/W^{2,q} symbol bounds and the c^-2 inverse gap.
 
     The test ensemble mixes spectrally concentrated fields (random phases on

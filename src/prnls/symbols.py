@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def _sample_radii(samples: int, seed: int, extra=()):
     return np.concatenate([r, np.asarray([lo, hi, *extra])])
 
 
-def check_pointwise_bounds(c: float, samples: int = 20000, seed: int = 0):
+def check_pointwise_bounds(c: float, samples: int, seed: int):
     """Sample the two-sided regime bounds and the global domination P_c <= P_inf.
 
     Low regime |xi| <= sqrt(3) c / 2:   (|xi|^2 + 1)/2 <= P_c <= |xi|^2 + 1.
@@ -144,7 +145,7 @@ def check_pointwise_bounds(c: float, samples: int = 20000, seed: int = 0):
     return tuple(reports)
 
 
-def check_difference_bound(c: float, samples: int = 20000, seed: int = 0) -> BoundReport:
+def check_difference_bound(c: float, samples: int, seed: int) -> BoundReport:
     """Check |P_c - P_inf| <= |xi|^4 / c^2; worst_ratio is the largest ratio, nan a violation."""
     _check_c(c)
     r = _sample_radii(samples, seed)
@@ -163,15 +164,7 @@ class DerivativeBoundRow:
     argmax_xi: float
 
 
-def _multi_indices(order: int):
-    if order == 0:
-        return [()]
-    if order == 1:
-        return [(i,) for i in range(3)]
-    return [(i, j) for i in range(3) for j in range(i, 3)]
-
-
-def check_derivative_bounds(c: float, samples: int = 2000, seed: int = 0) -> tuple:
+def check_derivative_bounds(c: float, samples: int, seed: int) -> tuple:
     """Empirical derivative bounds for a(xi) = 1/P_inf - 1/P_c and P_c/P_inf.
 
     Central finite differences in xi (step 1e-4 * max(|xi|, 1), accumulated in
@@ -219,7 +212,7 @@ def check_derivative_bounds(c: float, samples: int = 2000, seed: int = 0) -> tup
                                ("symbol-ratio", symbol_ratio(c), 1.0)):
         for order in range(3):
             scaled = np.zeros(samples)
-            for alpha in _multi_indices(order):
+            for alpha in combinations_with_replacement(range(3), order):
                 est = np.abs(deriv(fn, alpha)).astype(np.float64)
                 scaled = np.maximum(scaled, est * r64 ** order * weight)
             worst = int(np.argmax(scaled))

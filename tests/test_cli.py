@@ -299,6 +299,15 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_main_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"# \xff\xfe\n" + SOLVE_2D.encode())
+    out = tmp_path / "out"
+    assert main(["ground-state", str(cfg), "--output-dir", str(out)]) == 1
+    assert "error: cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_unknown_subcommand(tmp_path, capsys):
     assert main(["frobnicate", _cfg(tmp_path, MINIMAL_2D)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -1011,6 +1020,25 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_python_dash_m_prnls_runs_the_cli(tmp_path):
+    # the module entry point (prnls/__main__.py), which the installed script does not run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def prnls(*args):
+        return subprocess.run([sys.executable, "-m", "prnls", *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+    text = "[params]\nn = 2\np = 3.0\n\n[grid]\nn_points = 32\nbox_radius = 10.0\n"
+    out = tmp_path / "out"
+    done = prnls("ground-state", _cfg(tmp_path, text), "--output-dir", str(out))
+    assert done.returncode == 0, done.stderr
+    assert [row["outcome"] for row in _read_rows(out / "ground_state.csv")] == ["converged"]
+    missing = prnls("ground-state", str(tmp_path / "absent.ini"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error: cannot read config file")
+    assert missing.stderr.count("\n") == 1
 
 
 # ------------------------------------------------------------ output routing

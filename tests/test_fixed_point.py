@@ -22,10 +22,12 @@ from prnls.symbols import p_c
 
 from fft_reference import fft_multiplier, full_grid_symmetrize_radial, lift, random_band_limited
 
+TOL_LIN = ToleranceSet.tol_lin
+
 
 def test_remainder_vanishes_at_infinite_speed(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, math.inf), gs2d_small)
-    rc = fp.remainder_rc(op)
+    rc = fp.remainder_rc(op, TOL_LIN)
     assert np.max(np.abs(rc.values)) == 0.0
 
 
@@ -34,7 +36,7 @@ def test_remainder_decay_rate_2d(gs2d_small):
     norms = {}
     for c in (8.0, 16.0):
         op = linearized_operator(ReducedParams(2, 3.0, c), gs2d_small)
-        norms[c] = intersection_norm(fp.remainder_rc(op))
+        norms[c] = intersection_norm(fp.remainder_rc(op, TOL_LIN))
     ratio = norms[16.0] / norms[8.0]
     assert 0.15 <= ratio <= 0.35, f"measured R_2c/R_c = {ratio}"
 
@@ -45,7 +47,7 @@ def test_remainder_decay_rate_3d(gs3d):
     norms = {}
     for c in (8.0, 16.0):
         op = linearized_operator(ReducedParams(3, 1.8, c), gs3d)
-        norms[c] = intersection_norm(fp.remainder_rc(op))
+        norms[c] = intersection_norm(fp.remainder_rc(op, TOL_LIN))
     ratio = norms[16.0] / norms[8.0]
     print(f"measured 3d remainder ratio R_2c/R_c = {ratio:.4f}")
     assert 0.1 <= ratio <= 0.5 + 1e-9
@@ -68,7 +70,7 @@ def test_construction_is_second_order_in_the_speed(n, N, L, p):
     points = []
     for c in _SECOND_ORDER_LADDER:
         rp = ReducedParams(n, p, c)
-        construction = fp.prepare(rp, gs)
+        construction = fp.prepare(rp, gs, TOL_LIN)
         u_c, rep = fp.solve(rp, grid, gs, construction=construction)
         assert rep.converged
         points.append((c, intersection_norm(u_c - gs.u_even - construction.rc)))
@@ -138,21 +140,21 @@ def test_phi_at_zero_is_remainder(gs2d_small):
     # phi(0) = rc + L^{-1} Q(0) where Q(0) is roundoff-level, so the match is
     # to machine precision rather than bitwise
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    rc = fp.remainder_rc(op)
-    out = fp.phi(op, Field.zeros(gs2d_small.grid.even), rc=rc)
+    rc = fp.remainder_rc(op, TOL_LIN)
+    out = fp.phi(op, Field.zeros(gs2d_small.grid.even), rc, TOL_LIN)
     assert np.max(np.abs(out.values - rc.values)) < 1e-15
 
 
 def test_phi_contracts_small_pairs(gs2d_small):
     op = linearized_operator(ReducedParams(2, 3.0, 64.0), gs2d_small)
-    rc = fp.remainder_rc(op)
+    rc = fp.remainder_rc(op, TOL_LIN)
     delta = 0.1 * norm_h1(gs2d_small.u_even)
     worst = 0.0
     for seed in range(4):
         rng = np.random.default_rng(500 + seed)
         w1 = fp.random_start(gs2d_small.grid, rng, delta / 2)
         w2 = fp.random_start(gs2d_small.grid, rng, delta / 2)
-        num = intersection_norm(fp.phi(op, w1, rc=rc) - fp.phi(op, w2, rc=rc))
+        num = intersection_norm(fp.phi(op, w1, rc, TOL_LIN) - fp.phi(op, w2, rc, TOL_LIN))
         worst = max(worst, num / intersection_norm(w1 - w2))
     assert worst < 0.5, f"contraction factor {worst}"
 
@@ -236,8 +238,8 @@ def test_fixed_point_property(uc16_small, gs2d_small):
     u_c, rep = uc16_small
     w_star = u_c - gs2d_small.u_even
     op = linearized_operator(ReducedParams(2, 3.0, 16.0), gs2d_small)
-    rc = fp.remainder_rc(op)
-    drift = intersection_norm(fp.phi(op, w_star, rc=rc) - w_star)
+    rc = fp.remainder_rc(op, TOL_LIN)
+    drift = intersection_norm(fp.phi(op, w_star, rc, TOL_LIN) - w_star)
     assert drift <= 1e-8
 
 
@@ -409,10 +411,10 @@ def test_foreign_construction_rejected(gs2d_small):
     rp = ReducedParams(2, 3.0, 16.0)
     grid = gs2d_small.grid
     other_gs = solve_limit_equation(rp, grid, tol=1e-12)
-    for construction, tol in ((fp.prepare(ReducedParams(2, 3.0, 32.0), gs2d_small),
+    for construction, tol in ((fp.prepare(ReducedParams(2, 3.0, 32.0), gs2d_small, TOL_LIN),
                                ToleranceSet()),
-                              (fp.prepare(rp, other_gs), ToleranceSet()),
-                              (fp.prepare(rp, gs2d_small), ToleranceSet(tol_lin=1e-9))):
+                              (fp.prepare(rp, other_gs, TOL_LIN), ToleranceSet()),
+                              (fp.prepare(rp, gs2d_small, TOL_LIN), ToleranceSet(tol_lin=1e-9))):
         with pytest.raises(ValueError, match="construction"):
             fp.solve(rp, grid, gs2d_small, tol=tol, construction=construction)
 

@@ -5,11 +5,13 @@ repository root, with
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-(no CASE rewrites every case). It prints what each rewrite changes: every
-changed SOLUTION or EXACT cell, each SOLUTION cell with its relative change,
-and each field dump's payload gap. A change that reruns it must say why,
-with that printout, in CHANGES.md: the files are the reference every later
-change is compared with, not a snapshot to refresh.
+(no CASE rewrites every case). It prints each case's exit code and what
+its rewrite changes, in --compare's form below with the golden files as
+the parent: a file added or dropped, each CSV column that changed with its
+largest relative change, and each changed field dump's payload gap. A
+change that reruns it must say why, with that printout, in CHANGES.md: the
+files are the reference every later change is compared with, not a
+snapshot to refresh.
 
 The committed files pass at SOLUTION_RTOL but need not match a given host's
 output byte for byte, so a change that means to keep every output byte is
@@ -303,33 +305,6 @@ def test_compare_measures_what_moved_between_two_dumps(tmp_path):
     assert compare_dumps(parent, parent) == []
 
 
-def changes(new_dir, old_dir, names) -> list:
-    """What rewriting old_dir's files `names` from new_dir changes, as readable strings.
-
-    Each SOLUTION cell that changes, with its relative change; each EXACT
-    cell that changes; and each field dump's payload gap, changed or not.
-    """
-    lines = []
-    for name in names:
-        new, old = new_dir / name, old_dir / name
-        if not old.exists():
-            lines.append(f"{name}: new file")
-        elif name.endswith(".bin"):
-            lines.append(f"{name}: {_dump_change(new, old)}")
-        else:
-            cells = _changed_cells(new, old)
-            if cells is None:
-                lines.append(f"{name}: header or row count changed")
-                continue
-            for k, column, g, w in cells:
-                if column not in SOLUTION | EXACT:
-                    continue
-                why = (f"relative change {_relative_gap(float(g), float(w)):.2e}"
-                       if column in SOLUTION else "EXACT cell")
-                lines.append(f"{name} row {k} {column}: {w} -> {g} ({why})")
-    return lines
-
-
 def _changed_cells(new, old):
     """(row, column, new cell, old cell) of every cell that differs; None if the shape differs."""
     got, want = _rows(new), _rows(old)
@@ -393,7 +368,8 @@ def compare_dumps(parent: pathlib.Path, change: pathlib.Path) -> list:
 def regenerate(cases):
     """Rewrite the golden set of each case from the current tree, and its exit code.
 
-    Prints, per case, its exit code and what the rewrite changes (see changes).
+    Prints, per case, its exit code and what the rewrite changes, as
+    compare_dumps reports the golden files against the new ones.
     """
     codes = dict(_rows(DATA / EXIT_CODES)[1:])
     for case in cases:
@@ -402,12 +378,15 @@ def regenerate(cases):
             new = pathlib.Path(tmp)
             code = str(run_config(case, new))
             keep = kept(case, new)
+            for path in new.iterdir():
+                if path.name not in keep:
+                    path.unlink()
             old_code = codes.get(case, "none")
             print(f"{case}: exit code {old_code} -> {code}" if code != old_code
                   else f"{case}: exit code {code}")
-            for line in changes(new, out, keep):
-                print(f"  {line}")
             out.mkdir(parents=True, exist_ok=True)
+            for line in compare_dumps(out, new):
+                print(f"  {line}")
             for old in out.iterdir():
                 old.unlink()
             for name in keep:

@@ -25,7 +25,9 @@ a run's float-range policy has one home, and solve's local over="ignore" is
 the one kernel that overrides it. A function that
 prnls.__all__ does not export has no parameter that every call in src sets
 to one value, the default or one module constant: that value is a constant
-of the function (cli.main, the console entry point, is exempt).
+of the function. Nor does it have a default that every call in src
+overrides: only a test could take that default, so the test passes the
+value itself (cli.main, the console entry point, is exempt from both).
 """
 
 import ast
@@ -217,17 +219,23 @@ def _called_name(node):
         node.attr if isinstance(node, ast.Attribute) else None
 
 
-def constant_parameters(src=SRC, exported=frozenset(prnls.__all__),
-                        exempt=frozenset({"cli.main"})):
-    """"module.function(parameter)" for each parameter that every call in src sets to one value.
+# what a call passes for a parameter when it passes nothing, and when it
+# unpacks *args or **kwargs, so that any parameter may take its default
+_OMITTED, _UNPACKED = object(), object()
+
+
+def _call_sites(src, exported, exempt):
+    """(qualified name, parameters, defaults, sites) per function the call checks cover.
 
     Covers the functions and methods of src that exported does not name and
     whose name is defined once there. A call site is a call by the bare name
-    or the attribute name; a parameter it leaves out takes its default. A
-    value is fixed when it is a literal or a module-level name (or an
-    attribute of one) that the calling scope does not rebind. A function
-    whose name is also used other than as a call (passed to a pool, say) has
-    call sites src cannot see, and is skipped.
+    or the attribute name. A function whose name is also used other than as a
+    call (passed to a pool or to functools.partial, say) has call sites src
+    cannot see, and is skipped. defaults maps each parameter that has a
+    default to _fixed_value of it; sites holds one {parameter: value} per call,
+    where value is _fixed_value of what the call passes, _OMITTED or _UNPACKED.
+    A value is fixed when it is a literal or a module-level name (or an
+    attribute of one) that the calling scope does not rebind.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     found = {}
@@ -250,9 +258,8 @@ def constant_parameters(src=SRC, exported=frozenset(prnls.__all__),
         functions[name] = (f"{module}.{qualname}", positional,
                            positional + [a.arg for a in node.args.kwonlyargs],
                            {k: _fixed_value(v, _module_names(trees[module]), set())
-                            for k, v in defaults.items()})
+                            for k, v in defaults.items()}, [])
 
-    values = {name: {param: set() for param in spec[2]} for name, spec in functions.items()}
     escaped = set()
     for tree in trees.values():
         names = _module_names(tree)
@@ -266,17 +273,46 @@ def constant_parameters(src=SRC, exported=frozenset(prnls.__all__),
                 name = _called_name(call.func)
                 if name not in functions:
                     continue
-                _, positional, params, defaults = functions[name]
+                _, positional, params, _, sites = functions[name]
                 given = dict(zip(positional, call.args))
                 given.update({k.arg: k.value for k in call.keywords})
                 unpacked = any(isinstance(a, ast.Starred) for a in call.args) \
                     or any(k.arg is None for k in call.keywords)
-                for param in params:
-                    values[name][param].add(
-                        None if unpacked else _fixed_value(given[param], names, local)
-                        if param in given else defaults.get(param))
-    return [f"{functions[name][0]}({param})" for name in functions if name not in escaped
-            for param, seen in values[name].items() if len(seen) == 1 and None not in seen]
+                sites.append({param: _UNPACKED if unpacked
+                              else _fixed_value(given[param], names, local) if param in given
+                              else _OMITTED for param in params})
+    return [(qualname, params, defaults, sites) for name, (qualname, _, params, defaults, sites)
+            in functions.items() if name not in escaped]
+
+
+def constant_parameters(src=SRC, exported=frozenset(prnls.__all__),
+                        exempt=frozenset({"cli.main"})):
+    """"module.function(parameter)" for each parameter that every call in src sets to one value.
+
+    Covers the functions _call_sites covers. A parameter a call leaves out
+    takes its default; one a call unpacks has no fixed value.
+    """
+    out = []
+    for qualname, params, defaults, sites in _call_sites(src, exported, exempt):
+        for param in params:
+            seen = {defaults.get(param) if site[param] is _OMITTED
+                    else None if site[param] is _UNPACKED else site[param] for site in sites}
+            if len(seen) == 1 and None not in seen:
+                out.append(f"{qualname}({param})")
+    return out
+
+
+def unused_defaults(src=SRC, exported=frozenset(prnls.__all__), exempt=frozenset({"cli.main"})):
+    """"module.function(parameter)" for each default that every call in src overrides.
+
+    Covers the functions _call_sites covers that src calls at all. A call
+    that unpacks *args or **kwargs may take any default.
+    """
+    return [f"{qualname}({param})" for qualname, params, defaults, sites
+            in _call_sites(src, exported, exempt) if sites
+            for param in params if param in defaults
+            and all(site[param] is not _OMITTED and site[param] is not _UNPACKED
+                    for site in sites)]
 
 
 def test_no_parameter_takes_one_value_at_every_call_in_src():
@@ -314,3 +350,29 @@ def test_the_constant_parameter_check_flags_a_default_or_constant_every_call_tak
         == flagged
     assert constant_parameters(tmp_path, frozenset({"exported"}), frozenset()) \
         == flagged + ["mod.main(argv)"]
+
+
+def test_no_default_is_overridden_at_every_call_in_src():
+    assert unused_defaults() == []
+
+
+def test_the_unused_default_check_flags_a_default_every_call_overrides(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def check(c, samples=20000, seed=0):\n"
+        "    return c\n"
+        "def spread(c, samples=5):\n"
+        "    return c\n"
+        "def passed(x, y=1):\n"
+        "    return x\n"
+        "def exported(x, y=1):\n"
+        "    return x\n"
+        "def main(argv=None):\n"
+        "    return argv\n"
+        "def run(cfg, kw):\n"
+        "    return (check(1.0, cfg.samples, seed=cfg.seed), check(2.0, 10),\n"
+        "            spread(1.0, **kw), list(map(passed, [1])), passed(1, 2),\n"
+        "            exported(1, 2), main([]))\n")
+    assert unused_defaults(tmp_path, frozenset({"exported"}), frozenset({"mod.main"})) \
+        == ["mod.check(samples)"]
+    assert unused_defaults(tmp_path, frozenset({"exported"}), frozenset()) \
+        == ["mod.check(samples)", "mod.main(argv)"]
